@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Commands: ideals, primes, classify, radical, diagram, check-charprime,
-check-inter, check-frad.  Exit codes: 0 ok, 2 parse error, 3 resource
-limit, 4 invalid fuzzy ideal, 5 constant ideal, 6 theorem-assertion
-failure.  Reports are byte-identical for identical inputs (including
+check-inter, check-frad.  Exit codes: 0 ok, 2 parse error or bad
+arguments (--cap or --jobs below 1, --corpus random without --seed),
+3 resource limit, 4 invalid fuzzy ideal, 5 constant ideal, 6
+theorem-assertion failure.  Reports are byte-identical for identical inputs (including
 seeds and job counts).
 """
 from __future__ import annotations
@@ -31,6 +32,13 @@ EXIT_THEOREM = 6
 DEFAULT_BOUND = 64
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="fuzzideal",
@@ -56,10 +64,11 @@ def _build_parser():
         p.add_argument("--corpus", choices=("exhaustive", "random"),
                        default="exhaustive")
         p.add_argument("--seed", type=int, help="seed for random corpus mode")
-        p.add_argument("--cap", type=int,
-                       default=int(os.environ.get("FUZZIDEAL_CAP",
-                                                  corpus_mod.DEFAULT_CAP)))
-        p.add_argument("--jobs", type=int, default=1,
+        # a string default goes through _positive_int like a given value
+        p.add_argument("--cap", type=_positive_int,
+                       default=os.environ.get("FUZZIDEAL_CAP",
+                                              str(corpus_mod.DEFAULT_CAP)))
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for corpus classification")
 
     common(sub.add_parser("ideals", help="enumerate crisp ideals"))
@@ -292,7 +301,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "corpus", None) == "random" and args.seed is None:
+        parser.error("--corpus random requires --seed")
     try:
         return COMMANDS[args.command](args)
     except ParseError as exc:

@@ -13,7 +13,8 @@ from math import gcd
 
 import sympy
 
-from .errors import NotProperIdealError, ResourceLimitError
+from .errors import (NotProperIdealError, ResourceLimitError,
+                     TheoremViolationError)
 from .rings import Ring
 
 
@@ -279,8 +280,8 @@ def minimal_primes(R: Ring) -> list[CrispIdeal]:
             minimal.append(P)
     # finite-ring structure: primes are pairwise incomparable
     for P, Q in itertools.combinations(primes, 2):
-        assert not P.subset(Q) and not Q.subset(P), \
-            "comparable primes in a finite ring"
+        if P.subset(Q) or Q.subset(P):
+            raise TheoremViolationError("comparable primes in a finite ring")
     return minimal
 
 
@@ -318,7 +319,9 @@ def prime_avoiding(R: Ring, P: CrispIdeal, x) -> CrispIdeal:
             if not P.contains(cand):
                 nxt = cand
                 break
-        assert nxt is not None, "semiprimeness guarantees a continuation"
+        if nxt is None:
+            raise TheoremViolationError(
+                "semiprimeness guarantees a continuation")
         if nxt in seen:
             break
         seen.add(nxt)
@@ -339,6 +342,9 @@ def prime_avoiding(R: Ring, P: CrispIdeal, x) -> CrispIdeal:
             grown = True
             break
 
-    assert is_prime_ideal(R, M), "maximal avoiding ideal must be prime"
-    assert P.subset(M) and not M.contains(x)
+    if not is_prime_ideal(R, M):
+        raise TheoremViolationError("maximal avoiding ideal must be prime")
+    if not (P.subset(M) and not M.contains(x)):
+        raise TheoremViolationError(
+            "maximal avoiding ideal must contain P and avoid x")
     return M

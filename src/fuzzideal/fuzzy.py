@@ -18,7 +18,8 @@ from math import gcd
 import sympy
 
 from .crisp import CrispIdeal, ideal_generate, is_ideal, whole_ideal, zero_ideal
-from .errors import (BackendError, ConstantIdealError, InvalidFuzzyIdealError)
+from .errors import (BackendError, ConstantIdealError, InvalidFuzzyIdealError,
+                     TheoremViolationError)
 from .rings import Ring
 
 ZERO = Fraction(0)
@@ -157,13 +158,15 @@ def fuzzy_from_map(R: Ring, assignment) -> FuzzyIdeal:
     witness = _axiom_witness(R, table)
     chain_or_none = _chain_from_table(R, table)
     if witness is not None:
-        assert chain_or_none is None, "axiom check and cut criterion disagree"
+        if chain_or_none is not None:
+            raise TheoremViolationError("axiom check and cut criterion disagree")
         x, y, axiom = witness
         raise InvalidFuzzyIdealError(
             f"not a fuzzy ideal: {axiom} fails at "
             f"x={R.label(x)}, y={R.label(y)}",
             witness={"x": R.label(x), "y": R.label(y), "axiom": axiom})
-    assert chain_or_none is not None, "axiom check and cut criterion disagree"
+    if chain_or_none is None:
+        raise TheoremViolationError("axiom check and cut criterion disagree")
     return FuzzyIdeal(R, chain_or_none)
 
 
@@ -325,7 +328,9 @@ def _intersect2(F: FuzzyIdeal, G: FuzzyIdeal) -> FuzzyIdeal:
         if prev is None or prev != c:
             chain.append((c, alpha))
             prev = c
-    assert prev.is_whole
+    if not prev.is_whole:
+        raise TheoremViolationError(
+            "intersection chain does not end at the whole ring")
     return FuzzyIdeal(R, tuple(chain))
 
 

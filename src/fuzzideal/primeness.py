@@ -20,10 +20,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import crisp
+from .corpus import ideal_chains
 from .crisp import (CrispIdeal, completely_prime_witness, enumerate_ideals,
                     is_prime_ideal, is_semiprime_ideal, minimal_primes,
                     prime_witness, semiprime_witness)
-from .errors import BackendError, TheoremViolationError
+from .errors import BackendError, ResourceLimitError, TheoremViolationError
 from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, compose, cut,
                     fuzzy_product, generate, singleton, star_ideal, to_set,
                     value_equivalent, zero_type)
@@ -397,39 +398,106 @@ def is_SD0prime(P: FuzzyIdeal, grid=None, ctx=None) -> bool:
     return SD0prime_witness(P, grid, ctx) is None
 
 
-def SD1_witness(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET):
+def _lattice_minima_index(R: Ring):
+    """Each lattice ideal's elements and its products {ab : a, b in J},
+    packed for one ``np.minimum.reduceat`` over a rank vector."""
+    def build():
+        mul = _np_tables(R)["mul"]
+        elems, prods = [], []
+        for J in enumerate_ideals(R):
+            idx = np.array(sorted(J.elems), dtype=np.int64)
+            elems.append(idx)
+            prods.append(np.unique(mul[np.ix_(idx, idx)]))
+
+        def packed(parts):
+            starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
+            return np.concatenate(parts), starts
+        return {"elems": packed(elems), "prods": packed(prods)}
+    return R.cached("lattice_minima_index", build)
+
+
+def _chain_positions(R: Ring, max_len: int):
+    """``ideal_chains(R, max_len)`` grouped by length: for each length m,
+    the chains in order and an (N, m) array of their lattice positions."""
+    def build():
+        pos = {J: i for i, J in enumerate(enumerate_ideals(R))}
+        by_len = {}
+        for chain in ideal_chains(R, max_len):
+            by_len.setdefault(len(chain), []).append(chain)
+        return {m: (chains, np.array([[pos[J] for J in c] for c in chains],
+                                     dtype=np.int64))
+                for m, chains in by_len.items()}
+    return R.cached(("chain_positions", max_len), build)
+
+
+# cells of the (chains x value combinations x length) arrays per block
+_SD1_BLOCK = 1 << 16
+
+
+def SD1_witness(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET, ctx=None):
     """Search for I with I^2 <= P and I !<= P over grid-valued fuzzy ideals.
 
     Grid-completeness of this reduction is assumed (no characterization
     available); the search is a sound falsifier either way.  Returns
     (witness-or-None, exhausted_flag).
+
+    Candidates are the fuzzy ideals of ``enumerate_fuzzy_ideals(R, grid)``,
+    tried in that order; only those with I !<= P count against the budget.
+    A candidate with chain C1 < ... < Cm = R and values c1 > ... > cm
+    takes the value ck on Ck minus C(k-1), and min(I(a), I(b)) = ck for
+    the least k with a, b in Ck.  Hence, exactly,
+
+        I o I <= P  iff  ck <= min{P(ab) : a, b in Ck}  for every k,
+        I !<= P     iff  ck >  min{P(x)  : x in Ck}     for some k.
+
+    Both minima are computed once per lattice ideal, and every chain is
+    tested against all value combinations at once, in integer ranks on
+    grid + image(P).  A given ``ctx`` supplies those ranks and the grid.
     """
-    from .corpus import enumerate_fuzzy_ideals
     R = P.ring
     if not R.is_table:
         raise BackendError("D1-semiprimeness search requires a table ring")
-    if grid is None:
-        grid = value_grid(P)
-    pvals = to_set(P).table
+    ctx = ctx or _ctx(P, grid)
+    values = sorted((Fraction(v) for v in set(ctx.grid)), reverse=True)
+    value_ranks = np.array([ctx.rank[v] for v in values], dtype=np.int64)
+    index = _lattice_minima_index(R)
+    floor = np.minimum.reduceat(ctx.pv[index["elems"][0]], index["elems"][1])
+    square = np.minimum.reduceat(ctx.pv[index["prods"][0]], index["prods"][1])
     examined = 0
-    for I in enumerate_fuzzy_ideals(R, grid):
-        if I.is_constant:
+    for m, (chains, positions) in sorted(
+            _chain_positions(R, len(values)).items()):
+        if m < 2:
             continue
-        arr = to_set(I).table
-        if not any(a > p for a, p in zip(arr, pvals)):
-            continue
-        examined += 1
-        if examined > budget:
-            return None, True
-        sq = compose(to_set(I), to_set(I))
-        if all(c <= p for c, p in zip(sq.table, pvals)):
-            from .dsl import format_fuzzy
-            return {"I": format_fuzzy(I)}, False
+        combos = np.array(list(itertools.combinations(range(len(values)), m)),
+                          dtype=np.int64)
+        ranks = value_ranks[combos][None, :, :]
+        step = max(1, _SD1_BLOCK // ranks.size)
+        for start in range(0, len(positions), step):
+            block = positions[start:start + step]
+            not_below = (ranks > floor[block][:, None, :]).any(axis=2).ravel()
+            square_ok = (ranks <= square[block][:, None, :]).all(axis=2).ravel()
+            hits = np.flatnonzero(not_below & square_ok)
+            if len(hits):
+                h = int(hits[0])
+                if examined + np.count_nonzero(not_below[:h + 1]) > budget:
+                    return None, True
+                chain = chains[start + h // len(combos)]
+                combo = (values[k] for k in combos[h % len(combos)])
+                from .dsl import format_fuzzy
+                return {"I": format_fuzzy(
+                    FuzzyIdeal(R, tuple(zip(chain, combo))))}, False
+            examined += np.count_nonzero(not_below)
+            if examined > budget:
+                return None, True
     return None, False
 
 
 def is_SD1(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET) -> bool:
-    witness, _ = SD1_witness(P, grid, budget)
+    """Raises ResourceLimitError when the search exhausts its budget."""
+    witness, exhausted = SD1_witness(P, grid, budget)
+    if exhausted:
+        raise ResourceLimitError(
+            f"SD1 search exhausted its budget of {budget} candidates")
     return witness is None
 
 
@@ -502,14 +570,20 @@ def minimal_prime_below(Q: FuzzyIdeal) -> FuzzyIdeal:
     R = Q.ring
     if R.is_table:
         cands = [P for P in minimal_primes(R) if P.subset(star_ideal(Q))]
-        assert cands, "a prime top cut contains a minimal prime"
+        if not cands:
+            raise TheoremViolationError(
+                "a prime top cut contains a minimal prime")
         P = cands[0]
     else:
         P = crisp.zero_ideal(R)  # the unique minimal prime of Z
     out = FuzzyIdeal(R, ((P, Q.top), (crisp.whole_ideal(R), Q.bottom)))
-    assert out.le(Q)
-    assert is_prime_new(out)
-    assert value_equivalent(out, characteristic(P))
+    if not out.le(Q):
+        raise TheoremViolationError("minimal prime below exceeds its input")
+    if not is_prime_new(out):
+        raise TheoremViolationError("minimal prime below is not prime")
+    if not value_equivalent(out, characteristic(P)):
+        raise TheoremViolationError(
+            "minimal prime below is not value-equivalent to its crisp prime")
     return out
 
 
@@ -531,6 +605,9 @@ INT_NOTIONS = ("D0'", "D1", "D1L", "D1R", "D2", "D3", "D4", "PRIME_NEW",
 
 def classify(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET):
     """Full truth table of all notions, with witnesses for the false ones.
+
+    SD1 is None (unknown) when its search exhausts ``budget``; its
+    witness entry then records the status and the candidates examined.
 
     Internal cross-assertions (D0' = D1, PRIME_NEW = D2, SD2 agreement,
     commutative D4 agreement) raise TheoremViolationError on failure.
@@ -561,8 +638,12 @@ def classify(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET):
         record("SD2", SD2_witness(P))
         record("SD4", SD4_witness(P, ctx))
         record("SD0'", SD0prime_witness(P, ctx=ctx))
-        sd1_w, _ = SD1_witness(P, grid, budget)
-        record("SD1", sd1_w)
+        sd1_w, exhausted = SD1_witness(P, grid, budget, ctx)
+        if exhausted:
+            notions["SD1"] = None
+            witnesses["SD1"] = {"status": "unknown", "examined": budget}
+        else:
+            record("SD1", sd1_w)
     else:
         record("PRIME_NEW", prime_new_witness(P))
         record("D3", D3_witness(P))
@@ -629,7 +710,9 @@ def diagram_check(corpus, grid=None, budget=DEFAULT_BUDGET,
     the corpus) is reported.  The D0 arrows that the source material
     leaves ambiguous on commutative rings are reported, never asserted.
     ``notions_list`` can supply precomputed classify() outputs (e.g. from
-    a worker pool); order must match the corpus.
+    a worker pool); order must match the corpus.  A notion that is
+    unknown (None, an exhausted SD1 search) neither proves nor refutes
+    an edge.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -645,9 +728,7 @@ def diagram_check(corpus, grid=None, budget=DEFAULT_BUDGET,
         if comm_only and not commutative:
             return
         for idx, P, notions in rows:
-            if src not in notions or dst not in notions:
-                continue
-            if notions[src] and not notions[dst]:
+            if _refutes(notions, src, dst):
                 from .dsl import format_fuzzy
                 raise TheoremViolationError(
                     f"implication {src} => {dst} violated",
@@ -666,7 +747,7 @@ def diagram_check(corpus, grid=None, budget=DEFAULT_BUDGET,
     for src, dst in PROBED_NON_IMPLICATIONS:
         witness = None
         for idx, P, notions in rows:
-            if src in notions and dst in notions and notions[src] and not notions[dst]:
+            if _refutes(notions, src, dst):
                 from .dsl import format_fuzzy
                 witness = {"fuzzy": format_fuzzy(P), "index": idx}
                 break
@@ -688,6 +769,11 @@ def diagram_check(corpus, grid=None, budget=DEFAULT_BUDGET,
                       **({"witness": flagged[0]} if flagged else {})})
 
     return {"corpus_size": len(rows), "diagram": edges}
+
+
+def _refutes(notions, src, dst) -> bool:
+    """src holds and dst fails; absent or unknown (None) notions never do."""
+    return notions.get(src) is True and notions.get(dst) is False
 
 
 def _d4_cut_assert(rows):

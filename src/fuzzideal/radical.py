@@ -17,7 +17,7 @@ from .crisp import crisp_radical, prime_avoiding
 from .errors import TheoremViolationError
 from .fuzzy import (FuzzyIdeal, cut, intersect, probe_elements, whole_ideal,
                     zero_type)
-from .primeness import is_prime_new, is_semiprime_new, value_grid
+from .primeness import _ctx, is_prime_new, is_semiprime_new, value_grid
 from .rings import Ring
 
 
@@ -40,7 +40,8 @@ def frad(I: FuzzyIdeal) -> FuzzyIdeal:
             continue  # collapsed level: keep the larger (earlier) value
         chain.append((rad, value))
     out = FuzzyIdeal(R, tuple(chain))
-    assert out.top == I.top and out.bottom == I.bottom
+    if not (out.top == I.top and out.bottom == I.bottom):
+        raise TheoremViolationError("FRad moved the top or bottom value")
     return out
 
 
@@ -74,7 +75,9 @@ def witness_prime_excluding(I: FuzzyIdeal, x, s) -> FuzzyIdeal:
         raise ValueError("x must lie outside Rad(I_s)")
     M = prime_avoiding(R, base, x)
     P = FuzzyIdeal(R, ((M, I.top), (whole_ideal(R), s)))
-    assert is_prime_new(P) and I.le(P) and P(x) == s
+    if not (is_prime_new(P) and I.le(P) and P(x) == s):
+        raise TheoremViolationError(
+            "prime-avoiding witness is not a prime above I with P(x) = s")
     return P
 
 
@@ -100,9 +103,10 @@ def frad_intersection_check(I: FuzzyIdeal, grid=None,
     for Q in enumerate_fuzzy_ideals(R, grid, bound):
         if not I.le(Q):
             continue
-        if is_semiprime_new(Q):
+        ctx = _ctx(Q) if R.is_table else None
+        if is_semiprime_new(Q, ctx):
             semiprimes.append(Q)
-            if is_prime_new(Q):
+            if is_prime_new(Q, ctx):
                 primes.append(Q)
     if not primes:
         raise TheoremViolationError("no grid-valued prime above I")

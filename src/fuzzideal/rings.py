@@ -32,12 +32,6 @@ class Backend(Enum):
     INTEGERS = "integers"
 
 
-class Op(Enum):
-    ADD = "add"
-    MUL = "mul"
-    NEG = "neg"
-
-
 # --------------------------------------------------------------------------
 # Ring spec AST
 # --------------------------------------------------------------------------
@@ -223,16 +217,6 @@ class Ring:
 def BackendErrorFor(what, ring):
     from .errors import BackendError
     return BackendError(f"{what} is not supported over {ring!r}")
-
-
-def ring_arithmetic(R: Ring, op: Op, a, b=None):
-    if op is Op.ADD:
-        return R.add(a, b)
-    if op is Op.MUL:
-        return R.mul(a, b)
-    if op is Op.NEG:
-        return R.neg(a)
-    raise ValueError(f"unknown op {op!r}")
 
 
 # --------------------------------------------------------------------------

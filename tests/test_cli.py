@@ -162,10 +162,30 @@ def test_witness_revalidation(capsys):
 
 
 def test_random_corpus_requires_seed_and_is_reproducible(capsys):
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         run(capsys, "diagram", "--ring", "Zn(6)", "--corpus", "random")
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
     base = ("diagram", "--ring", "Zn(6)", "--corpus", "random",
             "--seed", "7", "--cap", "20")
     _, out1, _ = run(capsys, *base)
     _, out2, _ = run(capsys, *base)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("extra", [
+    ("--cap", "0"), ("--cap", "-1"), ("--jobs", "0"),
+    ("--corpus", "random", "--seed", "1", "--cap", "0"),
+])
+def test_bad_counts_exit_2(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "diagram", "--ring", "Zn(6)", *extra)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_env_cap_validated(capsys, monkeypatch):
+    monkeypatch.setenv("FUZZIDEAL_CAP", "0")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "diagram", "--ring", "Zn(6)")
+    assert exc.value.code == 2

@@ -181,3 +181,29 @@ def test_prime_witness_revalidates(rings):
     x, y = w
     assert not I.contains(x) and not I.contains(y)
     assert all(I.contains(R.mul(R.mul(x, r), y)) for r in range(R.size))
+
+
+def test_theorem_checks_survive_optimize():
+    """Theorem checks raise TheoremViolationError even under python -O."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    code = (
+        "import sys, types\n"
+        "assert sys.flags.optimize == 1\n"
+        # table rings never call sympy; a stub spares compiling it under -O
+        "sys.modules['sympy'] = types.ModuleType('sympy')\n"
+        "from fuzzideal import crisp, parse_ring, TheoremViolationError\n"
+        "crisp.is_prime_ideal = lambda R, P: True  # makes {0} < <2> 'prime'\n"
+        "try:\n"
+        "    crisp.minimal_primes(parse_ring('Zn(4)'))\n"
+        "except TheoremViolationError:\n"
+        "    sys.exit(7)\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 7, proc.stderr

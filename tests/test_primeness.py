@@ -4,17 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzideal import (ConstantIdealError, CrispIdeal, characteristic,
-                       classify, constant, count_minimal_prime_classes,
-                       is_completely_prime_ideal, is_prime_ideal,
+from fuzzideal import (BackendError, ConstantIdealError, CrispIdeal,
+                       ResourceLimitError, characteristic, classify, compose,
+                       constant, count_minimal_prime_classes, diagram_check,
+                       enumerate_fuzzy_ideals, format_fuzzy,
+                       is_completely_prime_ideal, is_prime_ideal, is_SD1,
                        is_semiprime_ideal, minimal_prime_below, parse_element,
-                       parse_fuzzy_spec, parse_ring, value_equivalent,
+                       parse_fuzzy_spec, parse_ring, to_set, value_equivalent,
                        value_grid, zero_type)
 from fuzzideal.crisp import zero_ideal
 from fuzzideal.fuzzy import fuzzy_from_chain, star_ideal, whole_ideal
-from fuzzideal.primeness import (D0_witness, D0prime_witness, d1_falsify_search,
-                                 SD1_witness, _ctx, is_D0, is_D1, is_D2, is_D4,
-                                 is_prime_new, is_semiprime_new)
+from fuzzideal.primeness import (DEFAULT_BUDGET, D0_witness, D0prime_witness,
+                                 d1_falsify_search, SD1_witness, _ctx, is_D0,
+                                 is_D1, is_D2, is_D4, is_prime_new,
+                                 is_semiprime_new)
 
 F = Fraction
 
@@ -86,6 +89,70 @@ def test_sd1_implies_sd2(rings, corpora):
             n, _ = classify(P)
             if n["SD1"]:
                 assert n["SD2"], (spec, P)
+
+
+def _sd1_reference(P, grid=None, budget=DEFAULT_BUDGET):
+    """The definition-level SD1 search: one compose per candidate."""
+    R = P.ring
+    if not R.is_table:
+        raise BackendError("D1-semiprimeness search requires a table ring")
+    if grid is None:
+        grid = value_grid(P)
+    pvals = to_set(P).table
+    examined = 0
+    for I in enumerate_fuzzy_ideals(R, grid):
+        if I.is_constant:
+            continue
+        arr = to_set(I).table
+        if not any(a > p for a, p in zip(arr, pvals)):
+            continue
+        examined += 1
+        if examined > budget:
+            return None, True
+        sq = compose(to_set(I), to_set(I))
+        if all(c <= p for c, p in zip(sq.table, pvals)):
+            return {"I": format_fuzzy(I)}, False
+    return None, False
+
+
+@pytest.mark.parametrize("spec", ["Zn(6)", "Mat(2, Zn(2))", "Tri(2, Zn(2))",
+                                  "Prod(Zn(2), Zn(3))"])
+def test_sd1_search_matches_reference(corpora, spec):
+    """Same witness and exhaustion flag as the compose loop, every budget."""
+    for P in corpora[spec]:
+        expected = (None, True)
+        for budget in (1, 3, 50, DEFAULT_BUDGET):
+            if expected[1]:  # a finished search ends alike at larger budgets
+                expected = _sd1_reference(P, budget=budget)
+            assert SD1_witness(P, budget=budget) == expected, \
+                (spec, P, budget)
+
+
+def test_sd1_search_grid_without_a_value_of_P(rings):
+    """Ranks cover grid + image(P), so a grid missing P's values works."""
+    P = parse_fuzzy_spec(rings["Zn(12)"], "{1: <0>, 3/4: <6>, 1/4: <*>}")
+    grid = (F(1), F(1, 2), F(0))
+    for budget in (1, 3, 50, DEFAULT_BUDGET):
+        assert SD1_witness(P, grid, budget) == \
+            _sd1_reference(P, grid, budget)
+    assert SD1_witness(P, grid)[0] is not None
+
+
+def test_exhausted_sd1_is_unknown(rings, corpora):
+    """A budget-exhausted search reports SD1 unknown, never true."""
+    items = corpora["Zn(12)"]
+    unknown = 0
+    for P in items:
+        notions, witnesses = classify(P, budget=1)
+        if notions["SD1"] is None:
+            unknown += 1
+            assert witnesses["SD1"] == {"status": "unknown", "examined": 1}
+            with pytest.raises(ResourceLimitError):
+                is_SD1(P, budget=1)
+        else:
+            assert notions["SD1"] == notions["SD2"], P
+    assert unknown > 0
+    diagram_check(items, budget=1)  # no false SD1 => SD2 violation
 
 
 def test_zero_type_bridge(rings):
