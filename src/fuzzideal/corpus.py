@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .crisp import enumerate_ideals
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, TheoremViolationError
 from .fuzzy import FuzzyIdeal
 from .rings import Ring
 
@@ -27,9 +27,11 @@ def ideal_chains(R: Ring, max_len: int, bound: int | None = None):
     """All strict chains C1 < ... < Cm = R, ordered by length then lattice
     position; includes the length-1 chain (R,)."""
     lattice = enumerate_ideals(R, bound)
-    whole = lattice[-1] if R.is_table else None
-    if not R.is_table:
-        whole = next(i for i in lattice if i.is_whole)
+    whole = next((i for i in reversed(lattice) if i.is_whole), None)
+    if whole is None:
+        raise TheoremViolationError(
+            "the ideal lattice lacks the whole ring",
+            details={"ring": repr(R), "bound": bound})
     below = {i: [j for j in lattice if j != i and j.subset(i)] for i in lattice}
 
     chains = [[whole]]

@@ -1,8 +1,9 @@
 """Crisp two-sided ideals: generation, the lattice, primeness oracles,
 the radical and the prime-avoiding construction.
 
-Table rings memoize their principal ideals and full ideal lattice on the
-ring object (single-writer init, safe for concurrent readers).  Over Z an
+Table rings memoize their principal ideals, full ideal lattice, the
+prime and semiprime witnesses and the radical of each ideal on the ring
+object (single-writer init, safe for concurrent readers).  Over Z an
 ideal is just its nonnegative generator: 0 for {0}, 1 for Z.
 """
 from __future__ import annotations
@@ -181,7 +182,10 @@ def _require_proper(P: CrispIdeal):
 
 
 def prime_witness(R: Ring, P: CrispIdeal):
-    """None if P is prime; else (x, y) with xRy <= P, x,y not in P."""
+    """None if P is prime; else (x, y) with xRy <= P, x,y not in P.
+
+    Memoized per (table ring, ideal); Z answers by its direct formula.
+    """
     _require_proper(P)
     if not R.is_table:
         n = P.gen
@@ -191,6 +195,11 @@ def prime_witness(R: Ring, P: CrispIdeal):
         p = sympy.factorint(n)
         a = min(p)
         return (a, n // a)
+    return R.cached(("prime_witness", P), lambda: _table_prime_witness(R, P))
+
+
+def _table_prime_witness(R: Ring, P: CrispIdeal):
+    """The unmemoized table search behind :func:`prime_witness`."""
     outside = [x for x in range(R.size) if not P.contains(x)]
     for x in outside:
         for y in outside:
@@ -224,7 +233,10 @@ def is_completely_prime_ideal(R: Ring, P: CrispIdeal) -> bool:
 
 
 def semiprime_witness(R: Ring, P: CrispIdeal):
-    """None if P is semiprime; else x with xRx <= P, x not in P."""
+    """None if P is semiprime; else x with xRx <= P, x not in P.
+
+    Memoized per (table ring, ideal); Z answers by its direct formula.
+    """
     _require_proper(P)
     if not R.is_table:
         n = P.gen
@@ -234,6 +246,12 @@ def semiprime_witness(R: Ring, P: CrispIdeal):
             if e >= 2:
                 return n // p  # n | (n/p)^2 but n does not divide n/p
         return None
+    return R.cached(("semiprime_witness", P),
+                    lambda: _table_semiprime_witness(R, P))
+
+
+def _table_semiprime_witness(R: Ring, P: CrispIdeal):
+    """The unmemoized table search behind :func:`semiprime_witness`."""
     for x in range(R.size):
         if P.contains(x):
             continue
@@ -256,18 +274,24 @@ def _int_radical(n: int) -> int:
 
 
 def crisp_radical(R: Ring, I: CrispIdeal) -> CrispIdeal:
-    """Intersection of all prime ideals containing I; Rad(R) = R."""
+    """Intersection of all prime ideals containing I; Rad(R) = R.
+
+    Memoized per (table ring, ideal).
+    """
     if not R.is_table:
         return CrispIdeal(R, gen=_int_radical(I.gen))
     if I.is_whole:
         return I
-    out = whole_ideal(R)
-    for P in enumerate_ideals(R):
-        if P.is_whole or not I.subset(P):
-            continue
-        if is_prime_ideal(R, P):
-            out = out.intersect(P)
-    return out
+
+    def build():
+        out = whole_ideal(R)
+        for P in enumerate_ideals(R):
+            if P.is_whole or not I.subset(P):
+                continue
+            if is_prime_ideal(R, P):
+                out = out.intersect(P)
+        return out
+    return R.cached(("radical", I), build)
 
 
 def minimal_primes(R: Ring) -> list[CrispIdeal]:

@@ -10,6 +10,7 @@ No floating point anywhere: all membership values are Fractions in [0,1].
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -303,32 +304,43 @@ def fuzzy_product(I: FuzzyIdeal, J: FuzzyIdeal) -> FuzzyIdeal:
 
 
 def intersect(family) -> FuzzyIdeal:
-    """Pointwise infimum of a nonempty family, renormalized to a chain."""
+    """Pointwise infimum of a nonempty family, renormalized to a chain.
+
+    The alpha-cut of the infimum is the intersection of the members'
+    alpha-cuts.  One pass over the values up to the least top value
+    takes, at each value, the distinct member cuts and intersects each
+    once; a value whose cut repeats the previous one adds no level.
+    """
     family = list(family)
     if not family:
         raise ValueError("empty family")
     R = family[0].ring
     if any(f.ring is not R for f in family):
         raise ValueError("mixed rings in intersection")
-    out = family[0]
-    for f in family[1:]:
-        out = _intersect2(out, f)
-    return out
-
-
-def _intersect2(F: FuzzyIdeal, G: FuzzyIdeal) -> FuzzyIdeal:
-    R = F.ring
-    top = min(F.top, G.top)
-    candidates = sorted({v for v in F.values + G.values if v <= top},
-                        reverse=True)
+    top = min(f.top for f in family)
+    # values are keyed by (numerator, denominator): hashing a Fraction
+    # costs more than the rest of the pass
+    distinct = {(v.numerator, v.denominator): v
+                for f in family for _, v in f.chain}
+    values = sorted((v for v in distinct.values() if v <= top), reverse=True)
+    rank = {(v.numerator, v.denominator): i for i, v in enumerate(values)}
+    # cuts[i]: the distinct member cuts at values[i].  A member's level
+    # (C, v) is its cut from v down to just above its next value; a value
+    # above top starts at index 0.
+    cuts = [set() for _ in values]
+    for f in family:
+        starts = [rank.get((v.numerator, v.denominator), 0)
+                  for _, v in f.chain]
+        for (ideal, _), start, end in zip(f.chain, starts,
+                                          starts[1:] + [len(values)]):
+            for i in range(start, end):
+                cuts[i].add(ideal)
     chain = []
-    prev = None
-    for alpha in candidates:
-        c = cut(F, alpha).intersect(cut(G, alpha))
-        if prev is None or prev != c:
+    for alpha, members in zip(values, cuts):
+        c = functools.reduce(CrispIdeal.intersect, members)
+        if not chain or chain[-1][0] != c:
             chain.append((c, alpha))
-            prev = c
-    if not prev.is_whole:
+    if not chain[-1][0].is_whole:
         raise TheoremViolationError(
             "intersection chain does not end at the whole ring")
     return FuzzyIdeal(R, tuple(chain))

@@ -416,22 +416,23 @@ def _lattice_minima_index(R: Ring):
     return R.cached("lattice_minima_index", build)
 
 
-def _chain_positions(R: Ring, max_len: int):
-    """``ideal_chains(R, max_len)`` grouped by length: for each length m,
-    the chains in order and an (N, m) array of their lattice positions."""
+def _chain_positions(R: Ring, max_len: int, bound: int | None = None):
+    """``ideal_chains(R, max_len, bound)`` grouped by length: for each
+    length m, the chains in order and an (N, m) array of their positions
+    in ``enumerate_ideals(R, bound)``."""
     def build():
-        pos = {J: i for i, J in enumerate(enumerate_ideals(R))}
+        pos = {J: i for i, J in enumerate(enumerate_ideals(R, bound))}
         by_len = {}
-        for chain in ideal_chains(R, max_len):
+        for chain in ideal_chains(R, max_len, bound):
             by_len.setdefault(len(chain), []).append(chain)
         return {m: (chains, np.array([[pos[J] for J in c] for c in chains],
                                      dtype=np.int64))
                 for m, chains in by_len.items()}
-    return R.cached(("chain_positions", max_len), build)
+    return R.cached(("chain_positions", max_len, bound), build)
 
 
 # cells of the (chains x value combinations x length) arrays per block
-_SD1_BLOCK = 1 << 16
+_BLOCK_CELLS = 1 << 16
 
 
 def SD1_witness(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET, ctx=None):
@@ -471,7 +472,7 @@ def SD1_witness(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET, ctx=None):
         combos = np.array(list(itertools.combinations(range(len(values)), m)),
                           dtype=np.int64)
         ranks = value_ranks[combos][None, :, :]
-        step = max(1, _SD1_BLOCK // ranks.size)
+        step = max(1, _BLOCK_CELLS // ranks.size)
         for start in range(0, len(positions), step):
             block = positions[start:start + step]
             not_below = (ranks > floor[block][:, None, :]).any(axis=2).ravel()
@@ -490,6 +491,91 @@ def SD1_witness(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET, ctx=None):
             if examined > budget:
                 return None, True
     return None, False
+
+
+def _semiprime_chains(R: Ring, max_len: int, bound: int | None = None):
+    """The chains of ``_chain_positions(R, max_len, bound)`` of length at
+    least 2 on which fuzzy ideals are semiprime: for each length m, the
+    chains in order, their positions and whether they also carry primes.
+
+    Both flags come from ``is_semiprime_new``/``is_prime_new`` on one
+    value assignment per chain, which decides every assignment (L2 in
+    :func:`semiprimes_above`).
+    """
+    def build():
+        out = {}
+        for m, (chains, positions) in _chain_positions(
+                R, max_len, bound).items():
+            if m < 2:
+                continue
+            values = [Fraction(m - 1 - k, m - 1) for k in range(m)]
+            keep, prime = [], []
+            for i, chain in enumerate(chains):
+                Q = FuzzyIdeal(R, tuple(zip(chain, values)))
+                ctx = _ctx(Q) if R.is_table else None
+                if is_semiprime_new(Q, ctx):
+                    keep.append(i)
+                    prime.append(is_prime_new(Q, ctx))
+            if keep:
+                out[m] = ([chains[i] for i in keep], positions[keep],
+                          np.array(prime, dtype=bool))
+        return out
+    return R.cached(("semiprime_chains", max_len, bound), build)
+
+
+def semiprimes_above(I: FuzzyIdeal, grid, bound: int | None = None):
+    """Yield (Q, prime) for every semiprime fuzzy ideal Q >= I among
+    ``enumerate_fuzzy_ideals(I.ring, grid, bound)``, in that order;
+    ``prime`` tells whether Q is also prime.  Nothing else is built.
+
+    Take a candidate Q with chain C1 < ... < Cm = R and values
+    c1 > ... > cm, and set C0 = {} (the empty set).  Two exact facts:
+
+    (L1) Q >= I  iff  ck >= max{v : (C, v) in I.chain, C not inside
+         C(k-1)} for every k; for k = 1 this reads c1 >= I(0).  Q takes ck on
+         Ck minus C(k-1) and its values decrease, so Q >= I iff ck bounds
+         I on the complement of C(k-1); there I's largest value is its
+         value at the least chain ideal of I not inside C(k-1).
+    (L2) Whether Q is semiprime, and whether it is prime, depends on the
+         chain alone, not on its values.  On table rings the Inf-forms
+         compare Q's values only by order (min, max and equality), and
+         those values are a strictly decreasing image of the level
+         index.  Over Z both are decided by the cuts above the bottom,
+         which are C1, ..., C(m-1).
+
+    By L2 the chains and their flags are taken once per ring from
+    :func:`_semiprime_chains`.  By L1 each lattice ideal gets one
+    threshold per call, found with ``CrispIdeal.subset`` (so both
+    backends work), and every chain is tested against all value
+    combinations at once, in integer ranks on grid + image(I).
+    """
+    R = I.ring
+    values = sorted((Fraction(v) for v in set(grid)), reverse=True)
+    rank = {v: i for i, v in enumerate(sorted(set(values) | set(I.values)))}
+    value_ranks = np.array([rank[v] for v in values], dtype=np.int64)
+    # the L1 threshold above each lattice ideal C, when C is C(k-1);
+    # -1 (no bound) for the whole ring, which every chain ideal is inside
+    threshold = np.array(
+        [next((rank[v] for D, v in I.chain if not D.subset(C)), -1)
+         for C in enumerate_ideals(R, bound)], dtype=np.int64)
+    top = rank[I.top]
+    for m, (chains, positions, prime) in sorted(
+            _semiprime_chains(R, len(values), bound).items()):
+        combos = np.array(list(itertools.combinations(range(len(values)), m)),
+                          dtype=np.int64)
+        ranks = value_ranks[combos][None, :, :]
+        step = max(1, _BLOCK_CELLS // ranks.size)
+        for start in range(0, len(positions), step):
+            block = positions[start:start + step]
+            need = np.empty_like(block)
+            need[:, 0] = top
+            need[:, 1:] = threshold[block[:, :-1]]
+            above = (ranks >= need[:, None, :]).all(axis=2).ravel()
+            for h in np.flatnonzero(above):
+                c = start + int(h) // len(combos)
+                combo = (values[k] for k in combos[int(h) % len(combos)])
+                yield FuzzyIdeal(R, tuple(zip(chains[c], combo))), \
+                    bool(prime[c])
 
 
 def is_SD1(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET) -> bool:

@@ -5,8 +5,8 @@ every chain ideal and merge collapsed levels keeping the larger value
 (the sup picks the larger value when two cuts radicalize to the same
 ideal).  The intersection characterizations -- FRad = intersection of
 all prime (or semiprime) fuzzy ideals above I -- are verified, not
-computed, by enumerating grid-valued witnesses plus the explicit
-prime-avoiding construction.
+computed, by generating the grid-valued witnesses above the ideal plus
+the explicit prime-avoiding construction.
 """
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ from .crisp import crisp_radical, prime_avoiding
 from .errors import TheoremViolationError
 from .fuzzy import (FuzzyIdeal, cut, intersect, probe_elements, whole_ideal,
                     zero_type)
-from .primeness import _ctx, is_prime_new, is_semiprime_new, value_grid
+from .primeness import (is_prime_new, is_semiprime_new, semiprimes_above,
+                        value_grid)
 from .rings import Ring
 
 
@@ -81,16 +82,40 @@ def witness_prime_excluding(I: FuzzyIdeal, x, s) -> FuzzyIdeal:
     return P
 
 
-def _pointwise_equal(F: FuzzyIdeal, G: FuzzyIdeal) -> bool:
-    return all(F(x) == G(x) for x in probe_elements(F, G))
+def _first_difference(F: FuzzyIdeal, G: FuzzyIdeal):
+    """An element where F and G differ, or None when they are equal."""
+    return next((x for x in probe_elements(F, G) if F(x) != G(x)), None)
+
+
+def _excluding_value(I: FuzzyIdeal, x, w, grid):
+    """The least grid value s > w with x outside Rad(I_s).
+
+    With w = FRad(I)(x) below the top, the next image value of I above w
+    is such an s; :func:`witness_prime_excluding` turns it into a prime P
+    above I with P(x) = s.
+    """
+    R = I.ring
+    s = next((v for v in sorted(grid) if v > w
+              and not crisp_radical(R, cut(I, v)).contains(x)), None)
+    if s is None:
+        raise TheoremViolationError(
+            "no grid value above FRad(I)(x) leaves x outside the cut radical",
+            details={"x": R.label(x), "frad": str(w),
+                     "grid": [str(v) for v in sorted(grid)]})
+    return s
 
 
 def frad_intersection_check(I: FuzzyIdeal, grid=None,
                             bound: int | None = None) -> dict:
     """Assert FRad(I) = intersection of grid-valued prime fuzzy ideals
     above I = same with semiprime witnesses; plus explicit prime-avoiding
-    lower-bound witnesses per element."""
-    from .corpus import enumerate_fuzzy_ideals
+    lower-bound witnesses per element.
+
+    The families are generated, not filtered: :func:`semiprimes_above`
+    yields exactly the grid-valued semiprimes above I, deciding primeness
+    with the Inf-forms once per ideal chain, so the check does not rest
+    on the cut radicals that :func:`frad` uses.
+    """
     I.require_non_constant()
     R = I.ring
     if grid is None:
@@ -100,21 +125,17 @@ def frad_intersection_check(I: FuzzyIdeal, grid=None,
     F3 = frad(I)
 
     primes, semiprimes = [], []
-    for Q in enumerate_fuzzy_ideals(R, grid, bound):
-        if not I.le(Q):
-            continue
-        ctx = _ctx(Q) if R.is_table else None
-        if is_semiprime_new(Q, ctx):
-            semiprimes.append(Q)
-            if is_prime_new(Q, ctx):
-                primes.append(Q)
+    for Q, prime in semiprimes_above(I, grid, bound):
+        semiprimes.append(Q)
+        if prime:
+            primes.append(Q)
     if not primes:
         raise TheoremViolationError("no grid-valued prime above I")
     F2 = intersect(primes)
     F1 = intersect(semiprimes)
     for name, F in (("F2", F2), ("F1", F1)):
-        if not _pointwise_equal(F3, F):
-            bad = next(x for x in probe_elements(F3, F) if F3(x) != F(x))
+        bad = _first_difference(F3, F)
+        if bad is not None:
             raise TheoremViolationError(
                 f"FRad != {name}",
                 details={"x": str(bad), "frad": str(F3(bad)),
@@ -126,10 +147,7 @@ def frad_intersection_check(I: FuzzyIdeal, grid=None,
         w = F3(x)
         if w == F3.top:
             continue
-        # any grid value above w whose cut-radical misses x certifies the bound
-        s = next(v for v in sorted(grid) if v > w
-                 and not crisp_radical(R, cut(I, v)).contains(x))
-        P = witness_prime_excluding(I, x, s)
+        P = witness_prime_excluding(I, x, _excluding_value(I, x, w, grid))
         witnesses.append(P)
     return {"frad_equals_prime_intersection": True,
             "frad_equals_semiprime_intersection": True,
@@ -143,7 +161,6 @@ def semiprime_intersection_check(P: FuzzyIdeal, grid=None,
     """Theorem-style check: a semiprime fuzzy ideal is the intersection
     of the grid-valued primes above it, and finite intersections of
     primes are semiprime."""
-    from .corpus import enumerate_fuzzy_ideals
     import itertools
     if not is_semiprime_new(P):
         raise ValueError("input must be semiprime")
@@ -152,13 +169,13 @@ def semiprime_intersection_check(P: FuzzyIdeal, grid=None,
         grid = value_grid(P)
     if bound is None and not R.is_table:
         bound = max(64, *(c.gen for c, _ in P.chain))
-    primes = [Q for Q in enumerate_fuzzy_ideals(R, grid, bound)
-              if P.le(Q) and is_prime_new(Q)]
+    # every prime fuzzy ideal is semiprime, so no prime above P is missed
+    primes = [Q for Q, prime in semiprimes_above(P, grid, bound) if prime]
     if not primes:
         raise TheoremViolationError("no grid-valued prime above P")
     meet = intersect(primes)
-    if not _pointwise_equal(P, meet):
-        bad = next(x for x in probe_elements(P, meet) if P(x) != meet(x))
+    bad = _first_difference(P, meet)
+    if bad is not None:
         raise TheoremViolationError(
             "semiprime ideal differs from its prime intersection",
             details={"x": str(bad)})

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from fuzzideal import build_corpus, parse_ring
+
+# Property tests replay the same examples on every run (derandomized, no
+# example database) and stay within a bounded number of examples.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          max_examples=60, deadline=None)
+settings.load_profile("tier1")
 
 TABLE_SPECS = ("Zn(6)", "Zn(12)", "Mat(2, Zn(2))", "Tri(2, Zn(2))",
                "Prod(Zn(2), Zn(3))")

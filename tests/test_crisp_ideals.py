@@ -9,9 +9,12 @@ from fuzzideal import (CrispIdeal, crisp_radical, enumerate_ideals,
                        is_prime_ideal, is_semiprime_ideal, minimal_primes,
                        parse_element, parse_ring, prime_avoiding,
                        whole_ideal, zero_ideal)
-from fuzzideal.crisp import (completely_prime_witness, is_ideal, prime_witness,
+from fuzzideal.crisp import (_table_prime_witness, _table_semiprime_witness,
+                             completely_prime_witness, is_ideal, prime_witness,
                              semiprime_witness)
-from fuzzideal.errors import NotProperIdealError, ResourceLimitError
+from fuzzideal.corpus import ideal_chains
+from fuzzideal.errors import (NotProperIdealError, ResourceLimitError,
+                              TheoremViolationError)
 
 
 @pytest.mark.parametrize("spec", ["Zn(6)", "Zn(8)", "Tri(2, Zn(2))",
@@ -132,6 +135,27 @@ def test_radical_is_smallest_semiprime_above(rings):
                     assert rad.subset(J)
 
 
+def test_memoized_crisp_answers_match_the_searches():
+    """Memoized prime/semiprime witnesses and radicals equal the direct
+    searches on every lattice ideal, when filling and when reading."""
+    for spec in ("Zn(6)", "Zn(12)", "Mat(2, Zn(2))", "Tri(2, Zn(2))",
+                 "Prod(Zn(2), Zn(3))"):
+        R = parse_ring(spec)  # fresh caches
+        lattice = enumerate_ideals(R)
+        proper = [P for P in lattice if not P.is_whole]
+        for _ in range(2):
+            for I in lattice:
+                rad = whole_ideal(R)
+                for P in proper:
+                    if I.subset(P) and _table_prime_witness(R, P) is None:
+                        rad = rad.intersect(P)
+                assert crisp_radical(R, I) == rad, (spec, I)
+            for P in proper:
+                assert prime_witness(R, P) == _table_prime_witness(R, P)
+                assert semiprime_witness(R, P) == \
+                    _table_semiprime_witness(R, P)
+
+
 def test_whole_ring_rejected():
     R = parse_ring("Zn(6)")
     with pytest.raises(NotProperIdealError):
@@ -171,6 +195,13 @@ def test_z_enumeration_requires_bound(rings):
     with pytest.raises(ResourceLimitError):
         enumerate_ideals(rings["Z"])
     assert [I.gen for I in enumerate_ideals(rings["Z"], 5)] == [0, 1, 2, 3, 4, 5]
+
+
+def test_ideal_chains_need_the_whole_ring(rings):
+    """Over Z at bound 0 the lattice is {0} alone: no chain can end at Z."""
+    with pytest.raises(TheoremViolationError) as exc:
+        ideal_chains(rings["Z"], 3, bound=0)
+    assert exc.value.details["bound"] == 0
 
 
 def test_prime_witness_revalidates(rings):

@@ -1,10 +1,11 @@
 """Fuzzy sets and fuzzy ideals: constructors, cuts, operations, oracles."""
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from fuzzideal import (BackendError, CrispIdeal, FuzzySet,
+from fuzzideal import (BackendError, CrispIdeal, FuzzyIdeal, FuzzySet,
                        InvalidFuzzyIdealError, characteristic, compose,
                        constant, cut, fuzzy_from_chain, fuzzy_from_map,
                        fuzzy_product, generate, intersect, parse_fuzzy_spec,
@@ -244,6 +245,33 @@ def test_intersect_random_pairs_pointwise(rings, corpora):
             A, B = rng.choice(items), rng.choice(items)
             meet = intersect([A, B])
             assert all(meet(x) == min(A(x), B(x)) for x in range(R.size))
+
+
+def _intersect2(F, G):
+    """The pairwise meet that ``intersect`` once folded a family with."""
+    R = F.ring
+    top = min(F.top, G.top)
+    candidates = sorted({v for v in F.values + G.values if v <= top},
+                        reverse=True)
+    chain = []
+    prev = None
+    for alpha in candidates:
+        c = cut(F, alpha).intersect(cut(G, alpha))
+        if prev is None or prev != c:
+            chain.append((c, alpha))
+            prev = c
+    assert prev.is_whole
+    return FuzzyIdeal(R, tuple(chain))
+
+
+def test_intersect_matches_pairwise_fold(rings, corpora, z_corpus):
+    """The one-pass meet equals folding the family pair by pair."""
+    rng = random.Random(12)
+    for spec, items in [*corpora.items(), ("Z", z_corpus)]:
+        for _ in range(400):
+            family = rng.sample(items, rng.randint(1, min(12, len(items))))
+            expected = functools.reduce(_intersect2, family)
+            assert intersect(family).chain == expected.chain, (spec, family)
 
 
 # -- misc -------------------------------------------------------------------

@@ -1,18 +1,24 @@
 """Fuzzy prime radical: computation and theorem verifications."""
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fuzzideal import (characteristic, classify, frad,
-                       frad_intersection_check, intersect, parse_fuzzy_spec,
-                       parse_ring, radical_properties_check, radical_report,
-                       semiprime_intersection_check, value_equivalent,
-                       witness_prime_excluding, zero_type)
+from fuzzideal import (FuzzyIdeal, TheoremViolationError, build_corpus,
+                       characteristic, classify, enumerate_fuzzy_ideals,
+                       frad, frad_intersection_check, intersect,
+                       parse_fuzzy_spec, parse_ring, radical_properties_check,
+                       radical_report, semiprime_intersection_check,
+                       value_equivalent, value_grid, witness_prime_excluding,
+                       zero_type)
+from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import crisp_radical, ideal_generate, zero_ideal
 from fuzzideal.fuzzy import cut
-from fuzzideal.primeness import is_prime_new, is_semiprime_new
-from fuzzideal.radical import (ring_radical_experimental,
+from fuzzideal.primeness import (_ctx, is_prime_new, is_semiprime_new,
+                                 semiprimes_above)
+from fuzzideal.radical import (_excluding_value, ring_radical_experimental,
                                ring_radical_value_equivalence)
 
 F = Fraction
@@ -143,3 +149,93 @@ def test_ring_radical_experimental(rings):
     rep = ring_radical_experimental(rings["Zn(12)"])
     assert rep["quotient_size"] == 6  # Zn(12)/Rad({0}) = Zn(12)/<6>
     assert rep["rad_of_quotient_is_zero"]
+
+
+# -- the generated families of frad_intersection_check -----------------------
+
+def _above_reference(I, grid, bound):
+    """The definition-level families: every grid-valued fuzzy ideal,
+    filtered by the pointwise order and the Inf-forms."""
+    R = I.ring
+    primes, semiprimes = [], []
+    for Q in enumerate_fuzzy_ideals(R, grid, bound):
+        if not I.le(Q):
+            continue
+        ctx = _ctx(Q) if R.is_table else None
+        if is_semiprime_new(Q, ctx):
+            semiprimes.append(Q)
+            if is_prime_new(Q, ctx):
+                primes.append(Q)
+    return primes, semiprimes
+
+
+def _generated(I, grid, bound):
+    primes, semiprimes = [], []
+    for Q, prime in semiprimes_above(I, grid, bound):
+        semiprimes.append(Q)
+        if prime:
+            primes.append(Q)
+    return primes, semiprimes
+
+
+@pytest.mark.parametrize("spec", ["Zn(6)", "Zn(12)", "Mat(2, Zn(2))",
+                                  "Tri(2, Zn(2))", "Prod(Zn(2), Zn(3))",
+                                  "Z@6", "Z@8"])
+def test_generated_families_match_reference(rings, corpora, spec):
+    """Same prime and semiprime families, in the same order, as filtering
+    every grid-valued fuzzy ideal."""
+    if spec.startswith("Z@"):
+        bound = int(spec[2:])
+        items = build_corpus(rings["Z"], bound=bound)
+    else:
+        bound, items = None, corpora[spec]
+    for P in items:
+        grid = value_grid(P)
+        assert _generated(P, grid, bound) == _above_reference(P, grid, bound), P
+
+
+def test_generated_families_explicit_grid(rings, corpora, z_corpus):
+    """A grid without the image of I: ranks cover grid + image(I)."""
+    grid = (F(0), F(1, 3), F(3, 4), F(1))
+    for P in corpora["Tri(2, Zn(2))"] + z_corpus[:40]:
+        bound = None if P.ring.is_table else 8
+        assert _generated(P, grid, bound) == _above_reference(P, grid, bound), P
+
+
+SMALL_SPECS = ("Zn(2)", "Zn(4)", "Zn(6)", "Zn(8)", "Zn(12)",
+               "Prod(Zn(2), Zn(2))", "Prod(Zn(2), Zn(3))",
+               "Prod(Zn(4), Zn(2))", "Tri(2, Zn(2))", "Tri(2, Zn(3))")
+
+
+@functools.cache
+def _small_ring_chains(spec):
+    R = parse_ring(spec)
+    return R, [c for c in ideal_chains(R, 5) if len(c) >= 2]
+
+
+@given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
+def test_primeness_depends_on_the_chain_alone(spec, data):
+    """L2: any strictly decreasing values on a chain, not only grid values,
+    give the same Inf-form answers as the representative values."""
+    R, chains = _small_ring_chains(spec)
+    chain = data.draw(st.sampled_from(chains))
+    m = len(chain)
+    values = sorted(data.draw(st.lists(st.fractions(0, 1), min_size=m,
+                                       max_size=m, unique=True)),
+                    reverse=True)
+    Q = FuzzyIdeal(R, tuple(zip(chain, values)))
+    rep = FuzzyIdeal(R, tuple(zip(chain, (F(m - 1 - k, m - 1)
+                                          for k in range(m)))))
+    assert is_prime_new(Q) == is_prime_new(rep)
+    assert is_semiprime_new(Q) == is_semiprime_new(rep)
+
+
+def test_lower_bound_search_without_a_value_raises(rings):
+    """FRad(chi<4>)(2) = 1 in Zn(12); searched from 0, no grid value above
+    leaves 2 outside Rad(<4>) = <2>, and the search says so."""
+    R = rings["Zn(12)"]
+    I = characteristic(ideal_generate(R, {4}))
+    with pytest.raises(TheoremViolationError) as exc:
+        _excluding_value(I, 2, F(0), (F(0), F(1, 2), F(1)))
+    assert exc.value.details["x"] == "2"
+    assert _excluding_value(I, 3, F(0), (F(0), F(1, 2), F(1))) == F(1, 2)
