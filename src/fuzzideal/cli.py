@@ -2,8 +2,8 @@
 
 Commands: ideals, primes, classify, radical, diagram, check-charprime,
 check-inter, check-frad.  Exit codes: 0 ok, 2 parse error or bad
-arguments (--cap or --jobs below 1, --corpus random without --seed),
-3 resource limit, 4 invalid fuzzy ideal, 5 constant ideal, 6
+arguments (--bound, --cap or --jobs below 1, --corpus random without
+--seed), 3 resource limit, 4 invalid fuzzy ideal, 5 constant ideal, 6
 theorem-assertion failure.  Reports are byte-identical for identical inputs (including
 seeds and job counts).
 """
@@ -52,7 +52,7 @@ def _build_parser():
             p.add_argument("--fuzzy", required=True,
                            help="fuzzy ideal spec, e.g. '{1: <0>, 3/5: <*>}'")
             p.add_argument("--grid", help="comma-separated value-grid override")
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+        p.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND,
                        help="generator bound for ideals over Z (default 64)")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "dot", "text"),
@@ -85,9 +85,10 @@ def _build_parser():
     return ap
 
 
-def _emit(report: dict, args, dot_text: str | None = None):
+def _emit(report: dict, args, dot_text=None):
+    """Write the report; ``dot_text`` is called for ``--format dot`` only."""
     if args.format == "dot" and dot_text is not None:
-        payload = dot_text
+        payload = dot_text()
     elif args.format == "text":
         payload = _as_text(report)
     else:
@@ -139,6 +140,7 @@ def cmd_ideals(args, primes_only=False):
     R = parse_ring(args.ring)
     bound = args.bound if not R.is_table else None
     ideals = crisp.enumerate_ideals(R, bound)
+    names = {I: _ideal_name(R, I) for I in ideals}
     rows = []
     for I in ideals:
         if I.is_whole:
@@ -149,17 +151,17 @@ def cmd_ideals(args, primes_only=False):
                      "semiprime": crisp.is_semiprime_ideal(R, I)}
         if primes_only and not flags["prime"]:
             continue
-        rows.append({"ideal": _ideal_name(R, I),
+        rows.append({"ideal": names[I],
                      "size": len(I.elems) if R.is_table else None, **flags})
     report = {"ring": format_ring_spec(R.spec), "count": len(rows),
               "ideals": rows}
-    _emit(report, args, dot_text=_lattice_dot(R, ideals) if R.is_table else None)
+    _emit(report, args, dot_text=(lambda: _lattice_dot(ideals, names))
+          if R.is_table else None)
     return EXIT_OK
 
 
-def _lattice_dot(R, ideals):
+def _lattice_dot(ideals, names):
     lines = ["digraph lattice {", '  rankdir="BT";']
-    names = {I: _ideal_name(R, I) for I in ideals}
     for I in ideals:
         lines.append(f'  "{names[I]}";')
     for I in ideals:

@@ -5,6 +5,13 @@ Table rings memoize their principal ideals, full ideal lattice, the
 prime and semiprime witnesses and the radical of each ideal on the ring
 object (single-writer init, safe for concurrent readers).  Over Z an
 ideal is just its nonnegative generator: 0 for {0}, 1 for Z.
+
+On table rings, generation, joins and the witness searches index the
+ring's integer-array tables (``rings.np_tables``) with boolean membership
+masks; ideals are still handed out as frozensets of element indices.
+numpy is imported inside those functions: importing it at the top of
+this module, ahead of ``primeness``, raised the peak RSS of ``import
+fuzzideal`` by about 1.8 MB.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ import sympy
 
 from .errors import (NotProperIdealError, ResourceLimitError,
                      TheoremViolationError)
-from .rings import Ring
+from .rings import Ring, np_tables, row_blocks
 
 
 @dataclass(frozen=True)
@@ -77,11 +84,39 @@ class CrispIdeal:
         return CrispIdeal(self.ring, gen=a * b // gcd(a, b))
 
     def join(self, other: "CrispIdeal") -> "CrispIdeal":
+        """I + J = {a + b}: one gather from the add table."""
         if self.ring.is_table:
+            import numpy as np
             R = self.ring
-            sums = frozenset(R.add(a, b) for a in self.elems for b in other.elems)
-            return CrispIdeal(R, elems=sums)
+            sums = np_tables(R).add[np.ix_(_indices(self.elems),
+                                           _indices(other.elems))]
+            return _from_mask(R, _mask(R.size, sums))
         return CrispIdeal(self.ring, gen=gcd(self.gen, other.gen))
+
+
+def _indices(elems):
+    import numpy as np
+    return np.fromiter(elems, dtype=np.intp, count=len(elems))
+
+
+def _mask(n, members):
+    """Boolean membership vector of the element indices in ``members``."""
+    import numpy as np
+    mask = np.zeros(n, dtype=bool)
+    mask[members] = True
+    return mask
+
+
+def _from_mask(R, mask) -> CrispIdeal:
+    import numpy as np
+    return CrispIdeal(R, elems=frozenset(np.flatnonzero(mask).tolist()))
+
+
+def _inside_outside(P: "CrispIdeal"):
+    """P's membership mask and the ascending elements outside P."""
+    import numpy as np
+    inside = _mask(P.ring.size, _indices(P.elems))
+    return inside, np.flatnonzero(~inside)
 
 
 def zero_ideal(R: Ring) -> CrispIdeal:
@@ -113,32 +148,52 @@ def is_ideal(R: Ring, subset: frozenset[int]) -> bool:
 
 
 def ideal_generate(R: Ring, gens) -> CrispIdeal:
-    """Least two-sided ideal containing ``gens``."""
+    """Least two-sided ideal containing ``gens``.
+
+    In a unital ring, <S> is the additive subgroup generated by
+    RSR = {r s t : r, t in R, s in S}: RSR contains S (take r = t = 1),
+    is closed under multiplication by R on either side, and so is every
+    sum of its members.  On a table ring RSR is one gather from the mul
+    table, ``mul[mul[:, S]]``, which is then closed under addition.
+    """
     if not R.is_table:
         g = 0
         for x in gens:
             g = gcd(g, abs(x))
         return CrispIdeal(R, gen=g)
-    current = {R.zero} | set(gens)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(current)
-        for a in snapshot:
-            if R.neg(a) not in current:
-                current.add(R.neg(a))
-                changed = True
-            for b in snapshot:
-                s = R.add(a, b)
-                if s not in current:
-                    current.add(s)
-                    changed = True
-            for r in range(R.size):
-                for p in (R.mul(r, a), R.mul(a, r)):
-                    if p not in current:
-                        current.add(p)
-                        changed = True
-    return CrispIdeal(R, elems=frozenset(current))
+    import numpy as np
+    gens = sorted(set(gens))
+    for x in gens:
+        R._check(x)
+    mul = np_tables(R).mul
+    n = R.size
+    mask = _mask(n, R.zero)
+    for cols in row_blocks(len(gens), n):
+        left = np.flatnonzero(_mask(n, mul[:, gens[cols]]))  # r s
+        for rows in row_blocks(len(left), n):
+            mask[mul[left[rows]]] = True  # (r s) t
+    return _from_mask(R, _additive_closure(R, mask))
+
+
+def _additive_closure(R: Ring, mask):
+    """The additive subgroup generated by the members of ``mask``.
+
+    Every member is a generator; each round adds every generator to the
+    members found in the round before, until none is new.  In a finite
+    group closure under addition already gives the subgroup.
+    """
+    import numpy as np
+    add = np_tables(R).add
+    gens = np.flatnonzero(mask)
+    frontier = gens
+    while frontier.size:
+        found = np.zeros(R.size, dtype=bool)
+        for rows in row_blocks(len(frontier), len(gens)):
+            found[add[np.ix_(frontier[rows], gens)]] = True
+        found &= ~mask
+        mask |= found
+        frontier = np.flatnonzero(found)
+    return mask
 
 
 def principal_ideal(R: Ring, x) -> CrispIdeal:
@@ -161,17 +216,18 @@ def enumerate_ideals(R: Ring, bound: int | None = None) -> list[CrispIdeal]:
         return [CrispIdeal(R, gen=n) for n in range(bound + 1)]
 
     def build():
-        ideals = {zero_ideal(R), whole_ideal(R)}
-        ideals.update(principal_ideal(R, x) for x in range(R.size))
-        worklist = True
-        while worklist:
-            worklist = False
-            for a, b in itertools.combinations(list(ideals), 2):
+        found = list(dict.fromkeys(
+            [zero_ideal(R), whole_ideal(R),
+             *(principal_ideal(R, x) for x in range(R.size))]))
+        seen = set(found)
+        # each ideal is joined once with every ideal found before it
+        for i, a in enumerate(found):
+            for b in found[:i]:
                 j = a.join(b)
-                if j not in ideals:
-                    ideals.add(j)
-                    worklist = True
-        return sorted(ideals, key=CrispIdeal.sort_key)
+                if j not in seen:
+                    seen.add(j)
+                    found.append(j)
+        return sorted(found, key=CrispIdeal.sort_key)
 
     return list(R.cached("lattice", build))
 
@@ -199,12 +255,19 @@ def prime_witness(R: Ring, P: CrispIdeal):
 
 
 def _table_prime_witness(R: Ring, P: CrispIdeal):
-    """The unmemoized table search behind :func:`prime_witness`."""
-    outside = [x for x in range(R.size) if not P.contains(x)]
-    for x in outside:
-        for y in outside:
-            if all(P.contains(R.mul(R.mul(x, r), y)) for r in range(R.size)):
-                return (x, y)
+    """The table search behind :func:`prime_witness`: the first (x, y),
+    row-major over the elements outside P, with (x r) y in P for every r."""
+    import numpy as np
+    mul = np_tables(R).mul
+    inside, outside = _inside_outside(P)
+    for rows in row_blocks(len(outside), R.size * R.size):
+        xs = outside[rows]
+        # hit[i, y]: (xs[i] r) y in P for every r
+        hit = inside[mul[mul[xs]]].all(axis=1) & ~inside
+        found = np.flatnonzero(hit)
+        if found.size:
+            i, y = divmod(int(found[0]), R.size)
+            return (int(xs[i]), y)
     return None
 
 
@@ -213,18 +276,23 @@ def is_prime_ideal(R: Ring, P: CrispIdeal) -> bool:
 
 
 def completely_prime_witness(R: Ring, P: CrispIdeal):
-    """None if P is completely prime; else (x, y) with xy in P, x,y not in P."""
+    """None if P is completely prime; else (x, y) with xy in P, x,y not in P.
+
+    On a table ring the witness is the first such pair, row-major over
+    the elements outside P.
+    """
     _require_proper(P)
     if not R.is_table:
         return prime_witness(R, P)  # Z is commutative
-    for x in range(R.size):
-        if P.contains(x):
-            continue
-        for y in range(R.size):
-            if P.contains(y):
-                continue
-            if P.contains(R.mul(x, y)):
-                return (x, y)
+    import numpy as np
+    mul = np_tables(R).mul
+    inside, outside = _inside_outside(P)
+    for rows in row_blocks(len(outside), len(outside)):
+        hit = inside[mul[np.ix_(outside[rows], outside)]]
+        found = np.flatnonzero(hit)
+        if found.size:
+            i, j = divmod(int(found[0]), len(outside))
+            return (int(outside[rows][i]), int(outside[j]))
     return None
 
 
@@ -251,12 +319,16 @@ def semiprime_witness(R: Ring, P: CrispIdeal):
 
 
 def _table_semiprime_witness(R: Ring, P: CrispIdeal):
-    """The unmemoized table search behind :func:`semiprime_witness`."""
-    for x in range(R.size):
-        if P.contains(x):
-            continue
-        if all(P.contains(R.mul(R.mul(x, r), x)) for r in range(R.size)):
-            return x
+    """The table search behind :func:`semiprime_witness`: the least x
+    outside P with (x r) x in P for every r."""
+    import numpy as np
+    mul = np_tables(R).mul
+    inside, outside = _inside_outside(P)
+    for rows in row_blocks(len(outside), R.size):
+        xs = outside[rows]
+        found = np.flatnonzero(inside[mul[mul[xs], xs[:, None]]].all(axis=1))
+        if found.size:
+            return int(xs[found[0]])
     return None
 
 

@@ -28,7 +28,7 @@ from .errors import BackendError, ResourceLimitError, TheoremViolationError
 from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, compose, cut,
                     fuzzy_product, generate, singleton, star_ideal, to_set,
                     value_equivalent, zero_type)
-from .rings import Ring, quotient_ring
+from .rings import Ring, np_tables, quotient_ring
 
 DEFAULT_BUDGET = 20_000
 
@@ -49,8 +49,10 @@ def value_grid(P: FuzzyIdeal) -> tuple[Fraction, ...]:
 # --------------------------------------------------------------------------
 
 def _np_tables(R: Ring):
+    """The ring's shared mul array and, derived from it,
+    ``xry[x * n + y, r] = (x r) y``."""
     def build():
-        mul = np.array(R._mul, dtype=np.int64)
+        mul = np_tables(R).mul
         t = mul[mul]  # t[x, r, y] = (x*r)*y
         xry = np.ascontiguousarray(t.transpose(0, 2, 1)).reshape(
             R.size * R.size, R.size)

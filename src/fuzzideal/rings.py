@@ -11,6 +11,14 @@ report is byte-stable:
 
 All rings are immutable after construction; the per-ring cache dict is
 initialised under a lock by whichever reader gets there first.
+
+Table rings keep two views of their tables: tuples of ints behind the
+checked ``add``/``mul``/``neg`` methods, and one integer-array copy
+(:func:`np_tables`) that every vectorized kernel indexes.  Table-ring
+constructors compute the array form from the base rings' arrays and
+derive the tuples from it.  numpy is imported inside functions here, as
+in ``crisp``: imported at the top of either module, ahead of
+``primeness``, it raised the peak RSS of ``import fuzzideal`` by 1.8 MB.
 """
 from __future__ import annotations
 
@@ -19,12 +27,15 @@ import random
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import RingConstructionError, ResourceLimitError
 
 DEFAULT_MAX_SIZE = 4096
 EXHAUSTIVE_AXIOM_LIMIT = 64
 AXIOM_SAMPLES = 10_000
+# cells per numpy gather in the blocked table kernels (keeps temporaries small)
+BLOCK_CELLS = 1 << 15
 
 
 class Backend(Enum):
@@ -135,9 +146,8 @@ class Ring:
         # reentrant: cache builders may build other cached artifacts
         self._lock = threading.RLock()
         if backend is Backend.TABLE:
-            self.commutative = all(
-                self._mul[a][b] == self._mul[b][a]
-                for a in range(size) for b in range(size))
+            self.commutative = (tuple(map(tuple, self._mul))
+                                == tuple(zip(*self._mul)))
         else:
             self.commutative = True
 
@@ -223,53 +233,135 @@ def BackendErrorFor(what, ring):
 # Construction
 # --------------------------------------------------------------------------
 
-def _table_ring(spec, elems, add_fn, mul_fn, neg_fn, zero_val, one_val,
-                label_fn, **extra):
-    n = len(elems)
-    index = {e: i for i, e in enumerate(elems)}
-    add = tuple(tuple(index[add_fn(a, b)] for b in elems) for a in elems)
-    mul = tuple(tuple(index[mul_fn(a, b)] for b in elems) for a in elems)
-    neg = tuple(index[neg_fn(a)] for a in elems)
-    ring = Ring(Backend.TABLE, spec, size=n, add=add, mul=mul, neg=neg,
-                zero=index[zero_val], one=index[one_val],
-                labels=tuple(label_fn(e) for e in elems),
-                elems=tuple(elems), **extra)
+class Tables(NamedTuple):
+    """A table ring's integer-array tables: ``add[a, b]``, ``mul[a, b]``
+    and ``neg[a]``, all element indices of dtype ``intp``."""
+    add: object
+    mul: object
+    neg: object
+
+
+def np_tables(R: Ring) -> Tables:
+    """The ring's one integer-array copy of its tables, built once.
+
+    Rings built by this module get the arrays their constructor computed;
+    a ring made directly from tuple tables converts them on first use.
+    """
+    def build():
+        import numpy as np
+        return Tables(np.array(R._add, dtype=np.intp),
+                      np.array(R._mul, dtype=np.intp),
+                      np.array(R._neg, dtype=np.intp))
+    return R.cached("tables", build)
+
+
+def row_blocks(n: int, cells_per_row: int):
+    """Slices of ``range(n)`` whose rows hold at most BLOCK_CELLS cells."""
+    step = max(1, BLOCK_CELLS // max(1, cells_per_row))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _pair_table(n, fill):
+    """An (n, n) index table, filled block by block: ``fill(rows)`` returns
+    the rows' part, broadcastable to (rows, n)."""
+    import numpy as np
+    out = np.empty((n, n), dtype=np.intp)
+    for rows in row_blocks(n, n):
+        out[rows] = fill(rows)
+    return out
+
+
+def _as_tuples(table):
+    """Nested int tuples of an index array.  Entries share one int object
+    per value, so a large ring's tables hold references, not n * n ints."""
+    ints = list(range(len(table))).__getitem__
+    if table.ndim == 1:
+        return tuple(map(ints, table.tolist()))
+    return tuple(tuple(map(ints, row.tolist())) for row in table)
+
+
+def _table_ring(spec, elems, add, mul, neg, zero, one, labels, **extra):
+    """A verified table ring from its index-valued array tables."""
+    ring = Ring(Backend.TABLE, spec, size=len(elems), add=_as_tuples(add),
+                mul=_as_tuples(mul), neg=_as_tuples(neg), zero=int(zero),
+                one=int(one), labels=tuple(labels), elems=tuple(elems),
+                **extra)
+    ring._cache["tables"] = Tables(add, mul, neg)
     _verify(ring)
     return ring
 
 
+def _zn_tables(m):
+    import numpy as np
+    a = np.arange(m, dtype=np.intp)
+    return (a[:, None] + a) % m, (a[:, None] * a) % m, (-a) % m
+
+
+_ELEMENT_AXIOMS = ("zero is not an additive identity", "neg table wrong",
+                   "one is not a two-sided unit")
+_TRIPLE_AXIOMS = ("addition not associative", "multiplication not associative",
+                  "left distributivity fails", "right distributivity fails")
+
+
 def _verify(ring, seed=0):
-    """Check the eight ring axioms; exhaustive up to 64 elements, sampled above."""
+    """Check the eight ring axioms on the array tables.
+
+    Per element a, ascending: additive identity, negation, two-sided
+    unit, then commutative addition against every b.  Then per triple
+    (a, b, c): both associativities and both distributivities, on every
+    triple in row-major order up to EXHAUSTIVE_AXIOM_LIMIT elements and on
+    AXIOM_SAMPLES triples drawn from ``random.Random(seed)`` above it.
+    The error names the first failure in exactly that order, so it is the
+    message a loop over the same checks would raise.
+    """
+    import numpy as np
     n = ring.size
-    add, mul, neg = ring._add, ring._mul, ring._neg
-    z, u = ring.zero, ring.one
     if n < 2:
         raise RingConstructionError("ring with unity requires 0 != 1")
-    for a in range(n):
-        if add[a][z] != a or add[z][a] != a:
-            raise RingConstructionError(f"zero is not an additive identity at {a}")
-        if add[a][neg[a]] != z:
-            raise RingConstructionError(f"neg table wrong at {a}")
-        if mul[a][u] != a or mul[u][a] != a:
-            raise RingConstructionError(f"one is not a two-sided unit at {a}")
-        for b in range(n):
-            if add[a][b] != add[b][a]:
-                raise RingConstructionError(f"addition not commutative at {a},{b}")
+    add, mul, neg = np_tables(ring)
+    z, u = ring.zero, ring.one
+    elems = np.arange(n)
+    element_bad = ((add[:, z] != elems) | (add[z] != elems),
+                   add[elems, neg] != z,
+                   (mul[:, u] != elems) | (mul[u] != elems))
+    noncommuting = add != add.T
+    hits = np.flatnonzero(np.logical_or.reduce(element_bad)
+                          | noncommuting.any(axis=1))
+    if hits.size:
+        a = int(hits[0])
+        for message, bad in zip(_ELEMENT_AXIOMS, element_bad):
+            if bad[a]:
+                raise RingConstructionError(f"{message} at {a}")
+        b = int(np.argmax(noncommuting[a]))
+        raise RingConstructionError(f"addition not commutative at {a},{b}")
     if n <= EXHAUSTIVE_AXIOM_LIMIT:
-        triples = itertools.product(range(n), repeat=3)
+        for rows in row_blocks(n, n * n):
+            _check_triples(add, mul, elems[rows, None, None],
+                           elems[None, :, None], elems[None, None, :])
     else:
         rng = random.Random(seed)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(AXIOM_SAMPLES))
-    for a, b, c in triples:
-        if add[add[a][b]][c] != add[a][add[b][c]]:
-            raise RingConstructionError(f"addition not associative at {a},{b},{c}")
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            raise RingConstructionError(f"multiplication not associative at {a},{b},{c}")
-        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-            raise RingConstructionError(f"left distributivity fails at {a},{b},{c}")
-        if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
-            raise RingConstructionError(f"right distributivity fails at {a},{b},{c}")
+        draws = np.array([rng.randrange(n) for _ in range(3 * AXIOM_SAMPLES)],
+                         dtype=np.intp).reshape(AXIOM_SAMPLES, 3)
+        _check_triples(add, mul, draws[:, 0], draws[:, 1], draws[:, 2])
+
+
+def _check_triples(add, mul, a, b, c):
+    """Raise for the first (a, b, c), in broadcast row-major order, that
+    breaks an associativity or a distributivity."""
+    import numpy as np
+    bad = (add[add[a, b], c] != add[a, add[b, c]],
+           mul[mul[a, b], c] != mul[a, mul[b, c]],
+           mul[a, add[b, c]] != add[mul[a, b], mul[a, c]],
+           mul[add[a, b], c] != add[mul[a, c], mul[b, c]])
+    hits = np.flatnonzero(np.logical_or.reduce(bad))
+    if not hits.size:
+        return
+    at = np.unravel_index(hits[0], bad[0].shape)
+    triple = ",".join(str(int(np.broadcast_to(v, bad[0].shape)[at]))
+                      for v in (a, b, c))
+    for message, failed in zip(_TRIPLE_AXIOMS, bad):
+        if failed[at]:
+            raise RingConstructionError(f"{message} at {triple}")
 
 
 def build_ring(spec: RingSpec, max_size: int = DEFAULT_MAX_SIZE) -> Ring:
@@ -291,10 +383,8 @@ def build_ring(spec: RingSpec, max_size: int = DEFAULT_MAX_SIZE) -> Ring:
         if spec.n < 2:
             raise RingConstructionError("Zn requires n >= 2")
         m = spec.n
-        return _table_ring(spec, list(range(m)),
-                           lambda a, b: (a + b) % m,
-                           lambda a, b: (a * b) % m,
-                           lambda a: (-a) % m, 0, 1, str)
+        return _table_ring(spec, range(m), *_zn_tables(m), 0, 1,
+                           map(str, range(m)))
 
     if isinstance(spec, (SpecMat, SpecTri)):
         if spec.k < 1:
@@ -310,60 +400,96 @@ def build_ring(spec: RingSpec, max_size: int = DEFAULT_MAX_SIZE) -> Ring:
         factors = [build_ring(f, max_size) for f in spec.factors]
         if any(not f.is_table for f in factors):
             raise RingConstructionError("Prod over the integers is not supported")
-        elems = list(itertools.product(*[range(f.size) for f in factors]))
-        return _table_ring(
-            spec, elems,
-            lambda a, b: tuple(f.add(x, y) for f, x, y in zip(factors, a, b)),
-            lambda a, b: tuple(f.mul(x, y) for f, x, y in zip(factors, a, b)),
-            lambda a: tuple(f.neg(x) for f, x in zip(factors, a)),
-            tuple(f.zero for f in factors), tuple(f.one for f in factors),
-            lambda a: "(" + ", ".join(f.label(x) for f, x in zip(factors, a)) + ")",
-            factor_rings=tuple(factors))
+        return _build_product(spec, factors)
 
     raise RingConstructionError(f"unknown ring spec {spec!r}")
 
 
+def _digits(n, sizes):
+    """Mixed-radix digits of 0..n-1, most significant first, with weights."""
+    import numpy as np
+    idx = np.arange(n, dtype=np.intp)
+    weights = [1] * len(sizes)
+    for t in range(len(sizes) - 2, -1, -1):
+        weights[t] = weights[t + 1] * sizes[t + 1]
+    return [(idx // w) % s for w, s in zip(weights, sizes)], weights
+
+
+def _build_product(spec, factors):
+    """Componentwise operations; elements are lexicographic index tuples."""
+    sizes = [f.size for f in factors]
+    n = spec_size(spec)
+    digits, weights = _digits(n, sizes)
+    tabs = [np_tables(f) for f in factors]
+    parts = list(zip(tabs, digits, weights))
+
+    def table(op):
+        return _pair_table(n, lambda rows: sum(
+            w * getattr(t, op)[d[rows, None], d[None, :]] for t, d, w in parts))
+
+    elems = list(itertools.product(*[range(s) for s in sizes]))
+    return _table_ring(
+        spec, elems, table("add"), table("mul"),
+        sum(w * t.neg[d] for t, d, w in parts),
+        sum(w * f.zero for f, w in zip(factors, weights)),
+        sum(w * f.one for f, w in zip(factors, weights)),
+        ("(" + ", ".join(f.label(x) for f, x in zip(factors, e)) + ")"
+         for e in elems),
+        factor_rings=tuple(factors))
+
+
 def _build_matrix(spec, base, upper):
+    """k x k matrices (upper triangular when ``upper``) over a table ring.
+
+    Elements are the free entries in row-major order, each a base-ring
+    index, enumerated lexicographically; the tables are computed entrywise
+    from the base ring's arrays.
+    """
+    import numpy as np
     k = spec.k
     positions = [(i, j) for i in range(k) for j in range(k)]
     free = [(i, j) for (i, j) in positions if not (upper and i > j)]
     zero = base.zero
+    n = spec_size(spec)
+    digit_list, weight_list = _digits(n, [base.size] * len(free))
+    digit = dict(zip(free, digit_list))
+    weight = dict(zip(free, weight_list))
+    badd, bmul, bneg = np_tables(base)
 
     elems = []
     for combo in itertools.product(range(base.size), repeat=len(free)):
         entry = {p: v for p, v in zip(free, combo)}
         elems.append(tuple(entry.get(p, zero) for p in positions))
 
-    def at(m, i, j):
-        return m[i * k + j]
+    def madd(rows):
+        return sum(w * badd[digit[p][rows, None], digit[p][None, :]]
+                   for p, w in weight.items())
 
-    def madd(a, b):
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+    def mmul(rows):
+        out = np.zeros((rows.stop - rows.start, n), dtype=np.intp)
+        # an entry outside the free positions is zero in every product
+        for (i, j), w in weight.items():
+            acc = zero
+            for l in range(k):
+                x = digit[i, l][rows, None] if (i, l) in digit else zero
+                y = digit[l, j][None, :] if (l, j) in digit else zero
+                acc = badd[acc, bmul[x, y]]
+            out += w * acc
+        return out
 
-    def mneg(a):
-        return tuple(base.neg(x) for x in a)
-
-    def mmul(a, b):
-        out = []
-        for i in range(k):
-            for j in range(k):
-                acc = zero
-                for l in range(k):
-                    acc = base.add(acc, base.mul(at(a, i, l), at(b, l, j)))
-                out.append(acc)
-        return tuple(out)
-
-    zmat = tuple(zero for _ in positions)
-    imat = tuple(base.one if i == j else zero for (i, j) in positions)
+    mneg = sum(w * bneg[digit[p]] for p, w in weight.items())
+    zmat = sum(w * zero for w in weight.values())
+    imat = sum(w * (base.one if i == j else zero) for (i, j), w in weight.items())
 
     def mlabel(a):
         rows = []
         for i in range(k):
-            rows.append("[" + ",".join(base.label(at(a, i, j)) for j in range(k)) + "]")
+            rows.append("[" + ",".join(base.label(a[i * k + j])
+                                       for j in range(k)) + "]")
         return "[" + ",".join(rows) + "]"
 
-    return _table_ring(spec, elems, madd, mmul, mneg, zmat, imat, mlabel,
-                       base_ring=base)
+    return _table_ring(spec, elems, _pair_table(n, madd), _pair_table(n, mmul),
+                       mneg, zmat, imat, map(mlabel, elems), base_ring=base)
 
 
 def _build_quotient(spec: SpecQuot, max_size):
@@ -380,9 +506,6 @@ def _build_quotient(spec: SpecQuot, max_size):
 
 def quotient_ring(R: Ring, ideal, max_size: int = DEFAULT_MAX_SIZE) -> Ring:
     """R/I as a table ring; representatives are coset minima."""
-    from .crisp import CrispIdeal
-    from .dsl import format_element
-
     if not R.is_table:
         n = ideal.gen
         if n == 0:
@@ -392,56 +515,48 @@ def quotient_ring(R: Ring, ideal, max_size: int = DEFAULT_MAX_SIZE) -> Ring:
         if n > max_size:
             raise ResourceLimitError(f"quotient size {n} exceeds limit {max_size}")
         spec = SpecQuot(R.spec, (n,))
-        m = n
-        ring = _table_ring(spec, list(range(m)),
-                           lambda a, b: (a + b) % m,
-                           lambda a, b: (a * b) % m,
-                           lambda a: (-a) % m, 0, 1, str,
-                           parent=R, proj_mod=m)
-        return ring
+        return _table_ring(spec, range(n), *_zn_tables(n), 0, 1,
+                           map(str, range(n)), parent=R, proj_mod=n)
 
     if ideal.is_whole:
         raise RingConstructionError("quotient by the whole ring is the zero ring")
 
-    members = ideal.elems
-    seen = {}
-    reps = []
-    for x in range(R.size):
-        if x in seen:
-            continue
-        coset = sorted(R.add(x, i) for i in members)
-        rep = coset[0]
-        reps.append(rep)
-        for y in coset:
-            seen[y] = rep
-    reps.sort()
-    rep_index = {r: i for i, r in enumerate(reps)}
-    proj = tuple(rep_index[seen[x]] for x in range(R.size))
+    import numpy as np
+    add, mul, neg = np_tables(R)
+    members = np.array(sorted(ideal.elems), dtype=np.intp)
+    # the coset x + I is represented by its least element
+    least = np.empty(R.size, dtype=np.intp)
+    for rows in row_blocks(R.size, len(members)):
+        least[rows] = add[rows][:, members].min(axis=1)
+    is_rep = least == np.arange(R.size)
+    reps = np.flatnonzero(is_rep)
+    proj = (np.cumsum(is_rep) - 1)[least]
 
     spec = SpecQuot(R.spec, tuple(_elem_literal(R, g)
                                   for g in _canonical_generators(R, ideal)))
-    add = tuple(tuple(proj[R.add(a, b)] for b in reps) for a in reps)
-    mul = tuple(tuple(proj[R.mul(a, b)] for b in reps) for a in reps)
-    neg = tuple(proj[R.neg(a)] for a in reps)
-    ring = Ring(Backend.TABLE, spec, size=len(reps), add=add, mul=mul, neg=neg,
-                zero=proj[R.zero], one=proj[R.one],
-                labels=tuple(R.label(r) for r in reps),
-                elems=tuple(R.elems[r] if R.elems else r for r in reps),
-                parent=R, proj=proj)
-    _verify(ring)
-    return ring
+    reps_list = reps.tolist()
+    return _table_ring(spec, [R.elems[r] if R.elems else r for r in reps_list],
+                       proj[add[np.ix_(reps, reps)]],
+                       proj[mul[np.ix_(reps, reps)]], proj[neg[reps]],
+                       proj[R.zero], proj[R.one],
+                       [R.label(r) for r in reps_list], parent=R,
+                       proj=tuple(proj.tolist()))
 
 
 def _canonical_generators(R, ideal):
-    """Greedy minimal generator list, in canonical element order."""
-    from .crisp import ideal_generate
+    """Greedy minimal generator list, in canonical element order.
+
+    Each new generator's cached principal ideal is joined onto the ideal
+    generated so far: <g1, ..., gk, x> = <g1, ..., gk> + <x>.
+    """
+    from .crisp import principal_ideal, zero_ideal
     gens = []
-    current = ideal_generate(R, set())
+    current = zero_ideal(R)
     for x in sorted(ideal.elems):
         if x in current.elems:
             continue
         gens.append(x)
-        current = ideal_generate(R, set(gens))
+        current = current.join(principal_ideal(R, x))
         if current == ideal:
             break
     return gens

@@ -1,5 +1,6 @@
 """CLI behavior: reports, exit codes, determinism, witness re-validation."""
 import json
+import pathlib
 
 import pytest
 
@@ -189,3 +190,44 @@ def test_env_cap_validated(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "diagram", "--ring", "Zn(6)")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_bound_below_one_exits_2(capsys, bound):
+    """A generator bound below 1 is a bad argument, not a theorem failure."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "check-frad", "--ring", "Z", "--bound", bound)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+GOLDEN_IDEALS = {
+    "zn12": "Zn(12)",
+    "prod_zn2_zn2_zn2": "Prod(Zn(2), Zn(2), Zn(2))",
+    "mat2_zn2": "Mat(2, Zn(2))",
+    "tri3_zn2": "Tri(3, Zn(2))",
+    "quot_tri2_zn3": "Quot(Tri(2, Zn(3)), <[[0,1],[0,0]]>)",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "text"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_IDEALS))
+def test_ideals_reports_match_golden_files(capsys, name, fmt):
+    """`ideals` stdout is byte-identical to the recorded reports in
+    tests/data/ideals/ (captured before the table kernels were vectorized)."""
+    path = pathlib.Path(__file__).parent / "data" / "ideals" / f"{name}.{fmt}"
+    code, out, err = run(capsys, "ideals", "--ring", GOLDEN_IDEALS[name],
+                         "--format", fmt)
+    assert code == 0, err
+    assert out.encode() == path.read_bytes()
+
+
+def test_lattice_dot_only_built_for_dot(capsys, monkeypatch):
+    import fuzzideal.cli as cli
+
+    def fail(*args):
+        raise AssertionError("DOT text built for a non-dot format")
+    monkeypatch.setattr(cli, "_lattice_dot", fail)
+    for fmt in ("json", "text"):
+        code, _, err = run(capsys, "ideals", "--ring", "Zn(12)", "--format", fmt)
+        assert code == 0, err

@@ -1,20 +1,148 @@
 """Crisp ideal lattice, primeness oracles, radical, prime-avoiding."""
+import functools
 import itertools
+import random
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
-from fuzzideal import (CrispIdeal, crisp_radical, enumerate_ideals,
-                       ideal_generate, is_completely_prime_ideal,
-                       is_prime_ideal, is_semiprime_ideal, minimal_primes,
-                       parse_element, parse_ring, prime_avoiding,
-                       whole_ideal, zero_ideal)
+from fuzzideal import (CrispIdeal, RingConstructionError, crisp_radical,
+                       enumerate_ideals, ideal_generate,
+                       is_completely_prime_ideal, is_prime_ideal,
+                       is_semiprime_ideal, minimal_primes, parse_element,
+                       parse_ring, prime_avoiding, whole_ideal, zero_ideal)
 from fuzzideal.crisp import (_table_prime_witness, _table_semiprime_witness,
                              completely_prime_witness, is_ideal, prime_witness,
                              semiprime_witness)
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.errors import (NotProperIdealError, ResourceLimitError,
                               TheoremViolationError)
+
+TABLE_SPECS = ("Zn(6)", "Zn(12)", "Mat(2, Zn(2))", "Tri(2, Zn(2))",
+               "Prod(Zn(2), Zn(3))")
+
+
+# --------------------------------------------------------------------------
+# References: the element-by-element forms of the table kernels in crisp
+# --------------------------------------------------------------------------
+
+def _fixpoint_generate(R, gens):
+    """Elements of the least ideal containing ``gens``: close {0} and the
+    generators under negation, addition and multiplication by R on both
+    sides until nothing changes."""
+    current = {R.zero} | set(gens)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(current)
+        for a in snapshot:
+            if R.neg(a) not in current:
+                current.add(R.neg(a))
+                changed = True
+            for b in snapshot:
+                s = R.add(a, b)
+                if s not in current:
+                    current.add(s)
+                    changed = True
+            for r in range(R.size):
+                for p in (R.mul(r, a), R.mul(a, r)):
+                    if p not in current:
+                        current.add(p)
+                        changed = True
+    return frozenset(current)
+
+
+def _prime_witness_loop(R, P):
+    outside = [x for x in range(R.size) if not P.contains(x)]
+    for x in outside:
+        for y in outside:
+            if all(P.contains(R.mul(R.mul(x, r), y)) for r in range(R.size)):
+                return (x, y)
+    return None
+
+
+def _completely_prime_witness_loop(R, P):
+    for x in range(R.size):
+        if P.contains(x):
+            continue
+        for y in range(R.size):
+            if P.contains(y):
+                continue
+            if P.contains(R.mul(x, y)):
+                return (x, y)
+    return None
+
+
+def _semiprime_witness_loop(R, P):
+    for x in range(R.size):
+        if P.contains(x):
+            continue
+        if all(P.contains(R.mul(R.mul(x, r), x)) for r in range(R.size)):
+            return x
+    return None
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_generation_matches_fixpoint(spec, rings):
+    """On every generator set of size <= 2 and on random larger sets."""
+    R = rings[spec]
+    sets = [set(c) for k in range(3)
+            for c in itertools.combinations(range(R.size), k)]
+    rng = random.Random(spec)
+    sets += [set(rng.sample(range(R.size), rng.randint(3, R.size)))
+             for _ in range(40)]
+    for gens in sets:
+        assert ideal_generate(R, gens).elems == _fixpoint_generate(R, gens), \
+            (spec, gens)
+
+
+@functools.cache
+def _small_ring(text):
+    return parse_ring(text)
+
+
+SMALL_RING = st.one_of(
+    st.integers(2, 16).map(lambda n: f"Zn({n})"),
+    st.tuples(st.integers(2, 5), st.integers(2, 5)).map(
+        lambda ab: f"Prod(Zn({ab[0]}), Zn({ab[1]}))"),
+    st.sampled_from(["Tri(2, Zn(2))", "Tri(2, Zn(3))", "Mat(2, Zn(2))",
+                     "Prod(Zn(2), Zn(2), Zn(2))", "Prod(Tri(2, Zn(2)), Zn(2))"]),
+    st.tuples(st.integers(4, 24), st.integers(2, 12)).map(
+        lambda nd: f"Quot(Zn({nd[0]}), <{nd[1]}>)"),
+    st.sampled_from(["Quot(Tri(2, Zn(2)), <[[0,1],[0,0]]>)",
+                     "Quot(Tri(2, Zn(3)), <[[0,1],[0,0]]>)",
+                     "Quot(Prod(Zn(4), Zn(6)), <(2, 0)>)"]))
+
+
+@given(text=SMALL_RING, data=st.data())
+def test_generation_is_the_least_ideal(text, data):
+    """ideal_generate equals the fixpoint and passes the ideal axioms on
+    random small rings and generator sets."""
+    try:
+        R = _small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    gens = data.draw(st.sets(st.integers(0, R.size - 1), max_size=4))
+    I = ideal_generate(R, gens)
+    assert I.elems == _fixpoint_generate(R, gens)
+    assert is_ideal(R, I.elems)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_join_is_the_set_of_sums(spec, rings):
+    R = rings[spec]
+    lattice = enumerate_ideals(R)
+    for I, J in itertools.product(lattice, repeat=2):
+        assert I.join(J).elems == frozenset(
+            R.add(a, b) for a in I.elems for b in J.elems)
+
+
+def test_generation_rejects_elements_outside_the_ring(rings):
+    R = rings["Zn(6)"]
+    for bad in (-1, 6):
+        with pytest.raises(IndexError):
+            ideal_generate(R, {bad})
 
 
 @pytest.mark.parametrize("spec", ["Zn(6)", "Zn(8)", "Tri(2, Zn(2))",
@@ -136,10 +264,11 @@ def test_radical_is_smallest_semiprime_above(rings):
 
 
 def test_memoized_crisp_answers_match_the_searches():
-    """Memoized prime/semiprime witnesses and radicals equal the direct
-    searches on every lattice ideal, when filling and when reading."""
-    for spec in ("Zn(6)", "Zn(12)", "Mat(2, Zn(2))", "Tri(2, Zn(2))",
-                 "Prod(Zn(2), Zn(3))"):
+    """Memoized prime/semiprime witnesses and radicals, and the completely
+    prime witness, equal the element-by-element searches, first witness
+    included, on every lattice ideal, when filling and when reading."""
+    for spec in TABLE_SPECS + ("Zn(36)", "Tri(2, Zn(3))",
+                               "Prod(Zn(2), Zn(2), Zn(2))", "Tri(3, Zn(2))"):
         R = parse_ring(spec)  # fresh caches
         lattice = enumerate_ideals(R)
         proper = [P for P in lattice if not P.is_whole]
@@ -147,13 +276,18 @@ def test_memoized_crisp_answers_match_the_searches():
             for I in lattice:
                 rad = whole_ideal(R)
                 for P in proper:
-                    if I.subset(P) and _table_prime_witness(R, P) is None:
+                    if I.subset(P) and _prime_witness_loop(R, P) is None:
                         rad = rad.intersect(P)
                 assert crisp_radical(R, I) == rad, (spec, I)
             for P in proper:
-                assert prime_witness(R, P) == _table_prime_witness(R, P)
-                assert semiprime_witness(R, P) == \
-                    _table_semiprime_witness(R, P)
+                expected = _prime_witness_loop(R, P)
+                assert prime_witness(R, P) == expected, (spec, P)
+                assert _table_prime_witness(R, P) == expected
+                expected = _semiprime_witness_loop(R, P)
+                assert semiprime_witness(R, P) == expected, (spec, P)
+                assert _table_semiprime_witness(R, P) == expected
+                assert completely_prime_witness(R, P) == \
+                    _completely_prime_witness_loop(R, P), (spec, P)
 
 
 def test_whole_ring_rejected():

@@ -1,11 +1,109 @@
 """Ring construction: canonical element order, axiom checks, quotients."""
+import itertools
+import random
+
 import pytest
 
 from fuzzideal import (RingConstructionError, build_ring, parse_ring,
                        quotient_ring)
 from fuzzideal.crisp import ideal_generate
 from fuzzideal.dsl import parse_ring_spec
-from fuzzideal.rings import Backend, Ring, SpecZn, _verify
+from fuzzideal.rings import (AXIOM_SAMPLES, EXHAUSTIVE_AXIOM_LIMIT, Backend,
+                             Ring, SpecMat, SpecProd, SpecTri, SpecZn,
+                             _canonical_generators, _verify)
+
+
+def _verify_loop(ring, seed=0):
+    """The element-by-element axiom check, kept as the reference for the
+    array check in ``rings._verify``: same triples, order and messages."""
+    n = ring.size
+    add, mul, neg = ring._add, ring._mul, ring._neg
+    z, u = ring.zero, ring.one
+    if n < 2:
+        raise RingConstructionError("ring with unity requires 0 != 1")
+    for a in range(n):
+        if add[a][z] != a or add[z][a] != a:
+            raise RingConstructionError(f"zero is not an additive identity at {a}")
+        if add[a][neg[a]] != z:
+            raise RingConstructionError(f"neg table wrong at {a}")
+        if mul[a][u] != a or mul[u][a] != a:
+            raise RingConstructionError(f"one is not a two-sided unit at {a}")
+        for b in range(n):
+            if add[a][b] != add[b][a]:
+                raise RingConstructionError(f"addition not commutative at {a},{b}")
+    if n <= EXHAUSTIVE_AXIOM_LIMIT:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(seed)
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(AXIOM_SAMPLES))
+    for a, b, c in triples:
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            raise RingConstructionError(f"addition not associative at {a},{b},{c}")
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            raise RingConstructionError(f"multiplication not associative at {a},{b},{c}")
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+            raise RingConstructionError(f"left distributivity fails at {a},{b},{c}")
+        if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+            raise RingConstructionError(f"right distributivity fails at {a},{b},{c}")
+
+
+def _reference_tables(R):
+    """(add, mul, neg) of a Zn/Mat/Tri/Prod ring recomputed the way the
+    element-function constructor did: one operation on element values per
+    pair, then a lookup of the result's index."""
+    spec = R.spec
+    if isinstance(spec, SpecZn):
+        m = spec.n
+        ops = (lambda a, b: (a + b) % m, lambda a, b: (a * b) % m,
+               lambda a: (-a) % m)
+    elif isinstance(spec, (SpecMat, SpecTri)):
+        base, k = R.base_ring, spec.k
+
+        def mmul(a, b):
+            out = []
+            for i in range(k):
+                for j in range(k):
+                    acc = base.zero
+                    for l in range(k):
+                        acc = base.add(acc, base.mul(a[i * k + l], b[l * k + j]))
+                    out.append(acc)
+            return tuple(out)
+        ops = (lambda a, b: tuple(map(base.add, a, b)), mmul,
+               lambda a: tuple(map(base.neg, a)))
+    elif isinstance(spec, SpecProd):
+        fs = R.factor_rings
+        ops = (lambda a, b: tuple(f.add(x, y) for f, x, y in zip(fs, a, b)),
+               lambda a, b: tuple(f.mul(x, y) for f, x, y in zip(fs, a, b)),
+               lambda a: tuple(f.neg(x) for f, x in zip(fs, a)))
+    else:
+        raise TypeError(spec)
+    elems = R.elems
+    index = {e: i for i, e in enumerate(elems)}
+    add_fn, mul_fn, neg_fn = ops
+    return (tuple(tuple(index[add_fn(a, b)] for b in elems) for a in elems),
+            tuple(tuple(index[mul_fn(a, b)] for b in elems) for a in elems),
+            tuple(index[neg_fn(a)] for a in elems))
+
+
+def _reference_quotient(R, ideal):
+    """(proj, add, mul, neg) of R/I by the coset loop over R's checked
+    operations, representatives being coset minima."""
+    seen, reps = {}, []
+    for x in range(R.size):
+        if x in seen:
+            continue
+        coset = sorted(R.add(x, i) for i in ideal.elems)
+        reps.append(coset[0])
+        for y in coset:
+            seen[y] = coset[0]
+    reps.sort()
+    rep_index = {r: i for i, r in enumerate(reps)}
+    proj = tuple(rep_index[seen[x]] for x in range(R.size))
+    return (proj,
+            tuple(tuple(proj[R.add(a, b)] for b in reps) for a in reps),
+            tuple(tuple(proj[R.mul(a, b)] for b in reps) for a in reps),
+            tuple(proj[R.neg(a)] for a in reps))
 
 
 def test_zn_canonical_order():
@@ -56,15 +154,146 @@ def test_mat_commutative_iff_k1():
     assert not parse_ring("Tri(2, Zn(2))").commutative
 
 
+def _table_ring(add, mul, neg, zero=0, one=1):
+    n = len(neg)
+    return Ring(Backend.TABLE, SpecZn(n), size=n, add=add, mul=mul, neg=neg,
+                zero=zero, one=one, labels=tuple(map(str, range(n))),
+                elems=tuple(range(n)))
+
+
+def _corrupted_zn4(changes):
+    """Zn(4)'s tables with entries overwritten: {(table, a, b): value} for
+    "add"/"mul", {("neg", a): value} for the negation."""
+    R = parse_ring("Zn(4)")
+    tables = {"add": [list(r) for r in R._add],
+              "mul": [list(r) for r in R._mul], "neg": list(R._neg)}
+    for (name, *at), value in changes.items():
+        if name == "neg":
+            tables["neg"][at[0]] = value
+        else:
+            tables[name][at[0]][at[1]] = value
+    return (tuple(map(tuple, tables["add"])), tuple(map(tuple, tables["mul"])),
+            tuple(tables["neg"]), R.zero, R.one)
+
+
+def _times_zn(tables, m):
+    """Componentwise product of a (possibly broken) table structure with
+    Zn(m); element (s, t) has index s * m + t."""
+    add, mul, neg, zero, one = tables
+    n = len(neg)
+    pairs = [(s, t) for s in range(n) for t in range(m)]
+
+    def table(op, mod_op):
+        return tuple(tuple(op[s][s2] * m + mod_op(t, t2) % m
+                           for s2, t2 in pairs) for s, t in pairs)
+    return (table(add, lambda a, b: a + b), table(mul, lambda a, b: a * b),
+            tuple(neg[s] * m + (-t) % m for s, t in pairs),
+            zero * m, one * m + 1)
+
+
+# One corruption of Zn(4) per axiom; each is that axiom's first failure.
+# The messages were recorded from the element-by-element check, on Zn(4)
+# itself (exhaustive, <= 64 elements) and on its product with Zn(17)
+# (68 elements: AXIOM_SAMPLES seeded triples).
+AXIOM_CASES = [
+    ({("add", 0, 3): 0, ("add", 3, 0): 0},
+     "zero is not an additive identity at 3",
+     "zero is not an additive identity at 51"),
+    ({("neg", 3): 0}, "neg table wrong at 3", "neg table wrong at 51"),
+    ({("mul", 1, 3): 0, ("mul", 3, 1): 0},
+     "one is not a two-sided unit at 3", "one is not a two-sided unit at 51"),
+    ({("add", 2, 3): 0}, "addition not commutative at 2,3",
+     "addition not commutative at 34,51"),
+    ({("add", 1, 1): 0}, "addition not associative at 1,1,2",
+     "addition not associative at 26,36,56"),
+    ({("mul", 0, 3): 1, ("mul", 3, 0): 1},
+     "multiplication not associative at 0,0,3",
+     "multiplication not associative at 49,53,5"),
+    # at 0,0,0 both distributivities fail: the left one is reported
+    ({("mul", 0, 0): 1, ("mul", 0, 2): 1},
+     "left distributivity fails at 0,0,0",
+     "left distributivity fails at 12,32,18"),
+    ({("mul", 3, 3): 0}, "right distributivity fails at 1,2,3",
+     "right distributivity fails at 33,65,62"),
+    # two broken axioms: the first element, then the first triple, wins
+    ({("add", 2, 3): 0, ("neg", 3): 0}, "addition not commutative at 2,3",
+     "addition not commutative at 34,51"),
+    ({("mul", 3, 3): 0, ("mul", 0, 3): 1, ("mul", 3, 0): 1},
+     "multiplication not associative at 0,0,3",
+     "multiplication not associative at 49,53,5"),
+]
+
+
 def test_axiom_verification_rejects_broken_table():
+    """The array check raises the loop's message, naming the same first
+    failure, on the exhaustive and on the sampled path, for every case."""
     R = parse_ring("Zn(6)")
     bad_mul = [list(row) for row in R._mul]
     bad_mul[2][3] = 5  # breaks associativity/distributivity
     broken = Ring(Backend.TABLE, SpecZn(6), size=6, add=R._add,
                   mul=tuple(tuple(r) for r in bad_mul), neg=R._neg,
                   zero=0, one=1, labels=R.labels, elems=R.elems)
-    with pytest.raises(RingConstructionError):
+    with pytest.raises(RingConstructionError,
+                       match="^right distributivity fails at 1,1,3$"):
         _verify(broken)
+    for changes, exhaustive, sampled in AXIOM_CASES:
+        small = _corrupted_zn4(changes)
+        large = _times_zn(small, 17)
+        assert len(large[2]) > EXHAUSTIVE_AXIOM_LIMIT
+        for tables, expected in ((small, exhaustive), (large, sampled)):
+            broken = _table_ring(*tables)
+            with pytest.raises(RingConstructionError) as exc:
+                _verify(broken)
+            assert str(exc.value) == expected
+            with pytest.raises(RingConstructionError) as ref:
+                _verify_loop(broken)
+            assert str(ref.value) == expected
+
+
+@pytest.mark.parametrize("spec", ["Zn(6)", "Zn(65)", "Mat(2, Zn(2))",
+                                  "Mat(2, Zn(3))", "Tri(2, Zn(3))",
+                                  "Tri(3, Zn(2))", "Prod(Zn(2), Zn(3))",
+                                  "Prod(Mat(2, Zn(2)), Zn(2))",
+                                  "Prod(Zn(4), Zn(3), Zn(5))"])
+def test_array_built_tables_match_element_construction(spec):
+    """Tables computed from the base rings' arrays equal those built one
+    element operation at a time, and the ring passes both axiom checks."""
+    R = parse_ring(spec)
+    assert (R._add, R._mul, R._neg) == _reference_tables(R)
+    _verify_loop(R)
+    assert R.commutative == all(R.mul(a, b) == R.mul(b, a)
+                                for a in range(R.size) for b in range(R.size))
+
+
+@pytest.mark.parametrize("spec,gens", [
+    ("Zn(12)", {4}), ("Zn(12)", {6}), ("Mat(2, Zn(2))", {0}),
+    ("Tri(2, Zn(2))", {2}), ("Tri(2, Zn(3))", {3}),
+    ("Prod(Zn(4), Zn(6))", {2, 12})])
+def test_quotient_tables_match_coset_loop(spec, gens):
+    R = parse_ring(spec)
+    I = ideal_generate(R, gens)
+    Q = quotient_ring(R, I)
+    assert (Q.proj, Q._add, Q._mul, Q._neg) == _reference_quotient(R, I)
+    assert (Q.zero, Q.one) == (Q.proj[R.zero], Q.proj[R.one])
+
+
+@pytest.mark.parametrize("spec", ["Zn(12)", "Mat(2, Zn(2))", "Tri(2, Zn(3))",
+                                  "Prod(Zn(2), Zn(2), Zn(2))"])
+def test_canonical_generators_match_regeneration(spec):
+    """Joining cached principal ideals gives the generator list that
+    regenerating the ideal from scratch for every new generator gave."""
+    from fuzzideal import enumerate_ideals
+    R = parse_ring(spec)
+    for ideal in enumerate_ideals(R):
+        gens, current = [], ideal_generate(R, set())
+        for x in sorted(ideal.elems):
+            if x in current.elems:
+                continue
+            gens.append(x)
+            current = ideal_generate(R, set(gens))
+            if current == ideal:
+                break
+        assert _canonical_generators(R, ideal) == gens
 
 
 def test_invalid_specs():
