@@ -10,6 +10,7 @@ seeds and job counts).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -39,12 +40,16 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once, and its ``--cap`` actions, whose default
+    :func:`main` sets from FUZZIDEAL_CAP on every call."""
     ap = argparse.ArgumentParser(
         prog="fuzzideal",
         description="Decide fuzzy-ideal primeness notions, compute the "
                     "fuzzy prime radical, verify implication diagrams.")
     sub = ap.add_subparsers(dest="command", required=True)
+    caps = []
 
     def common(p, fuzzy=False):
         p.add_argument("--ring", required=True, help="ring spec, e.g. 'Mat(2, Zn(2))'")
@@ -64,10 +69,7 @@ def _build_parser():
         p.add_argument("--corpus", choices=("exhaustive", "random"),
                        default="exhaustive")
         p.add_argument("--seed", type=int, help="seed for random corpus mode")
-        # a string default goes through _positive_int like a given value
-        p.add_argument("--cap", type=_positive_int,
-                       default=os.environ.get("FUZZIDEAL_CAP",
-                                              str(corpus_mod.DEFAULT_CAP)))
+        caps.append(p.add_argument("--cap", type=_positive_int))
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for corpus classification")
 
@@ -82,7 +84,7 @@ def _build_parser():
         p = sub.add_parser(name)
         common(p)
         corpus_opts(p)
-    return ap
+    return ap, caps
 
 
 def _emit(report: dict, args, dot_text=None):
@@ -303,7 +305,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, caps = _build_parser()
+    # a string default goes through _positive_int like a given value
+    cap = os.environ.get("FUZZIDEAL_CAP", str(corpus_mod.DEFAULT_CAP))
+    for action in caps:
+        action.default = cap
     args = parser.parse_args(argv)
     if getattr(args, "corpus", None) == "random" and args.seed is None:
         parser.error("--corpus random requires --seed")

@@ -21,13 +21,12 @@ import numpy as np
 
 from . import crisp
 from .corpus import ideal_chains
-from .crisp import (CrispIdeal, completely_prime_witness, enumerate_ideals,
-                    is_prime_ideal, is_semiprime_ideal, minimal_primes,
-                    prime_witness, semiprime_witness)
+from .crisp import (completely_prime_witness, enumerate_ideals,
+                    is_prime_ideal, minimal_primes, prime_witness,
+                    semiprime_witness)
 from .errors import BackendError, ResourceLimitError, TheoremViolationError
-from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, compose, cut,
-                    fuzzy_product, generate, singleton, star_ideal, to_set,
-                    value_equivalent, zero_type)
+from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, compose,
+                    star_ideal, to_set, value_equivalent)
 from .rings import Ring, np_tables, quotient_ring
 
 DEFAULT_BUDGET = 20_000
@@ -48,38 +47,60 @@ def value_grid(P: FuzzyIdeal) -> tuple[Fraction, ...]:
 # Rank context for table rings
 # --------------------------------------------------------------------------
 
-def _np_tables(R: Ring):
-    """The ring's shared mul array and, derived from it,
-    ``xry[x * n + y, r] = (x r) y``."""
+def _lattice_index(R: Ring):
+    """The ideal lattice as the one rank kernel of a table ring.
+
+    Every Inf-form reads minima of P over sets of elements, and a fuzzy
+    ideal P takes its least value on the ideal <S> generated by a set S
+    at a member of S: each element of <S> is a sum of terms +-r s t with
+    s in S and r, t in R, and P(a + b) >= min(P(a), P(b)), P(-a) = P(a),
+    P(r s t) >= P(s).  So min P(S) = min P(<S>), and the minima over the
+    lattice ideals (``floor``, one ``np.minimum.reduceat`` over the packed
+    ``elems``) give all of them.  <S> is the first lattice ideal, in the
+    size order of ``enumerate_ideals(R)``, that contains S.  Two families
+    of sets are indexed this way:
+
+    - ``product[x, y]``, the position of <x><y>.  In a unital ring both
+      <xRy> and <x><y> are the additive span of R x R y R, so
+      min P(xRy) = floor[product[x, y]].  <x><y> depends only on <x> and
+      <y>, so it is found once per pair of distinct principal ideals,
+      from xRy for one representative of each.
+    - ``square[J]``, the position of the ideal generated by
+      {ab : a, b in J}, for each lattice ideal J (the SD1 search).
+    """
     def build():
+        lattice = enumerate_ideals(R)
+        n = R.size
         mul = np_tables(R).mul
-        t = mul[mul]  # t[x, r, y] = (x*r)*y
-        xry = np.ascontiguousarray(t.transpose(0, 2, 1)).reshape(
-            R.size * R.size, R.size)
-        return {"mul": mul, "xry": xry}
-    return R.cached("np_tables", build)
+        member = np.zeros((len(lattice), n), dtype=bool)
+        for i, J in enumerate(lattice):
+            member[i, list(J.elems)] = True
 
+        def least(S):
+            inside = np.zeros(n, dtype=bool)
+            inside[S] = True
+            return int(np.argmax(member[:, inside].all(axis=1)))
 
-def _principal_products(R: Ring):
-    """elems of <x><y> = <{ab : a in <x>, b in <y>}> for every pair."""
-    def build():
-        pp = {}
-        prods = {}
-        for x in range(R.size):
-            px = crisp.principal_ideal(R, x).elems
-            for y in range(R.size):
-                py = crisp.principal_ideal(R, y).elems
-                key = (px, py)
-                if key not in prods:
-                    prodset = {R.mul(a, b) for a in px for b in py}
-                    prods[key] = crisp.ideal_generate(R, prodset).elems
-                pp[(x, y)] = prods[key]
-        return pp
-    return R.cached("principal_products", build)
+        rep = {}  # principal ideal -> (class, representative)
+        cls = np.array([rep.setdefault(crisp.principal_ideal(R, x),
+                                       (len(rep), x))[0] for x in range(n)])
+        reps = [x for _, x in rep.values()]
+        table = np.array([[least(mul[mul[x], y]) for y in reps]
+                          for x in reps], dtype=np.intp)
+        square = np.array([least(mul[np.ix_(row, row)])
+                           for row in map(np.flatnonzero, member)],
+                          dtype=np.intp)
+        sizes = member.sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        return {"elems": (np.flatnonzero(member) % n, starts),
+                "product": table[np.ix_(cls, cls)], "square": square}
+    return R.cached("lattice_index", build)
 
 
 class _Ctx:
-    """Rank-space view of a fuzzy ideal on a table ring."""
+    """Rank-space view of a fuzzy ideal on a table ring: P's ranks ``pv``,
+    their minimum ``floor`` on each lattice ideal and
+    ``m[x, y] = min P(xRy)`` (see :func:`_lattice_index`)."""
 
     def __init__(self, P: FuzzyIdeal, grid=None):
         R = P.ring
@@ -94,28 +115,17 @@ class _Ctx:
         n = R.size
         self.pv = np.array([self.rank[P(x)] for x in range(n)], dtype=np.int64)
         self.grid_ranks = sorted(self.rank[g] for g in self.grid)
-        tabs = _np_tables(R)
-        self.mul = tabs["mul"]
-        # m[x, y] = min over r of P(xry)
-        self.m = self.pv[tabs["xry"]].min(axis=1).reshape(n, n)
-        self.xry = tabs["xry"]
-        self._minrank_cache = {}
+        self.mul = np_tables(R).mul
+        index = _lattice_index(R)
+        self.floor = np.minimum.reduceat(self.pv[index["elems"][0]],
+                                         index["elems"][1])
+        self.m = self.floor[index["product"]]
 
     def value(self, r):
         return self.scale[int(r)]
 
-    def min_over(self, elems: frozenset) -> int:
-        key = elems
-        if key not in self._minrank_cache:
-            self._minrank_cache[key] = int(min(self.pv[e] for e in elems))
-        return self._minrank_cache[key]
-
     def elem(self, i):
         return self.ring.label(int(i))
-
-
-def _ctx(P, grid=None) -> _Ctx:
-    return _Ctx(P, grid)
 
 
 # --------------------------------------------------------------------------
@@ -127,7 +137,7 @@ def prime_new_witness(P: FuzzyIdeal, ctx: _Ctx | None = None):
     P.require_non_constant()
     if not P.ring.is_table:
         return _cut_witness(P, prime_witness, "prime")
-    ctx = ctx or _ctx(P)
+    ctx = ctx or _Ctx(P)
     tgt = np.maximum.outer(ctx.pv, ctx.pv)
     bad = np.argwhere(ctx.m != tgt)
     if len(bad) == 0:
@@ -175,10 +185,10 @@ def D3_witness(P: FuzzyIdeal, ctx=None):
     R = P.ring
     star_w = prime_witness(R, star_ideal(P))
     if R.is_table:
-        # quantified form: P(xry) = P(0) for all r forces P(x) = P(0) or
+        # quantified form: P(x r y) = P(0) for all r forces P(x) = P(0) or
         # P(y) = P(0) -- elementwise primeness (not complete primeness,
         # which diverges on noncommutative rings) of the top cut
-        ctx = ctx or _ctx(P)
+        ctx = ctx or _Ctx(P)
         top = ctx.rank[P.top]
         hyp = ctx.m == top
         concl = (ctx.pv[:, None] == top) | (ctx.pv[None, :] == top)
@@ -203,7 +213,7 @@ def D4_witness(P: FuzzyIdeal, ctx=None):
     P.require_non_constant()
     if not P.ring.is_table:
         return _cut_witness(P, completely_prime_witness, "completely prime")
-    ctx = ctx or _ctx(P)
+    ctx = ctx or _Ctx(P)
     M = ctx.pv[ctx.mul]
     ok = (M == ctx.pv[:, None]) | (M == ctx.pv[None, :])
     bad = np.argwhere(~ok)
@@ -238,26 +248,34 @@ def is_D1(P: FuzzyIdeal) -> bool:
     return D1_witness(P) is None
 
 
+def _grid_product_witness(ctx: _Ctx, prod):
+    """The first (x, y, t, s), x and y row-major and t, s ascending over
+    the positive grid ranks, with P(x) < t, P(y) < s and
+    min(t, s) <= prod[x, y]; or None.
+
+    For given x and y, min(t, s) only grows with t and with s, so if the
+    least t above P(x) and the least s above P(y) fail, every pair fails,
+    and if they hold they come first.
+    """
+    pos = [t for t in ctx.grid_ranks if ctx.scale[t] > ZERO]
+    end = len(ctx.scale)  # no positive grid rank above
+    above = np.array(pos + [end])[np.searchsorted(pos, ctx.pv, side="right")]
+    t, s = above[:, None], above[None, :]
+    bad = np.argwhere((np.maximum(t, s) < end) & (np.minimum(t, s) <= prod))
+    if len(bad) == 0:
+        return None
+    x, y = (int(v) for v in bad[0])
+    return {"x": ctx.elem(x), "y": ctx.elem(y),
+            "t": str(ctx.value(above[x])), "s": str(ctx.value(above[y]))}
+
+
 def D0_witness(P: FuzzyIdeal, grid=None, ctx=None):
     """Singleton product x_t y_s = (xy)_{t^s}; quantifiers on the grid."""
     P.require_non_constant()
     if not P.ring.is_table:
         raise BackendError("D0 requires a table ring")
-    ctx = ctx or _ctx(P, grid)
-    n = ctx.ring.size
-    pos = [t for t in ctx.grid_ranks if ctx.scale[t] > ZERO]
-    pv, mul = ctx.pv, ctx.mul
-    for x in range(n):
-        for y in range(n):
-            pxy = pv[mul[x, y]]
-            for t in pos:
-                if pv[x] >= t:
-                    continue
-                for s in pos:
-                    if pv[y] < s and min(t, s) <= pxy:
-                        return {"x": ctx.elem(x), "y": ctx.elem(y),
-                                "t": str(ctx.value(t)), "s": str(ctx.value(s))}
-    return None
+    ctx = ctx or _Ctx(P, grid)
+    return _grid_product_witness(ctx, ctx.pv[ctx.mul])
 
 
 def is_D0(P: FuzzyIdeal, grid=None, ctx=None) -> bool:
@@ -269,22 +287,8 @@ def D0prime_witness(P: FuzzyIdeal, grid=None, ctx=None):
     P.require_non_constant()
     if not P.ring.is_table:
         raise BackendError("D0' requires a table ring")
-    ctx = ctx or _ctx(P, grid)
-    R = ctx.ring
-    pp = _principal_products(R)
-    pos = [t for t in ctx.grid_ranks if ctx.scale[t] > ZERO]
-    pv = ctx.pv
-    for x in range(R.size):
-        for y in range(R.size):
-            mv = ctx.min_over(pp[(x, y)])
-            for t in pos:
-                if pv[x] >= t:
-                    continue
-                for s in pos:
-                    if pv[y] < s and min(t, s) <= mv:
-                        return {"x": ctx.elem(x), "y": ctx.elem(y),
-                                "t": str(ctx.value(t)), "s": str(ctx.value(s))}
-    return None
+    ctx = ctx or _Ctx(P, grid)
+    return _grid_product_witness(ctx, ctx.m)
 
 
 def is_D0prime(P: FuzzyIdeal, grid=None, ctx=None) -> bool:
@@ -337,7 +341,7 @@ def semiprime_new_witness(P: FuzzyIdeal, ctx=None):
     P.require_non_constant()
     if not P.ring.is_table:
         return _cut_witness(P, semiprime_witness, "semiprime")
-    ctx = ctx or _ctx(P)
+    ctx = ctx or _Ctx(P)
     n = ctx.ring.size
     diag = ctx.m[np.arange(n), np.arange(n)]
     bad = np.argwhere(diag != ctx.pv)
@@ -366,7 +370,7 @@ def SD4_witness(P: FuzzyIdeal, ctx=None):
     if not P.ring.is_table:
         # over Z (commutative) D4-semiprimeness = squarefree cuts
         return _cut_witness(P, semiprime_witness, "semiprime")
-    ctx = ctx or _ctx(P)
+    ctx = ctx or _Ctx(P)
     n = ctx.ring.size
     sq = ctx.pv[ctx.mul[np.arange(n), np.arange(n)]]
     bad = np.argwhere(sq != ctx.pv)
@@ -386,36 +390,16 @@ def SD0prime_witness(P: FuzzyIdeal, grid=None, ctx=None):
     P.require_non_constant()
     if not P.ring.is_table:
         raise BackendError("D0'-semiprimeness requires a table ring")
-    ctx = ctx or _ctx(P, grid)
-    R = ctx.ring
-    pp = _principal_products(R)
-    for x in range(R.size):
-        mv = ctx.min_over(pp[(x, x)])
-        if mv > ctx.pv[x]:
-            return {"x": ctx.elem(x), "t": str(ctx.value(mv))}
-    return None
+    ctx = ctx or _Ctx(P, grid)
+    bad = np.flatnonzero(ctx.m.diagonal() > ctx.pv)
+    if len(bad) == 0:
+        return None
+    x = int(bad[0])
+    return {"x": ctx.elem(x), "t": str(ctx.value(ctx.m[x, x]))}
 
 
 def is_SD0prime(P: FuzzyIdeal, grid=None, ctx=None) -> bool:
     return SD0prime_witness(P, grid, ctx) is None
-
-
-def _lattice_minima_index(R: Ring):
-    """Each lattice ideal's elements and its products {ab : a, b in J},
-    packed for one ``np.minimum.reduceat`` over a rank vector."""
-    def build():
-        mul = _np_tables(R)["mul"]
-        elems, prods = [], []
-        for J in enumerate_ideals(R):
-            idx = np.array(sorted(J.elems), dtype=np.int64)
-            elems.append(idx)
-            prods.append(np.unique(mul[np.ix_(idx, idx)]))
-
-        def packed(parts):
-            starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
-            return np.concatenate(parts), starts
-        return {"elems": packed(elems), "prods": packed(prods)}
-    return R.cached("lattice_minima_index", build)
 
 
 def _chain_positions(R: Ring, max_len: int, bound: int | None = None):
@@ -453,19 +437,20 @@ def SD1_witness(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET, ctx=None):
         I o I <= P  iff  ck <= min{P(ab) : a, b in Ck}  for every k,
         I !<= P     iff  ck >  min{P(x)  : x in Ck}     for some k.
 
-    Both minima are computed once per lattice ideal, and every chain is
-    tested against all value combinations at once, in integer ranks on
-    grid + image(P).  A given ``ctx`` supplies those ranks and the grid.
+    Both minima are read from ``ctx.floor``, the second at Ck and the
+    first at the ideal that Ck Ck generates (:func:`_lattice_index`).
+    Every chain is tested against all value combinations at once, in
+    integer ranks on grid + image(P).  A given ``ctx`` supplies those
+    ranks and the grid.
     """
     R = P.ring
     if not R.is_table:
         raise BackendError("D1-semiprimeness search requires a table ring")
-    ctx = ctx or _ctx(P, grid)
+    ctx = ctx or _Ctx(P, grid)
     values = sorted((Fraction(v) for v in set(ctx.grid)), reverse=True)
     value_ranks = np.array([ctx.rank[v] for v in values], dtype=np.int64)
-    index = _lattice_minima_index(R)
-    floor = np.minimum.reduceat(ctx.pv[index["elems"][0]], index["elems"][1])
-    square = np.minimum.reduceat(ctx.pv[index["prods"][0]], index["prods"][1])
+    floor = ctx.floor
+    square = floor[_lattice_index(R)["square"]]
     examined = 0
     for m, (chains, positions) in sorted(
             _chain_positions(R, len(values)).items()):
@@ -514,7 +499,7 @@ def _semiprime_chains(R: Ring, max_len: int, bound: int | None = None):
             keep, prime = [], []
             for i, chain in enumerate(chains):
                 Q = FuzzyIdeal(R, tuple(zip(chain, values)))
-                ctx = _ctx(Q) if R.is_table else None
+                ctx = _Ctx(Q) if R.is_table else None
                 if is_semiprime_new(Q, ctx):
                     keep.append(i)
                     prime.append(is_prime_new(Q, ctx))
@@ -603,7 +588,7 @@ def charprime_equivalence_check(P: FuzzyIdeal, grid=None) -> dict:
     if not R.is_table:
         raise BackendError("the equivalence check requires a table ring")
     P.require_non_constant()
-    ctx = _ctx(P, grid)
+    ctx = _Ctx(P, grid)
 
     a = is_prime_new(P, ctx)
     b = D2_witness(P) is None
@@ -641,12 +626,10 @@ def _ideal_test(P: FuzzyIdeal, ctx: _Ctx) -> bool:
     strictly between P(x) v P(y) and Inf P(xRy), and the grid midpoints
     realize every such strict interval.
     """
-    n = ctx.ring.size
     for t in ctx.grid_ranks:
-        iv = np.maximum(ctx.pv, t)
-        hyp = (iv[ctx.xry] <= ctx.pv[ctx.xry]).all(axis=1).reshape(n, n)
-        gt = iv > ctx.pv
-        if (hyp & gt[:, None] & gt[None, :]).any():
+        # I_t <= P on xRy (t <= m[x, y]) while I_t > P at x and at y
+        low = ctx.pv < t
+        if ((ctx.m >= t) & low[:, None] & low[None, :]).any():
             return False
     return True
 
@@ -716,7 +699,7 @@ def classify(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET):
     record("D2", D2_witness(P))
 
     if R.is_table:
-        ctx = _ctx(P, grid)
+        ctx = _Ctx(P, grid)
         record("PRIME_NEW", prime_new_witness(P, ctx))
         record("D3", D3_witness(P, ctx))
         record("D4", D4_witness(P, ctx))

@@ -1,5 +1,7 @@
+import functools
+
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from fuzzideal import build_corpus, parse_ring
 
@@ -31,3 +33,23 @@ def corpora(rings):
 @pytest.fixture(scope="session")
 def z_corpus(rings):
     return build_corpus(rings["Z"], bound=Z_BOUND)
+
+
+@functools.cache
+def small_ring(text):
+    return parse_ring(text)
+
+
+# specs of small random table rings for property tests; a Quot spec may
+# name the whole ring, which parse_ring rejects with RingConstructionError
+SMALL_RING = st.one_of(
+    st.integers(2, 16).map(lambda n: f"Zn({n})"),
+    st.tuples(st.integers(2, 5), st.integers(2, 5)).map(
+        lambda ab: f"Prod(Zn({ab[0]}), Zn({ab[1]}))"),
+    st.sampled_from(["Tri(2, Zn(2))", "Tri(2, Zn(3))", "Mat(2, Zn(2))",
+                     "Prod(Zn(2), Zn(2), Zn(2))", "Prod(Tri(2, Zn(2)), Zn(2))"]),
+    st.tuples(st.integers(4, 24), st.integers(2, 12)).map(
+        lambda nd: f"Quot(Zn({nd[0]}), <{nd[1]}>)"),
+    st.sampled_from(["Quot(Tri(2, Zn(2)), <[[0,1],[0,0]]>)",
+                     "Quot(Tri(2, Zn(3)), <[[0,1],[0,0]]>)",
+                     "Quot(Prod(Zn(4), Zn(6)), <(2, 0)>)"]))

@@ -185,6 +185,14 @@ def test_bad_counts_exit_2(capsys, extra):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+def test_env_cap_read_on_every_call(capsys, monkeypatch):
+    """The parser is built once; FUZZIDEAL_CAP still counts per call."""
+    monkeypatch.setenv("FUZZIDEAL_CAP", "5")
+    assert run(capsys, "diagram", "--ring", "Zn(6)")[0] == 3
+    monkeypatch.delenv("FUZZIDEAL_CAP")
+    assert run(capsys, "diagram", "--ring", "Zn(6)")[0] == 0
+
+
 def test_env_cap_validated(capsys, monkeypatch):
     monkeypatch.setenv("FUZZIDEAL_CAP", "0")
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,4 @@
 """Crisp ideal lattice, primeness oracles, radical, prime-avoiding."""
-import functools
 import itertools
 import random
 
@@ -7,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from conftest import SMALL_RING, small_ring
 from fuzzideal import (CrispIdeal, RingConstructionError, crisp_radical,
                        enumerate_ideals, ideal_generate,
                        is_completely_prime_ideal, is_prime_ideal,
@@ -97,30 +97,12 @@ def test_generation_matches_fixpoint(spec, rings):
             (spec, gens)
 
 
-@functools.cache
-def _small_ring(text):
-    return parse_ring(text)
-
-
-SMALL_RING = st.one_of(
-    st.integers(2, 16).map(lambda n: f"Zn({n})"),
-    st.tuples(st.integers(2, 5), st.integers(2, 5)).map(
-        lambda ab: f"Prod(Zn({ab[0]}), Zn({ab[1]}))"),
-    st.sampled_from(["Tri(2, Zn(2))", "Tri(2, Zn(3))", "Mat(2, Zn(2))",
-                     "Prod(Zn(2), Zn(2), Zn(2))", "Prod(Tri(2, Zn(2)), Zn(2))"]),
-    st.tuples(st.integers(4, 24), st.integers(2, 12)).map(
-        lambda nd: f"Quot(Zn({nd[0]}), <{nd[1]}>)"),
-    st.sampled_from(["Quot(Tri(2, Zn(2)), <[[0,1],[0,0]]>)",
-                     "Quot(Tri(2, Zn(3)), <[[0,1],[0,0]]>)",
-                     "Quot(Prod(Zn(4), Zn(6)), <(2, 0)>)"]))
-
-
 @given(text=SMALL_RING, data=st.data())
 def test_generation_is_the_least_ideal(text, data):
     """ideal_generate equals the fixpoint and passes the ideal axioms on
     random small rings and generator sets."""
     try:
-        R = _small_ring(text)
+        R = small_ring(text)
     except RingConstructionError:  # a quotient by the whole ring
         return
     gens = data.draw(st.sets(st.integers(0, R.size - 1), max_size=4))

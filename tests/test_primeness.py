@@ -1,23 +1,34 @@
 """Primeness/semiprimeness predicates, characterizations and diagrams."""
+import functools
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import SMALL_RING, TABLE_SPECS, small_ring
 from fuzzideal import (BackendError, ConstantIdealError, CrispIdeal,
-                       ResourceLimitError, characteristic, classify, compose,
-                       constant, count_minimal_prime_classes, diagram_check,
-                       enumerate_fuzzy_ideals, format_fuzzy,
+                       ResourceLimitError, RingConstructionError,
+                       characteristic, classify, compose, constant,
+                       count_minimal_prime_classes, diagram_check,
+                       enumerate_fuzzy_ideals, format_fuzzy, ideal_generate,
                        is_completely_prime_ideal, is_prime_ideal, is_SD1,
-                       is_semiprime_ideal, minimal_prime_below, parse_element,
-                       parse_fuzzy_spec, parse_ring, to_set, value_equivalent,
-                       value_grid, zero_type)
+                       is_semiprime_ideal, minimal_prime_below, minimal_primes,
+                       parse_element, parse_fuzzy_spec, parse_ring,
+                       principal_ideal, to_set, value_equivalent, value_grid,
+                       zero_type)
+from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import zero_ideal
 from fuzzideal.fuzzy import fuzzy_from_chain, star_ideal, whole_ideal
 from fuzzideal.primeness import (DEFAULT_BUDGET, D0_witness, D0prime_witness,
-                                 d1_falsify_search, SD1_witness, _ctx, is_D0,
-                                 is_D1, is_D2, is_D4, is_prime_new,
-                                 is_semiprime_new)
+                                 D3_witness, SD0prime_witness,
+                                 d1_falsify_search, SD1_witness, _Ctx,
+                                 _ideal_test, is_D0, is_D0prime, is_D1, is_D2,
+                                 is_D4, is_prime_new, is_semiprime_new,
+                                 prime_new_witness, semiprime_new_witness)
+from fuzzideal.rings import np_tables
 
 F = Fraction
 
@@ -176,22 +187,27 @@ def test_off_grid_sampling_soundness(rings):
     rng = random.Random(0)
     for spec in ("Zn(12)", "Mat(2, Zn(2))"):
         R = rings[spec]
-        P = zero_type(R, F(2, 3), F(1, 3))
-        ctx = _ctx(P)
-        grid_d0 = is_D0(P, ctx=ctx)
-        from fuzzideal.primeness import _principal_products
         pp = _principal_products(R)
-        found = False
-        for _ in range(1000):
-            x = rng.randrange(R.size)
-            y = rng.randrange(R.size)
-            t = F(rng.randrange(1, 997), 997)
-            s = F(rng.randrange(1, 997), 997)
-            pxy = P(R.mul(x, y))
-            if P(x) < t and P(y) < s and min(t, s) <= pxy:
-                found = True
-                break
-        assert not (found and grid_d0), spec
+        items = [zero_type(R, F(2, 3), F(1, 3))]
+        items += [characteristic(Q) for Q in minimal_primes(R)]
+        for P in items:
+            ctx = _Ctx(P)
+            # P's least value on the product x_t y_s, resp. <x_t><y_s>
+            products = {
+                "D0": (is_D0(P, ctx=ctx), lambda x, y: P(R.mul(x, y))),
+                "D0'": (is_D0prime(P, ctx=ctx),
+                        lambda x, y: min(P(e) for e in pp[(x, y)]))}
+            for name, (grid_holds, least) in products.items():
+                found = False
+                for _ in range(1000):
+                    x = rng.randrange(R.size)
+                    y = rng.randrange(R.size)
+                    t = F(rng.randrange(1, 997), 997)
+                    s = F(rng.randrange(1, 997), 997)
+                    if P(x) < t and P(y) < s and min(t, s) <= least(x, y):
+                        found = True
+                        break
+                assert not (found and grid_holds), (spec, P, name)
 
 
 def test_minimal_primes_and_classes(rings, corpora):
@@ -226,3 +242,131 @@ def test_d4_zero_type_on_z(rings):
     Z = rings["Z"]
     P = parse_fuzzy_spec(Z, "{1: <0>, 4/5: <2>, 3/5: <*>}")
     assert is_D4(P)  # Z commutative: prime cuts are completely prime
+
+
+# --------------------------------------------------------------------------
+# References: the element-wise Inf-forms that the lattice kernel replaced
+# --------------------------------------------------------------------------
+
+def _xry(R):
+    """xry[x * n + y, r] = (x r) y, gathered from the mul table."""
+    mul = np_tables(R).mul
+    return np.ascontiguousarray(mul[mul].transpose(0, 2, 1)).reshape(
+        R.size * R.size, R.size)
+
+
+@functools.cache
+def _principal_products(R):
+    """elems of <x><y> = <{ab : a in <x>, b in <y>}> for every pair."""
+    pp, prods = {}, {}
+    for x in range(R.size):
+        px = principal_ideal(R, x).elems
+        for y in range(R.size):
+            py = principal_ideal(R, y).elems
+            if (px, py) not in prods:
+                prods[(px, py)] = ideal_generate(
+                    R, {R.mul(a, b) for a in px for b in py}).elems
+            pp[(x, y)] = prods[(px, py)]
+    return pp
+
+
+def _reference_ctx(P, grid=None):
+    """A rank context whose m is gathered over xRy element by element."""
+    ctx = _Ctx(P, grid)
+    n = P.ring.size
+    ctx.m = ctx.pv[_xry(P.ring)].min(axis=1).reshape(n, n)
+    return ctx
+
+
+def _ideal_test_reference(ctx):
+    xry = _xry(ctx.ring)
+    n = ctx.ring.size
+    for t in ctx.grid_ranks:
+        iv = np.maximum(ctx.pv, t)
+        hyp = (iv[xry] <= ctx.pv[xry]).all(axis=1).reshape(n, n)
+        gt = iv > ctx.pv
+        if (hyp & gt[:, None] & gt[None, :]).any():
+            return False
+    return True
+
+
+def _grid_loop(ctx, least):
+    """The D0/D0' grid loop; ``least(x, y)`` is the product's rank."""
+    pos = [t for t in ctx.grid_ranks if ctx.scale[t] > 0]
+    pv = ctx.pv
+    for x in range(ctx.ring.size):
+        for y in range(ctx.ring.size):
+            pxy = least(x, y)
+            for t in pos:
+                if pv[x] >= t:
+                    continue
+                for s in pos:
+                    if pv[y] < s and min(t, s) <= pxy:
+                        return {"x": ctx.elem(x), "y": ctx.elem(y),
+                                "t": str(ctx.value(t)), "s": str(ctx.value(s))}
+    return None
+
+
+def _sd0prime_loop(ctx, pp):
+    for x in range(ctx.ring.size):
+        mv = min(ctx.pv[e] for e in pp[(x, x)])
+        if mv > ctx.pv[x]:
+            return {"x": ctx.elem(x), "t": str(ctx.value(mv))}
+    return None
+
+
+def _assert_matches_references(P, grid=None):
+    ctx, ref = _Ctx(P, grid), _reference_ctx(P, grid)
+    assert (ctx.m == ref.m).all(), P
+    assert _ideal_test(P, ctx) == _ideal_test_reference(ref), P
+    for decide in (prime_new_witness, D3_witness, semiprime_new_witness):
+        assert decide(P, ctx) == decide(P, ref), (decide.__name__, P)
+    pp = _principal_products(P.ring)
+    assert D0_witness(P, ctx=ctx) == _grid_loop(
+        ref, lambda x, y: ref.pv[ref.mul[x, y]]), P
+    assert D0prime_witness(P, ctx=ctx) == _grid_loop(
+        ref, lambda x, y: min(ref.pv[e] for e in pp[(x, y)])), P
+    assert SD0prime_witness(P, ctx=ctx) == _sd0prime_loop(ref, pp), P
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_inf_forms_match_references(corpora, spec):
+    """m, the ideal test and the Inf-form witnesses match the element-wise
+    forms on every corpus item, on its own grid and on a coarse one."""
+    for P in corpora[spec]:
+        _assert_matches_references(P)
+        _assert_matches_references(P, (F(1), F(1, 3), F(0)))
+
+
+@given(text=SMALL_RING, data=st.data())
+def test_inf_forms_match_references_on_random_rings(text, data):
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    chains = [c for c in ideal_chains(R, 4) if len(c) > 1]
+    if not chains:  # the zero ring
+        return
+    chain = data.draw(st.sampled_from(chains))
+    values = sorted(data.draw(st.lists(st.integers(0, 8), min_size=len(chain),
+                                       max_size=len(chain), unique=True)),
+                    reverse=True)
+    P = fuzzy_from_chain(R, [(C, F(v, 8)) for C, v in zip(chain, values)])
+    grid = data.draw(st.none() | st.sets(st.integers(0, 8), min_size=1).map(
+        lambda ks: tuple(F(k, 8) for k in sorted(ks))))
+    _assert_matches_references(P, grid)
+
+
+def test_classify_memory_is_quadratic():
+    """Once a ring's lattice index is built, classifying one more item on
+    Zn(360) allocates O(n^2), not an n^2 x n array (373 MB)."""
+    R = parse_ring("Zn(360)")
+    classify(parse_fuzzy_spec(R, "{1: <0>, 1/2: <6>, 0: <*>}"))
+    P = parse_fuzzy_spec(R, "{1: <12>, 1/4: <*>}")
+    tracemalloc.start()
+    try:
+        classify(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
