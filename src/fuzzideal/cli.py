@@ -56,7 +56,6 @@ def _build_parser():
         if fuzzy:
             p.add_argument("--fuzzy", required=True,
                            help="fuzzy ideal spec, e.g. '{1: <0>, 3/5: <*>}'")
-            p.add_argument("--grid", help="comma-separated value-grid override")
         p.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND,
                        help="generator bound for ideals over Z (default 64)")
         p.add_argument("--out", help="output path (default: stdout)")
@@ -182,8 +181,7 @@ def _lattice_dot(ideals, names):
 def cmd_classify(args):
     R = parse_ring(args.ring)
     P = parse_fuzzy_spec(R, args.fuzzy)
-    grid = _parse_values(args.grid) if args.grid else None
-    notions, witnesses = primeness.classify(P, grid)
+    notions, witnesses = primeness.classify(P)
     report = {"ring": format_ring_spec(R.spec), "fuzzy": format_fuzzy(P),
               "commutative": R.commutative,
               "notions": dict(sorted(notions.items())),

@@ -24,12 +24,10 @@ from .corpus import ideal_chains
 from .crisp import (completely_prime_witness, enumerate_ideals,
                     is_prime_ideal, minimal_primes, prime_witness,
                     semiprime_witness)
-from .errors import BackendError, ResourceLimitError, TheoremViolationError
-from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, compose,
-                    star_ideal, to_set, value_equivalent)
+from .errors import BackendError, TheoremViolationError
+from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, star_ideal,
+                    value_equivalent)
 from .rings import Ring, np_tables, quotient_ring
-
-DEFAULT_BUDGET = 20_000
 
 
 # --------------------------------------------------------------------------
@@ -57,16 +55,13 @@ def _lattice_index(R: Ring):
     P(r s t) >= P(s).  So min P(S) = min P(<S>), and the minima over the
     lattice ideals (``floor``, one ``np.minimum.reduceat`` over the packed
     ``elems``) give all of them.  <S> is the first lattice ideal, in the
-    size order of ``enumerate_ideals(R)``, that contains S.  Two families
-    of sets are indexed this way:
+    size order of ``enumerate_ideals(R)``, that contains S.
 
-    - ``product[x, y]``, the position of <x><y>.  In a unital ring both
-      <xRy> and <x><y> are the additive span of R x R y R, so
-      min P(xRy) = floor[product[x, y]].  <x><y> depends only on <x> and
-      <y>, so it is found once per pair of distinct principal ideals,
-      from xRy for one representative of each.
-    - ``square[J]``, the position of the ideal generated by
-      {ab : a, b in J}, for each lattice ideal J (the SD1 search).
+    ``product[x, y]`` is the position of <x><y>.  In a unital ring both
+    <xRy> and <x><y> are the additive span of R x R y R, so
+    min P(xRy) = floor[product[x, y]].  <x><y> depends only on <x> and
+    <y>, so it is found once per pair of distinct principal ideals, from
+    xRy for one representative of each.
     """
     def build():
         lattice = enumerate_ideals(R)
@@ -87,13 +82,10 @@ def _lattice_index(R: Ring):
         reps = [x for _, x in rep.values()]
         table = np.array([[least(mul[mul[x], y]) for y in reps]
                           for x in reps], dtype=np.intp)
-        square = np.array([least(mul[np.ix_(row, row)])
-                           for row in map(np.flatnonzero, member)],
-                          dtype=np.intp)
         sizes = member.sum(axis=1)
         starts = np.cumsum(sizes) - sizes
         return {"elems": (np.flatnonzero(member) % n, starts),
-                "product": table[np.ix_(cls, cls)], "square": square}
+                "product": table[np.ix_(cls, cls)]}
     return R.cached("lattice_index", build)
 
 
@@ -295,43 +287,6 @@ def is_D0prime(P: FuzzyIdeal, grid=None, ctx=None) -> bool:
     return D0prime_witness(P, grid, ctx) is None
 
 
-def d1_falsify_search(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET):
-    """Search fuzzy-ideal pairs (I, J) with IoJ <= P, I !<= P, J !<= P.
-
-    Sound falsifier for D1 used to cross-validate the characterization:
-    a witness must never exist when is_D1 holds.  Returns
-    (witness-or-None, exhausted_flag).
-    """
-    from .corpus import enumerate_fuzzy_ideals
-    R = P.ring
-    if not R.is_table:
-        raise BackendError("D1 falsification search requires a table ring")
-    if grid is None:
-        grid = value_grid(P)
-    pvals = to_set(P).table
-    cands = []
-    not_below = []
-    for I in enumerate_fuzzy_ideals(R, grid):
-        arr = to_set(I).table
-        cands.append((I, arr))
-        not_below.append(any(a > p for a, p in zip(arr, pvals)))
-    examined = 0
-    for i, (I, ai) in enumerate(cands):
-        if not not_below[i]:
-            continue
-        for j, (J, aj) in enumerate(cands):
-            if not not_below[j]:
-                continue
-            examined += 1
-            if examined > budget:
-                return None, True
-            comp = compose(to_set(I), to_set(J))
-            if all(c <= p for c, p in zip(comp.table, pvals)):
-                from .dsl import format_fuzzy
-                return ({"I": format_fuzzy(I), "J": format_fuzzy(J)}, False)
-    return None, False
-
-
 # --------------------------------------------------------------------------
 # Semiprime notions
 # --------------------------------------------------------------------------
@@ -402,111 +357,77 @@ def is_SD0prime(P: FuzzyIdeal, grid=None, ctx=None) -> bool:
     return SD0prime_witness(P, grid, ctx) is None
 
 
-def _chain_positions(R: Ring, max_len: int, bound: int | None = None):
-    """``ideal_chains(R, max_len, bound)`` grouped by length: for each
-    length m, the chains in order and an (N, m) array of their positions
-    in ``enumerate_ideals(R, bound)``."""
-    def build():
-        pos = {J: i for i, J in enumerate(enumerate_ideals(R, bound))}
-        by_len = {}
-        for chain in ideal_chains(R, max_len, bound):
-            by_len.setdefault(len(chain), []).append(chain)
-        return {m: (chains, np.array([[pos[J] for J in c] for c in chains],
-                                     dtype=np.int64))
-                for m, chains in by_len.items()}
-    return R.cached(("chain_positions", max_len, bound), build)
+def SD1_witness(P: FuzzyIdeal):
+    """SD1 (I o I <= P implies I <= P, for every fuzzy ideal I) by its cut
+    theorem: SD1 holds iff every cut C1, ..., C(m-1) of P is semiprime,
+    that is, iff SD2 holds.  This holds on every unital ring, commutative
+    or not, and on both backends.
+
+    - Cuts semiprime => SD1.  Take I with I o I <= P and I(x) = t > P(x).
+      For every r, xrx = x (rx), so P(xrx) >= min(I(x), I(rx)) >= t.
+      With r = 0 this gives t <= P(0), so the level set P_t is R or a cut
+      Ck, and it is not R since P(x) < t.  Ck is semiprime and contains
+      xRx, so it contains x: P(x) >= t, a contradiction.
+    - A cut Ck not semiprime => not SD1.  Take x outside Ck with
+      xRx inside Ck, and I = {ck: <x>, P(1): <*>}.  <x> is proper, since
+      <x><x> lies in Ck.  Every product ab with a, b in <x> lies in
+      <x><x>, the additive span of R xRx R, hence in Ck, so
+      I o I <= P; and I(x) = ck > P(x).
+
+    The witness is that I for the first (smallest) cut rejected by the
+    memoized ``crisp.semiprime_witness``, with the x it returns.  The
+    result keeps the ``(witness-or-None, exhausted)`` shape of the
+    search this rule replaced, with ``exhausted`` always False:
+    ``perfbench/tracing.py`` wraps this function by name and reads it.
+    """
+    P.require_non_constant()
+    R = P.ring
+    for ideal, value in P.chain[:-1]:
+        x = semiprime_witness(R, ideal)
+        if x is not None:
+            from .dsl import format_fuzzy
+            I = FuzzyIdeal(R, ((crisp.principal_ideal(R, x), value),
+                               (crisp.whole_ideal(R), P.bottom)))
+            return {"I": format_fuzzy(I)}, False
+    return None, False
+
+
+def is_SD1(P: FuzzyIdeal) -> bool:
+    return SD1_witness(P)[0] is None
 
 
 # cells of the (chains x value combinations x length) arrays per block
 _BLOCK_CELLS = 1 << 16
 
 
-def SD1_witness(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET, ctx=None):
-    """Search for I with I^2 <= P and I !<= P over grid-valued fuzzy ideals.
-
-    Grid-completeness of this reduction is assumed (no characterization
-    available); the search is a sound falsifier either way.  Returns
-    (witness-or-None, exhausted_flag).
-
-    Candidates are the fuzzy ideals of ``enumerate_fuzzy_ideals(R, grid)``,
-    tried in that order; only those with I !<= P count against the budget.
-    A candidate with chain C1 < ... < Cm = R and values c1 > ... > cm
-    takes the value ck on Ck minus C(k-1), and min(I(a), I(b)) = ck for
-    the least k with a, b in Ck.  Hence, exactly,
-
-        I o I <= P  iff  ck <= min{P(ab) : a, b in Ck}  for every k,
-        I !<= P     iff  ck >  min{P(x)  : x in Ck}     for some k.
-
-    Both minima are read from ``ctx.floor``, the second at Ck and the
-    first at the ideal that Ck Ck generates (:func:`_lattice_index`).
-    Every chain is tested against all value combinations at once, in
-    integer ranks on grid + image(P).  A given ``ctx`` supplies those
-    ranks and the grid.
-    """
-    R = P.ring
-    if not R.is_table:
-        raise BackendError("D1-semiprimeness search requires a table ring")
-    ctx = ctx or _Ctx(P, grid)
-    values = sorted((Fraction(v) for v in set(ctx.grid)), reverse=True)
-    value_ranks = np.array([ctx.rank[v] for v in values], dtype=np.int64)
-    floor = ctx.floor
-    square = floor[_lattice_index(R)["square"]]
-    examined = 0
-    for m, (chains, positions) in sorted(
-            _chain_positions(R, len(values)).items()):
-        if m < 2:
-            continue
-        combos = np.array(list(itertools.combinations(range(len(values)), m)),
-                          dtype=np.int64)
-        ranks = value_ranks[combos][None, :, :]
-        step = max(1, _BLOCK_CELLS // ranks.size)
-        for start in range(0, len(positions), step):
-            block = positions[start:start + step]
-            not_below = (ranks > floor[block][:, None, :]).any(axis=2).ravel()
-            square_ok = (ranks <= square[block][:, None, :]).all(axis=2).ravel()
-            hits = np.flatnonzero(not_below & square_ok)
-            if len(hits):
-                h = int(hits[0])
-                if examined + np.count_nonzero(not_below[:h + 1]) > budget:
-                    return None, True
-                chain = chains[start + h // len(combos)]
-                combo = (values[k] for k in combos[h % len(combos)])
-                from .dsl import format_fuzzy
-                return {"I": format_fuzzy(
-                    FuzzyIdeal(R, tuple(zip(chain, combo))))}, False
-            examined += np.count_nonzero(not_below)
-            if examined > budget:
-                return None, True
-    return None, False
-
-
 def _semiprime_chains(R: Ring, max_len: int, bound: int | None = None):
-    """The chains of ``_chain_positions(R, max_len, bound)`` of length at
-    least 2 on which fuzzy ideals are semiprime: for each length m, the
-    chains in order, their positions and whether they also carry primes.
+    """The chains of ``ideal_chains(R, max_len, bound)`` of length at
+    least 2 on which fuzzy ideals are semiprime, grouped by length: for
+    each length m, the chains in order, an (N, m) array of their
+    positions in ``enumerate_ideals(R, bound)`` and whether they also
+    carry primes.
 
     Both flags come from ``is_semiprime_new``/``is_prime_new`` on one
     value assignment per chain, which decides every assignment (L2 in
     :func:`semiprimes_above`).
     """
     def build():
-        out = {}
-        for m, (chains, positions) in _chain_positions(
-                R, max_len, bound).items():
-            if m < 2:
+        pos = {J: i for i, J in enumerate(enumerate_ideals(R, bound))}
+        by_len = {}
+        for chain in ideal_chains(R, max_len, bound):
+            if len(chain) < 2:
                 continue
-            values = [Fraction(m - 1 - k, m - 1) for k in range(m)]
-            keep, prime = [], []
-            for i, chain in enumerate(chains):
-                Q = FuzzyIdeal(R, tuple(zip(chain, values)))
-                ctx = _Ctx(Q) if R.is_table else None
-                if is_semiprime_new(Q, ctx):
-                    keep.append(i)
-                    prime.append(is_prime_new(Q, ctx))
-            if keep:
-                out[m] = ([chains[i] for i in keep], positions[keep],
-                          np.array(prime, dtype=bool))
-        return out
+            m = len(chain)
+            Q = FuzzyIdeal(R, tuple(
+                zip(chain, (Fraction(m - 1 - k, m - 1) for k in range(m)))))
+            ctx = _Ctx(Q) if R.is_table else None
+            if is_semiprime_new(Q, ctx):
+                by_len.setdefault(m, []).append((chain, is_prime_new(Q, ctx)))
+        return {m: ([c for c, _ in rows],
+                    np.array([[pos[J] for J in c] for c, _ in rows],
+                             dtype=np.int64),
+                    np.array([p for _, p in rows], dtype=bool))
+                for m, rows in by_len.items()}
     return R.cached(("semiprime_chains", max_len, bound), build)
 
 
@@ -563,15 +484,6 @@ def semiprimes_above(I: FuzzyIdeal, grid, bound: int | None = None):
                 combo = (values[k] for k in combos[int(h) % len(combos)])
                 yield FuzzyIdeal(R, tuple(zip(chains[c], combo))), \
                     bool(prime[c])
-
-
-def is_SD1(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET) -> bool:
-    """Raises ResourceLimitError when the search exhausts its budget."""
-    witness, exhausted = SD1_witness(P, grid, budget)
-    if exhausted:
-        raise ResourceLimitError(
-            f"SD1 search exhausted its budget of {budget} candidates")
-    return witness is None
 
 
 # --------------------------------------------------------------------------
@@ -668,17 +580,9 @@ def count_minimal_prime_classes(R: Ring) -> int:
 # Classification
 # --------------------------------------------------------------------------
 
-TABLE_NOTIONS = ("D0", "D0'", "D1", "D1L", "D1R", "D2", "D3", "D4",
-                 "PRIME_NEW", "SD0'", "SD1", "SD2", "SD4", "SEMIPRIME_NEW")
-INT_NOTIONS = ("D0'", "D1", "D1L", "D1R", "D2", "D3", "D4", "PRIME_NEW",
-               "SD2", "SD4", "SEMIPRIME_NEW")
-
-
-def classify(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET):
+def classify(P: FuzzyIdeal):
     """Full truth table of all notions, with witnesses for the false ones.
-
-    SD1 is None (unknown) when its search exhausts ``budget``; its
-    witness entry then records the status and the candidates examined.
+    Quantifiers range over ``value_grid(P)``; ℤ lacks D0 and SD0'.
 
     Internal cross-assertions (D0' = D1, PRIME_NEW = D2, SD2 agreement,
     commutative D4 agreement) raise TheoremViolationError on failure.
@@ -697,24 +601,19 @@ def classify(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET):
     record("D1L", d1_w)
     record("D1R", d1_w)
     record("D2", D2_witness(P))
+    record("SD2", SD2_witness(P))
+    record("SD1", SD1_witness(P)[0])
 
     if R.is_table:
-        ctx = _Ctx(P, grid)
+        ctx = _Ctx(P)
         record("PRIME_NEW", prime_new_witness(P, ctx))
         record("D3", D3_witness(P, ctx))
         record("D4", D4_witness(P, ctx))
         record("D0", D0_witness(P, ctx=ctx))
         record("D0'", D0prime_witness(P, ctx=ctx))
         record("SEMIPRIME_NEW", semiprime_new_witness(P, ctx))
-        record("SD2", SD2_witness(P))
         record("SD4", SD4_witness(P, ctx))
         record("SD0'", SD0prime_witness(P, ctx=ctx))
-        sd1_w, exhausted = SD1_witness(P, grid, budget, ctx)
-        if exhausted:
-            notions["SD1"] = None
-            witnesses["SD1"] = {"status": "unknown", "examined": budget}
-        else:
-            record("SD1", sd1_w)
     else:
         record("PRIME_NEW", prime_new_witness(P))
         record("D3", D3_witness(P))
@@ -722,7 +621,6 @@ def classify(P: FuzzyIdeal, grid=None, budget=DEFAULT_BUDGET):
         # Zahedi's equivalence D0' = D1 holds over any ring with unity
         record("D0'", d1_w)
         record("SEMIPRIME_NEW", semiprime_new_witness(P))
-        record("SD2", SD2_witness(P))
         record("SD4", SD4_witness(P))
 
     _cross_assert(P, notions)
@@ -772,8 +670,7 @@ PROBED_NON_IMPLICATIONS = [
 ]
 
 
-def diagram_check(corpus, grid=None, budget=DEFAULT_BUDGET,
-                  notions_list=None) -> dict:
+def diagram_check(corpus, notions_list=None) -> dict:
     """Verify Figure-style implication diagrams over a corpus.
 
     Asserted implications raise TheoremViolationError when violated.
@@ -781,14 +678,13 @@ def diagram_check(corpus, grid=None, budget=DEFAULT_BUDGET,
     the corpus) is reported.  The D0 arrows that the source material
     leaves ambiguous on commutative rings are reported, never asserted.
     ``notions_list`` can supply precomputed classify() outputs (e.g. from
-    a worker pool); order must match the corpus.  A notion that is
-    unknown (None, an exhausted SD1 search) neither proves nor refutes
-    an edge.
+    a worker pool); order must match the corpus.  A notion absent from
+    an item (D0 and SD0' over ℤ) neither proves nor refutes an edge.
     """
     if not corpus:
         raise ValueError("empty corpus")
     if notions_list is None:
-        notions_list = [classify(P, grid, budget)[0] for P in corpus]
+        notions_list = [classify(P)[0] for P in corpus]
     rows = [(idx, P, notions)
             for idx, (P, notions) in enumerate(zip(corpus, notions_list))]
 
@@ -843,7 +739,7 @@ def diagram_check(corpus, grid=None, budget=DEFAULT_BUDGET,
 
 
 def _refutes(notions, src, dst) -> bool:
-    """src holds and dst fails; absent or unknown (None) notions never do."""
+    """src holds and dst fails; absent notions never do."""
     return notions.get(src) is True and notions.get(dst) is False
 
 

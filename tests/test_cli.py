@@ -185,6 +185,18 @@ def test_bad_counts_exit_2(capsys, extra):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "radical"])
+def test_grid_option_is_gone(capsys, command):
+    """Quantifiers always range over value_grid(P): a grid that lacks P's
+    values made D0, D0' and SD0' incomplete, so --grid is an unknown
+    argument."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, "--ring", "Zn(6)",
+            "--fuzzy", "{1:<0>, 1/2:<2>, 0:<*>}", "--grid", "1/2,1/2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
 def test_env_cap_read_on_every_call(capsys, monkeypatch):
     """The parser is built once; FUZZIDEAL_CAP still counts per call."""
     monkeypatch.setenv("FUZZIDEAL_CAP", "5")

@@ -9,22 +9,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import SMALL_RING, TABLE_SPECS, small_ring
-from fuzzideal import (BackendError, ConstantIdealError, CrispIdeal,
-                       ResourceLimitError, RingConstructionError,
-                       characteristic, classify, compose, constant,
-                       count_minimal_prime_classes, diagram_check,
+from fuzzideal import (ConstantIdealError, CrispIdeal,
+                       RingConstructionError, build_corpus, characteristic,
+                       classify, compose, constant,
+                       count_minimal_prime_classes, cut,
                        enumerate_fuzzy_ideals, format_fuzzy, ideal_generate,
                        is_completely_prime_ideal, is_prime_ideal, is_SD1,
-                       is_semiprime_ideal, minimal_prime_below, minimal_primes,
-                       parse_element, parse_fuzzy_spec, parse_ring,
-                       principal_ideal, to_set, value_equivalent, value_grid,
-                       zero_type)
+                       is_SD2, is_semiprime_ideal, minimal_prime_below,
+                       minimal_primes, parse_element, parse_fuzzy_spec,
+                       parse_ring, principal_ideal, to_set, value_equivalent,
+                       value_grid, zero_type)
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import zero_ideal
 from fuzzideal.fuzzy import fuzzy_from_chain, star_ideal, whole_ideal
-from fuzzideal.primeness import (DEFAULT_BUDGET, D0_witness, D0prime_witness,
-                                 D3_witness, SD0prime_witness,
-                                 d1_falsify_search, SD1_witness, _Ctx,
+from fuzzideal.primeness import (D0_witness, D0prime_witness, D3_witness,
+                                 SD0prime_witness, SD1_witness, _Ctx,
                                  _ideal_test, is_D0, is_D0prime, is_D1, is_D2,
                                  is_D4, is_prime_new, is_semiprime_new,
                                  prime_new_witness, semiprime_new_witness)
@@ -84,13 +83,11 @@ def test_d1_characterization(rings):
 
 
 def test_d1_falsifier_cross_check(rings, corpora):
-    """The fuzzy-ideal-pair search never contradicts the D1 characterization,
-    and finds witnesses for every non-D1 corpus ideal of the small rings."""
+    """The fuzzy-ideal-pair search never contradicts the D1 characterization."""
     for spec in ("Zn(6)", "Mat(2, Zn(2))"):
         for P in corpora[spec]:
-            witness, exhausted = d1_falsify_search(P)
-            assert not exhausted
             if is_D1(P):
+                witness = d1_falsify_search(P)
                 assert witness is None, (spec, P, witness)
 
 
@@ -102,68 +99,111 @@ def test_sd1_implies_sd2(rings, corpora):
                 assert n["SD2"], (spec, P)
 
 
-def _sd1_reference(P, grid=None, budget=DEFAULT_BUDGET):
-    """The definition-level SD1 search: one compose per candidate."""
+# --------------------------------------------------------------------------
+# Definition-level searches for D1 and SD1 over grid-valued fuzzy ideals
+# --------------------------------------------------------------------------
+
+@functools.cache
+def _square(I):
+    """The table of I o I, by the definition (one compose)."""
+    return compose(to_set(I), to_set(I)).table
+
+
+def _not_below(I, pvals):
+    return any(a > p for a, p in zip(to_set(I).table, pvals))
+
+
+def d1_falsify_search(P, grid=None):
+    """A pair (I, J) of grid-valued fuzzy ideals with I o J <= P, I !<= P
+    and J !<= P, or None.  A sound falsifier for D1: a witness never
+    exists when is_D1 holds."""
     R = P.ring
-    if not R.is_table:
-        raise BackendError("D1-semiprimeness search requires a table ring")
     if grid is None:
         grid = value_grid(P)
     pvals = to_set(P).table
-    examined = 0
-    for I in enumerate_fuzzy_ideals(R, grid):
-        if I.is_constant:
-            continue
-        arr = to_set(I).table
-        if not any(a > p for a, p in zip(arr, pvals)):
-            continue
-        examined += 1
-        if examined > budget:
-            return None, True
-        sq = compose(to_set(I), to_set(I))
-        if all(c <= p for c, p in zip(sq.table, pvals)):
-            return {"I": format_fuzzy(I)}, False
-    return None, False
+    cands = [I for I in enumerate_fuzzy_ideals(R, grid)
+             if _not_below(I, pvals)]
+    for I in cands:
+        for J in cands:
+            comp = compose(to_set(I), to_set(J))
+            if all(c <= p for c, p in zip(comp.table, pvals)):
+                return {"I": format_fuzzy(I), "J": format_fuzzy(J)}
+    return None
 
 
-@pytest.mark.parametrize("spec", ["Zn(6)", "Mat(2, Zn(2))", "Tri(2, Zn(2))",
-                                  "Prod(Zn(2), Zn(3))"])
+def _sd1_reference(P, grid=None):
+    """The first grid-valued fuzzy ideal I with I o I <= P and I !<= P,
+    in ``enumerate_fuzzy_ideals`` order, or None: SD1 by its definition."""
+    if grid is None:
+        grid = value_grid(P)
+    pvals = to_set(P).table
+    for I in enumerate_fuzzy_ideals(P.ring, grid):
+        if I.is_constant or not _not_below(I, pvals):
+            continue
+        if all(c <= p for c, p in zip(_square(I), pvals)):
+            return {"I": format_fuzzy(I)}
+    return None
+
+
+def _assert_sd1_matches_reference(P):
+    """SD1 holds iff the definition-level search finds nothing, and an SD1
+    witness I re-validates through compose: I o I <= P, I !<= P."""
+    witness, exhausted = SD1_witness(P)
+    assert not exhausted
+    assert (witness is None) == (_sd1_reference(P) is None), P
+    if witness is not None:
+        I = parse_fuzzy_spec(P.ring, witness["I"])
+        pvals = to_set(P).table
+        assert all(c <= p for c, p in zip(_square(I), pvals)), (P, I)
+        assert _not_below(I, pvals), (P, I)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_sd1_search_matches_reference(corpora, spec):
-    """Same witness and exhaustion flag as the compose loop, every budget."""
+    """SD1 by the cut theorem agrees with the definition-level search."""
     for P in corpora[spec]:
-        expected = (None, True)
-        for budget in (1, 3, 50, DEFAULT_BUDGET):
-            if expected[1]:  # a finished search ends alike at larger budgets
-                expected = _sd1_reference(P, budget=budget)
-            assert SD1_witness(P, budget=budget) == expected, \
-                (spec, P, budget)
+        _assert_sd1_matches_reference(P)
 
 
-def test_sd1_search_grid_without_a_value_of_P(rings):
-    """Ranks cover grid + image(P), so a grid missing P's values works."""
-    P = parse_fuzzy_spec(rings["Zn(12)"], "{1: <0>, 3/4: <6>, 1/4: <*>}")
-    grid = (F(1), F(1, 2), F(0))
-    for budget in (1, 3, 50, DEFAULT_BUDGET):
-        assert SD1_witness(P, grid, budget) == \
-            _sd1_reference(P, grid, budget)
-    assert SD1_witness(P, grid)[0] is not None
+@given(text=SMALL_RING, data=st.data())
+def test_sd1_matches_reference_on_random_rings(text, data):
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    chains = [c for c in ideal_chains(R, 3) if len(c) > 1]
+    if not chains:  # the zero ring
+        return
+    chain = data.draw(st.sampled_from(chains))
+    values = sorted(data.draw(st.lists(st.integers(0, 2), min_size=len(chain),
+                                       max_size=len(chain), unique=True)),
+                    reverse=True)
+    _assert_sd1_matches_reference(
+        fuzzy_from_chain(R, [(C, F(v, 2)) for C, v in zip(chain, values)]))
 
 
-def test_exhausted_sd1_is_unknown(rings, corpora):
-    """A budget-exhausted search reports SD1 unknown, never true."""
-    items = corpora["Zn(12)"]
-    unknown = 0
-    for P in items:
-        notions, witnesses = classify(P, budget=1)
-        if notions["SD1"] is None:
-            unknown += 1
-            assert witnesses["SD1"] == {"status": "unknown", "examined": 1}
-            with pytest.raises(ResourceLimitError):
-                is_SD1(P, budget=1)
-        else:
-            assert notions["SD1"] == notions["SD2"], P
-    assert unknown > 0
-    diagram_check(items, budget=1)  # no false SD1 => SD2 violation
+def test_sd1_is_never_unknown():
+    """On every item of the exhaustive Tri(3, Zn(2)) corpus SD1 is decided
+    and equals SD2."""
+    for P in build_corpus(parse_ring("Tri(3, Zn(2))")):
+        notions, _ = classify(P)
+        assert notions["SD1"] in (True, False), P
+        assert notions["SD1"] == notions["SD2"], P
+
+
+def test_sd1_over_z(z_corpus):
+    """Over Z, SD1 equals SD2, and a witness {c: <x>, b: <*>} has x outside
+    the cut of P at c and x^2 inside it."""
+    for P in z_corpus:
+        witness, _ = SD1_witness(P)
+        assert is_SD1(P) == is_SD2(P) == (witness is None), P
+        if witness is not None:
+            I = parse_fuzzy_spec(P.ring, witness["I"])
+            (gen, c), (_, b) = I.chain
+            x = gen.gen
+            assert b == P.bottom
+            assert not cut(P, c).contains(x), (P, I)
+            assert cut(P, c).contains(x * x), (P, I)
 
 
 def test_zero_type_bridge(rings):
