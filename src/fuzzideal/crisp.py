@@ -7,7 +7,7 @@ object (single-writer init, safe for concurrent readers).  Over Z an
 ideal is just its nonnegative generator: 0 for {0}, 1 for Z.
 
 On table rings, generation, joins and the witness searches index the
-ring's integer-array tables (``rings.np_tables``) with boolean membership
+ring's integer-array tables (``Ring.tables``) with boolean membership
 masks; ideals are still handed out as frozensets of element indices.
 numpy is imported inside those functions: importing it at the top of
 this module, ahead of ``primeness``, raised the peak RSS of ``import
@@ -23,7 +23,7 @@ import sympy
 
 from .errors import (NotProperIdealError, ResourceLimitError,
                      TheoremViolationError)
-from .rings import Ring, np_tables, row_blocks
+from .rings import Ring, row_blocks
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class CrispIdeal:
         if self.ring.is_table:
             import numpy as np
             R = self.ring
-            sums = np_tables(R).add[np.ix_(_indices(self.elems),
-                                           _indices(other.elems))]
+            sums = R.tables.add[np.ix_(_indices(self.elems),
+                                       _indices(other.elems))]
             return _from_mask(R, _mask(R.size, sums))
         return CrispIdeal(self.ring, gen=gcd(self.gen, other.gen))
 
@@ -165,7 +165,7 @@ def ideal_generate(R: Ring, gens) -> CrispIdeal:
     gens = sorted(set(gens))
     for x in gens:
         R._check(x)
-    mul = np_tables(R).mul
+    mul = R.tables.mul
     n = R.size
     mask = _mask(n, R.zero)
     for cols in row_blocks(len(gens), n):
@@ -183,7 +183,7 @@ def _additive_closure(R: Ring, mask):
     group closure under addition already gives the subgroup.
     """
     import numpy as np
-    add = np_tables(R).add
+    add = R.tables.add
     gens = np.flatnonzero(mask)
     frontier = gens
     while frontier.size:
@@ -258,7 +258,7 @@ def _table_prime_witness(R: Ring, P: CrispIdeal):
     """The table search behind :func:`prime_witness`: the first (x, y),
     row-major over the elements outside P, with (x r) y in P for every r."""
     import numpy as np
-    mul = np_tables(R).mul
+    mul = R.tables.mul
     inside, outside = _inside_outside(P)
     for rows in row_blocks(len(outside), R.size * R.size):
         xs = outside[rows]
@@ -285,7 +285,7 @@ def completely_prime_witness(R: Ring, P: CrispIdeal):
     if not R.is_table:
         return prime_witness(R, P)  # Z is commutative
     import numpy as np
-    mul = np_tables(R).mul
+    mul = R.tables.mul
     inside, outside = _inside_outside(P)
     for rows in row_blocks(len(outside), len(outside)):
         hit = inside[mul[np.ix_(outside[rows], outside)]]
@@ -322,7 +322,7 @@ def _table_semiprime_witness(R: Ring, P: CrispIdeal):
     """The table search behind :func:`semiprime_witness`: the least x
     outside P with (x r) x in P for every r."""
     import numpy as np
-    mul = np_tables(R).mul
+    mul = R.tables.mul
     inside, outside = _inside_outside(P)
     for rows in row_blocks(len(outside), R.size):
         xs = outside[rows]
@@ -404,14 +404,17 @@ def prime_avoiding(R: Ring, P: CrispIdeal, x) -> CrispIdeal:
                 return CrispIdeal(R, gen=p)
         raise ValueError("no prime divisor of gen(P) avoids x")
 
-    # McCoy sequence x0 = x, x_{i+1} = x_i r_i x_i outside P, r_i minimal
+    R._check(x)
+    # McCoy sequence x0 = x, x_{i+1} = x_i r_i x_i outside P, r_i minimal;
+    # scalar table reads: a numpy row per step was slower on small rings
+    mul = R.tables.mul
     seq = [x]
     seen = {x}
     while True:
         cur = seq[-1]
         nxt = None
         for r in range(R.size):
-            cand = R.mul(R.mul(cur, r), cur)
+            cand = int(mul[mul[cur, r], cur])
             if not P.contains(cand):
                 nxt = cand
                 break

@@ -27,7 +27,7 @@ from .crisp import (completely_prime_witness, enumerate_ideals,
 from .errors import BackendError, TheoremViolationError
 from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, star_ideal,
                     value_equivalent)
-from .rings import Ring, np_tables, quotient_ring
+from .rings import Ring, quotient_ring
 
 
 # --------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def _lattice_index(R: Ring):
     def build():
         lattice = enumerate_ideals(R)
         n = R.size
-        mul = np_tables(R).mul
+        mul = R.tables.mul
         member = np.zeros((len(lattice), n), dtype=bool)
         for i, J in enumerate(lattice):
             member[i, list(J.elems)] = True
@@ -107,7 +107,7 @@ class _Ctx:
         n = R.size
         self.pv = np.array([self.rank[P(x)] for x in range(n)], dtype=np.int64)
         self.grid_ranks = sorted(self.rank[g] for g in self.grid)
-        self.mul = np_tables(R).mul
+        self.mul = R.tables.mul
         index = _lattice_index(R)
         self.floor = np.minimum.reduceat(self.pv[index["elems"][0]],
                                          index["elems"][1])
@@ -666,7 +666,7 @@ SEMIPRIME_EDGES = [
 # reverse directions for which we collect corpus counterexamples
 PROBED_NON_IMPLICATIONS = [
     ("D2", "D1"), ("D3", "D2"), ("D2", "D4"), ("D0'", "D0"),
-    ("SD2", "SD1"), ("SD2", "SD4"),
+    ("SD2", "SD4"),
 ]
 
 
@@ -705,9 +705,11 @@ def diagram_check(corpus, notions_list=None) -> dict:
     for src, dst, comm_only in PRIME_EDGES + SEMIPRIME_EDGES:
         check_edge(src, dst, comm_only)
 
-    # equivalences asserted per item inside classify(); record them
+    # equivalences asserted per item inside classify(), or decided there
+    # from the same cuts (SD1_witness); record them
     edges.append({"edge": "D0'<=>D1", "status": "implied"})
     edges.append({"edge": "PRIME_NEW<=>D2", "status": "implied"})
+    edges.append({"edge": "SD1<=>SD2", "status": "implied"})
     edges.append({"edge": "D4<=>completely-prime-cuts", "status": "implied"})
     _d4_cut_assert(rows)
 

@@ -12,13 +12,13 @@ report is byte-stable:
 All rings are immutable after construction; the per-ring cache dict is
 initialised under a lock by whichever reader gets there first.
 
-Table rings keep two views of their tables: tuples of ints behind the
-checked ``add``/``mul``/``neg`` methods, and one integer-array copy
-(:func:`np_tables`) that every vectorized kernel indexes.  Table-ring
-constructors compute the array form from the base rings' arrays and
-derive the tuples from it.  numpy is imported inside functions here, as
-in ``crisp``: imported at the top of either module, ahead of
-``primeness``, it raised the peak RSS of ``import fuzzideal`` by 1.8 MB.
+A table ring holds one copy of its tables, the integer arrays of
+``Ring.tables``: the vectorized kernels index them directly, and the
+checked ``add``/``mul``/``neg`` methods read single entries.  Table-ring
+constructors compute the arrays from the base rings' arrays.  numpy is
+imported inside functions here, as in ``crisp``: imported at the top of
+either module, ahead of ``primeness``, it raised the peak RSS of
+``import fuzzideal`` by 1.8 MB.
 """
 from __future__ import annotations
 
@@ -118,21 +118,19 @@ def spec_size(spec: RingSpec) -> int | None:
 class Ring:
     """A unital ring, either table-backed or the symbolic integers.
 
-    Table rings expose ``add``/``mul``/``neg`` tables over element
-    indices in ``range(size)``.  Identity of Ring objects is object
-    identity; use :meth:`same_tables` for structural comparison.
+    Table rings hold their :class:`Tables` over the element indices in
+    ``range(size)``, read-only; ``size`` is the length of ``neg``.
+    Identity of Ring objects is object identity; use :meth:`same_tables`
+    for structural comparison.
     """
 
-    def __init__(self, backend, spec, *, size=None, add=None, mul=None,
-                 neg=None, zero=None, one=None, labels=None, elems=None,
-                 base_ring=None, factor_rings=None, parent=None, proj=None,
-                 proj_mod=None):
+    def __init__(self, backend, spec, *, tables=None, zero=None, one=None,
+                 labels=None, elems=None, base_ring=None, factor_rings=None,
+                 parent=None, proj=None, proj_mod=None):
         self.backend = backend
         self.spec = spec
-        self.size = size
-        self._add = add
-        self._mul = mul
-        self._neg = neg
+        self.tables = tables
+        self.size = None if tables is None else len(tables.neg)
         self.zero = zero if zero is not None else 0
         self.one = one if one is not None else 1
         self.labels = labels
@@ -146,8 +144,9 @@ class Ring:
         # reentrant: cache builders may build other cached artifacts
         self._lock = threading.RLock()
         if backend is Backend.TABLE:
-            self.commutative = (tuple(map(tuple, self._mul))
-                                == tuple(zip(*self._mul)))
+            for table in tables:
+                table.flags.writeable = False
+            self.commutative = bool((tables.mul == tables.mul.T).all())
         else:
             self.commutative = True
 
@@ -172,16 +171,16 @@ class Ring:
     def add(self, a, b):
         self._check(a)
         self._check(b)
-        return self._add[a][b] if self.is_table else a + b
+        return int(self.tables.add[a, b]) if self.is_table else a + b
 
     def mul(self, a, b):
         self._check(a)
         self._check(b)
-        return self._mul[a][b] if self.is_table else a * b
+        return int(self.tables.mul[a, b]) if self.is_table else a * b
 
     def neg(self, a):
         self._check(a)
-        return self._neg[a] if self.is_table else -a
+        return int(self.tables.neg[a]) if self.is_table else -a
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -204,8 +203,8 @@ class Ring:
             return False
         if not self.is_table:
             return True
-        return (self.size == other.size and self._add == other._add
-                and self._mul == other._mul and self._neg == other._neg
+        import numpy as np
+        return (all(map(np.array_equal, self.tables, other.tables))
                 and self.zero == other.zero and self.one == other.one)
 
     def cached(self, key, builder):
@@ -241,20 +240,6 @@ class Tables(NamedTuple):
     neg: object
 
 
-def np_tables(R: Ring) -> Tables:
-    """The ring's one integer-array copy of its tables, built once.
-
-    Rings built by this module get the arrays their constructor computed;
-    a ring made directly from tuple tables converts them on first use.
-    """
-    def build():
-        import numpy as np
-        return Tables(np.array(R._add, dtype=np.intp),
-                      np.array(R._mul, dtype=np.intp),
-                      np.array(R._neg, dtype=np.intp))
-    return R.cached("tables", build)
-
-
 def row_blocks(n: int, cells_per_row: int):
     """Slices of ``range(n)`` whose rows hold at most BLOCK_CELLS cells."""
     step = max(1, BLOCK_CELLS // max(1, cells_per_row))
@@ -271,22 +256,11 @@ def _pair_table(n, fill):
     return out
 
 
-def _as_tuples(table):
-    """Nested int tuples of an index array.  Entries share one int object
-    per value, so a large ring's tables hold references, not n * n ints."""
-    ints = list(range(len(table))).__getitem__
-    if table.ndim == 1:
-        return tuple(map(ints, table.tolist()))
-    return tuple(tuple(map(ints, row.tolist())) for row in table)
-
-
 def _table_ring(spec, elems, add, mul, neg, zero, one, labels, **extra):
     """A verified table ring from its index-valued array tables."""
-    ring = Ring(Backend.TABLE, spec, size=len(elems), add=_as_tuples(add),
-                mul=_as_tuples(mul), neg=_as_tuples(neg), zero=int(zero),
-                one=int(one), labels=tuple(labels), elems=tuple(elems),
-                **extra)
-    ring._cache["tables"] = Tables(add, mul, neg)
+    ring = Ring(Backend.TABLE, spec, tables=Tables(add, mul, neg),
+                zero=int(zero), one=int(one), labels=tuple(labels),
+                elems=tuple(elems), **extra)
     _verify(ring)
     return ring
 
@@ -310,7 +284,10 @@ def _verify(ring, seed=0):
     unit, then commutative addition against every b.  Then per triple
     (a, b, c): both associativities and both distributivities, on every
     triple in row-major order up to EXHAUSTIVE_AXIOM_LIMIT elements and on
-    AXIOM_SAMPLES triples drawn from ``random.Random(seed)`` above it.
+    AXIOM_SAMPLES triples above it: the rows of one (AXIOM_SAMPLES, 3)
+    array of little-endian 64-bit words from ``random.Random(seed)``,
+    each reduced mod n.  (``numpy.random`` would add 6 MB to the peak
+    RSS of a run that builds one ring above the limit.)
     The error names the first failure in exactly that order, so it is the
     message a loop over the same checks would raise.
     """
@@ -318,7 +295,7 @@ def _verify(ring, seed=0):
     n = ring.size
     if n < 2:
         raise RingConstructionError("ring with unity requires 0 != 1")
-    add, mul, neg = np_tables(ring)
+    add, mul, neg = ring.tables
     z, u = ring.zero, ring.one
     elems = np.arange(n)
     element_bad = ((add[:, z] != elems) | (add[z] != elems),
@@ -339,9 +316,9 @@ def _verify(ring, seed=0):
             _check_triples(add, mul, elems[rows, None, None],
                            elems[None, :, None], elems[None, None, :])
     else:
-        rng = random.Random(seed)
-        draws = np.array([rng.randrange(n) for _ in range(3 * AXIOM_SAMPLES)],
-                         dtype=np.intp).reshape(AXIOM_SAMPLES, 3)
+        words = random.Random(seed).randbytes(3 * 8 * AXIOM_SAMPLES)
+        draws = np.frombuffer(words, dtype="<u8") % n
+        draws = draws.astype(np.intp).reshape(AXIOM_SAMPLES, 3)
         _check_triples(add, mul, draws[:, 0], draws[:, 1], draws[:, 2])
 
 
@@ -420,7 +397,7 @@ def _build_product(spec, factors):
     sizes = [f.size for f in factors]
     n = spec_size(spec)
     digits, weights = _digits(n, sizes)
-    tabs = [np_tables(f) for f in factors]
+    tabs = [f.tables for f in factors]
     parts = list(zip(tabs, digits, weights))
 
     def table(op):
@@ -454,7 +431,7 @@ def _build_matrix(spec, base, upper):
     digit_list, weight_list = _digits(n, [base.size] * len(free))
     digit = dict(zip(free, digit_list))
     weight = dict(zip(free, weight_list))
-    badd, bmul, bneg = np_tables(base)
+    badd, bmul, bneg = base.tables
 
     elems = []
     for combo in itertools.product(range(base.size), repeat=len(free)):
@@ -522,7 +499,7 @@ def quotient_ring(R: Ring, ideal, max_size: int = DEFAULT_MAX_SIZE) -> Ring:
         raise RingConstructionError("quotient by the whole ring is the zero ring")
 
     import numpy as np
-    add, mul, neg = np_tables(R)
+    add, mul, neg = R.tables
     members = np.array(sorted(ideal.elems), dtype=np.intp)
     # the coset x + I is represented by its least element
     least = np.empty(R.size, dtype=np.intp)

@@ -8,20 +8,31 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_traced_diagram_round(tmp_path):
-    """One traced ``diagram`` round: every item passes its output checks,
-    the report checks hold, and the tracer installed on every traced name
-    (the SD1 wrapper reads the ``(witness, exhausted)`` pair)."""
+def _round(workload, *extra):
+    """One ``perfbench/worker.py`` round at seed 0: every item passes its
+    output checks and the report checks hold.  Returns the result."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"),
-         "--workload", "diagram", "--seed", "0",
-         "--trace", str(tmp_path / "t.npz")],
+         "--workload", workload, "--seed", "0", *extra],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["failed"] == 0, result["problems"]
     assert result["reports_ok"], result["problems"]
+    return result
+
+
+def test_traced_diagram_round(tmp_path):
+    """One traced ``diagram`` round; the tracer installed on every traced
+    name (the SD1 wrapper reads the ``(witness, exhausted)`` pair)."""
+    result = _round("diagram", "--trace", str(tmp_path / "t.npz"))
     assert result["layer"]["primeness.SD1_witness.exhausted"] == 0
     assert result["layer"]["primeness.SD1_witness.calls"] > 0
+
+
+def test_lattice_round():
+    """One untraced ``lattice`` round: the checks rebuild every ring's
+    tables through the checked ``Ring.add``/``mul``/``neg``."""
+    _round("lattice")

@@ -108,6 +108,17 @@ def test_diagram_z_finds_d3_not_d2(capsys):
     assert notions["D3"] and not notions["D2"]
 
 
+@pytest.mark.parametrize("ring", [("Tri(2,Zn(2))",), ("Z", "--bound", "8")])
+def test_diagram_reports_sd1_sd2_equivalence(capsys, ring):
+    """SD1 and SD2 are decided from the same cuts: the diagram reports
+    them equivalent, keeps the asserted SD1=>SD2 and probes no SD2=>SD1."""
+    rep = run_json(capsys, "diagram", "--ring", *ring)
+    edges = {e["edge"]: e["status"] for e in rep["diagram"]}
+    assert edges["SD1<=>SD2"] == "implied"
+    assert edges["SD1=>SD2"] == "implied"
+    assert "SD2=>SD1" not in edges
+
+
 def test_diagram_jobs_deterministic(capsys):
     base = ("diagram", "--ring", "Mat(2,Zn(2))")
     _, out1, _ = run(capsys, *base, "--jobs", "1")

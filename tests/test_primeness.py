@@ -27,7 +27,6 @@ from fuzzideal.primeness import (D0_witness, D0prime_witness, D3_witness,
                                  _ideal_test, is_D0, is_D0prime, is_D1, is_D2,
                                  is_D4, is_prime_new, is_semiprime_new,
                                  prime_new_witness, semiprime_new_witness)
-from fuzzideal.rings import np_tables
 
 F = Fraction
 
@@ -290,7 +289,7 @@ def test_d4_zero_type_on_z(rings):
 
 def _xry(R):
     """xry[x * n + y, r] = (x r) y, gathered from the mul table."""
-    mul = np_tables(R).mul
+    mul = R.tables.mul
     return np.ascontiguousarray(mul[mul].transpose(0, 2, 1)).reshape(
         R.size * R.size, R.size)
 

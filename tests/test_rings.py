@@ -2,6 +2,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from fuzzideal import (RingConstructionError, build_ring, parse_ring,
@@ -9,7 +10,7 @@ from fuzzideal import (RingConstructionError, build_ring, parse_ring,
 from fuzzideal.crisp import ideal_generate
 from fuzzideal.dsl import parse_ring_spec
 from fuzzideal.rings import (AXIOM_SAMPLES, EXHAUSTIVE_AXIOM_LIMIT, Backend,
-                             Ring, SpecMat, SpecProd, SpecTri, SpecZn,
+                             Ring, SpecMat, SpecProd, SpecTri, SpecZn, Tables,
                              _canonical_generators, _verify)
 
 
@@ -17,7 +18,7 @@ def _verify_loop(ring, seed=0):
     """The element-by-element axiom check, kept as the reference for the
     array check in ``rings._verify``: same triples, order and messages."""
     n = ring.size
-    add, mul, neg = ring._add, ring._mul, ring._neg
+    add, mul, neg = (t.tolist() for t in ring.tables)
     z, u = ring.zero, ring.one
     if n < 2:
         raise RingConstructionError("ring with unity requires 0 != 1")
@@ -34,9 +35,9 @@ def _verify_loop(ring, seed=0):
     if n <= EXHAUSTIVE_AXIOM_LIMIT:
         triples = itertools.product(range(n), repeat=3)
     else:
-        rng = random.Random(seed)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(AXIOM_SAMPLES))
+        words = random.Random(seed).randbytes(3 * 8 * AXIOM_SAMPLES)
+        draws = (np.frombuffer(words, dtype="<u8") % n).tolist()
+        triples = zip(draws[0::3], draws[1::3], draws[2::3])
     for a, b, c in triples:
         if add[add[a][b]][c] != add[a][add[b][c]]:
             raise RingConstructionError(f"addition not associative at {a},{b},{c}")
@@ -156,17 +157,17 @@ def test_mat_commutative_iff_k1():
 
 def _table_ring(add, mul, neg, zero=0, one=1):
     n = len(neg)
-    return Ring(Backend.TABLE, SpecZn(n), size=n, add=add, mul=mul, neg=neg,
-                zero=zero, one=one, labels=tuple(map(str, range(n))),
-                elems=tuple(range(n)))
+    tables = Tables(*(np.array(t, dtype=np.intp) for t in (add, mul, neg)))
+    return Ring(Backend.TABLE, SpecZn(n), tables=tables, zero=zero, one=one,
+                labels=tuple(map(str, range(n))), elems=tuple(range(n)))
 
 
 def _corrupted_zn4(changes):
     """Zn(4)'s tables with entries overwritten: {(table, a, b): value} for
     "add"/"mul", {("neg", a): value} for the negation."""
     R = parse_ring("Zn(4)")
-    tables = {"add": [list(r) for r in R._add],
-              "mul": [list(r) for r in R._mul], "neg": list(R._neg)}
+    tables = dict(zip(("add", "mul", "neg"),
+                      (t.tolist() for t in R.tables)))
     for (name, *at), value in changes.items():
         if name == "neg":
             tables["neg"][at[0]] = value
@@ -194,7 +195,8 @@ def _times_zn(tables, m):
 # One corruption of Zn(4) per axiom; each is that axiom's first failure.
 # The messages were recorded from the element-by-element check, on Zn(4)
 # itself (exhaustive, <= 64 elements) and on its product with Zn(17)
-# (68 elements: AXIOM_SAMPLES seeded triples).
+# (68 elements: AXIOM_SAMPLES seeded triples, where the first sampled
+# failure of a distributivity case may break another axiom).
 AXIOM_CASES = [
     ({("add", 0, 3): 0, ("add", 3, 0): 0},
      "zero is not an additive identity at 3",
@@ -205,22 +207,22 @@ AXIOM_CASES = [
     ({("add", 2, 3): 0}, "addition not commutative at 2,3",
      "addition not commutative at 34,51"),
     ({("add", 1, 1): 0}, "addition not associative at 1,1,2",
-     "addition not associative at 26,36,56"),
+     "addition not associative at 31,51,50"),
     ({("mul", 0, 3): 1, ("mul", 3, 0): 1},
      "multiplication not associative at 0,0,3",
-     "multiplication not associative at 49,53,5"),
+     "multiplication not associative at 61,8,49"),
     # at 0,0,0 both distributivities fail: the left one is reported
     ({("mul", 0, 0): 1, ("mul", 0, 2): 1},
      "left distributivity fails at 0,0,0",
-     "left distributivity fails at 12,32,18"),
+     "multiplication not associative at 61,8,49"),
     ({("mul", 3, 3): 0}, "right distributivity fails at 1,2,3",
-     "right distributivity fails at 33,65,62"),
+     "left distributivity fails at 67,34,61"),
     # two broken axioms: the first element, then the first triple, wins
     ({("add", 2, 3): 0, ("neg", 3): 0}, "addition not commutative at 2,3",
      "addition not commutative at 34,51"),
     ({("mul", 3, 3): 0, ("mul", 0, 3): 1, ("mul", 3, 0): 1},
      "multiplication not associative at 0,0,3",
-     "multiplication not associative at 49,53,5"),
+     "multiplication not associative at 61,8,49"),
 ]
 
 
@@ -228,10 +230,10 @@ def test_axiom_verification_rejects_broken_table():
     """The array check raises the loop's message, naming the same first
     failure, on the exhaustive and on the sampled path, for every case."""
     R = parse_ring("Zn(6)")
-    bad_mul = [list(row) for row in R._mul]
-    bad_mul[2][3] = 5  # breaks associativity/distributivity
-    broken = Ring(Backend.TABLE, SpecZn(6), size=6, add=R._add,
-                  mul=tuple(tuple(r) for r in bad_mul), neg=R._neg,
+    bad_mul = R.tables.mul.copy()
+    bad_mul[2, 3] = 5  # breaks associativity/distributivity
+    broken = Ring(Backend.TABLE, SpecZn(6),
+                  tables=R.tables._replace(mul=bad_mul),
                   zero=0, one=1, labels=R.labels, elems=R.elems)
     with pytest.raises(RingConstructionError,
                        match="^right distributivity fails at 1,1,3$"):
@@ -259,7 +261,7 @@ def test_array_built_tables_match_element_construction(spec):
     """Tables computed from the base rings' arrays equal those built one
     element operation at a time, and the ring passes both axiom checks."""
     R = parse_ring(spec)
-    assert (R._add, R._mul, R._neg) == _reference_tables(R)
+    assert all(map(np.array_equal, R.tables, _reference_tables(R)))
     _verify_loop(R)
     assert R.commutative == all(R.mul(a, b) == R.mul(b, a)
                                 for a in range(R.size) for b in range(R.size))
@@ -273,7 +275,9 @@ def test_quotient_tables_match_coset_loop(spec, gens):
     R = parse_ring(spec)
     I = ideal_generate(R, gens)
     Q = quotient_ring(R, I)
-    assert (Q.proj, Q._add, Q._mul, Q._neg) == _reference_quotient(R, I)
+    proj, *tables = _reference_quotient(R, I)
+    assert Q.proj == proj
+    assert all(map(np.array_equal, Q.tables, tables))
     assert (Q.zero, Q.one) == (Q.proj[R.zero], Q.proj[R.one])
 
 
@@ -321,3 +325,17 @@ def test_quotient_of_matrix_ring():
     Q = quotient_ring(R, ideal_generate(R, {R.zero}))
     assert Q.size == R.size  # quotient by {0} is a copy
     assert Q.project(5) == 5
+
+
+def test_ring_holds_one_table_copy():
+    """A built ring keeps its tables once, as the arrays of ``tables``:
+    Zn(1024)'s two 1024 x 1024 intp tables take 16 MiB."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        R = parse_ring("Zn(1024)")
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert R.tables.mul.nbytes + R.tables.add.nbytes == 16 << 20
+    assert kept <= 20 << 20
