@@ -77,10 +77,12 @@ class FuzzyIdeal:
         return {x: self(x) for x in range(self.ring.size)}
 
     def le(self, other: "FuzzyIdeal") -> bool:
-        """Pointwise order F <= G."""
+        """Pointwise order F <= G, read from the chains: every level
+        (C, v) of F has v <= G(0) and C inside cut(G, v)."""
         if self.ring is not other.ring:
             raise ValueError("fuzzy ideals over different rings")
-        return all(self(x) <= other(x) for x in probe_elements(self, other))
+        return all(v <= other.top and C.subset(cut(other, v))
+                   for C, v in self.chain)
 
     def __repr__(self):
         from .dsl import format_fuzzy

@@ -8,12 +8,13 @@ against the image, so any violating assignment retracts to a grid point
 without changing a single comparison; randomized off-grid sampling in
 the test suite double-checks this.
 
-Internally values are mapped to integer ranks on a common scale so the
-hot loops work on small ints / numpy arrays; Fractions only appear at
-the boundaries.
+Every decider takes P alone.  On table rings a value is its rank, its
+position in ``value_grid(P)``, so the hot loops work on small ints /
+numpy arrays; Fractions only appear at the boundaries.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -90,23 +91,23 @@ def _lattice_index(R: Ring):
 
 
 class _Ctx:
-    """Rank-space view of a fuzzy ideal on a table ring: P's ranks ``pv``,
+    """Rank-space view of a fuzzy ideal P on a table ring, a rank being a
+    position in ``scale = value_grid(P)``: P's ranks ``pv`` (one
+    assignment per chain level, coarsest first), the rank ``top`` of P(0),
     their minimum ``floor`` on each lattice ideal and
     ``m[x, y] = min P(xRy)`` (see :func:`_lattice_index`)."""
 
-    def __init__(self, P: FuzzyIdeal, grid=None):
+    def __init__(self, P: FuzzyIdeal):
         R = P.ring
         if not R.is_table:
             raise BackendError("rank context requires a table ring")
-        self.P = P
         self.ring = R
-        self.grid = tuple(grid) if grid is not None else value_grid(P)
-        scale = sorted(set(self.grid) | set(P.values) | {ZERO, ONE})
-        self.scale = scale
-        self.rank = {v: i for i, v in enumerate(scale)}
-        n = R.size
-        self.pv = np.array([self.rank[P(x)] for x in range(n)], dtype=np.int64)
-        self.grid_ranks = sorted(self.rank[g] for g in self.grid)
+        self.scale = value_grid(P)
+        rank = {v: i for i, v in enumerate(self.scale)}
+        self.pv = np.empty(R.size, dtype=np.int64)
+        for C, v in reversed(P.chain):
+            self.pv[list(C.elems)] = rank[v]
+        self.top = rank[P.top]
         self.mul = R.tables.mul
         index = _lattice_index(R)
         self.floor = np.minimum.reduceat(self.pv[index["elems"][0]],
@@ -120,16 +121,21 @@ class _Ctx:
         return self.ring.label(int(i))
 
 
+# One slot: classify and the checks ask every decider about one P in turn,
+# and a larger memo would keep an n x n array per item of a corpus.
+_ctx = functools.lru_cache(maxsize=1)(_Ctx)
+
+
 # --------------------------------------------------------------------------
 # Prime notions
 # --------------------------------------------------------------------------
 
-def prime_new_witness(P: FuzzyIdeal, ctx: _Ctx | None = None):
+def prime_new_witness(P: FuzzyIdeal):
     """None if Inf P(xRy) = P(x) v P(y) everywhere; else a witness dict."""
     P.require_non_constant()
     if not P.ring.is_table:
         return _cut_witness(P, prime_witness, "prime")
-    ctx = ctx or _Ctx(P)
+    ctx = _ctx(P)
     tgt = np.maximum.outer(ctx.pv, ctx.pv)
     bad = np.argwhere(ctx.m != tgt)
     if len(bad) == 0:
@@ -140,8 +146,8 @@ def prime_new_witness(P: FuzzyIdeal, ctx: _Ctx | None = None):
             "P(x)_or_P(y)": str(ctx.value(tgt[x, y]))}
 
 
-def is_prime_new(P: FuzzyIdeal, ctx=None) -> bool:
-    return prime_new_witness(P, ctx) is None
+def is_prime_new(P: FuzzyIdeal) -> bool:
+    return prime_new_witness(P) is None
 
 
 def _cut_witness(P, crisp_witness, kind):
@@ -157,8 +163,8 @@ def _cut_witness(P, crisp_witness, kind):
 
 def _label_tuple(R, w):
     if isinstance(w, tuple):
-        return [R.label(x) if R.is_table else str(x) for x in w]
-    return R.label(w) if R.is_table else str(w)
+        return [R.label(x) for x in w]
+    return R.label(w)
 
 
 def D2_witness(P: FuzzyIdeal):
@@ -170,7 +176,7 @@ def is_D2(P: FuzzyIdeal) -> bool:
     return D2_witness(P) is None
 
 
-def D3_witness(P: FuzzyIdeal, ctx=None):
+def D3_witness(P: FuzzyIdeal):
     """D3 via the cut characterization (P_* prime), double-checked against
     the quantified definition on table rings."""
     P.require_non_constant()
@@ -180,10 +186,9 @@ def D3_witness(P: FuzzyIdeal, ctx=None):
         # quantified form: P(x r y) = P(0) for all r forces P(x) = P(0) or
         # P(y) = P(0) -- elementwise primeness (not complete primeness,
         # which diverges on noncommutative rings) of the top cut
-        ctx = ctx or _Ctx(P)
-        top = ctx.rank[P.top]
-        hyp = ctx.m == top
-        concl = (ctx.pv[:, None] == top) | (ctx.pv[None, :] == top)
+        ctx = _ctx(P)
+        hyp = ctx.m == ctx.top
+        concl = (ctx.pv[:, None] == ctx.top) | (ctx.pv[None, :] == ctx.top)
         quant_bad = np.argwhere(hyp & ~concl)
         if (len(quant_bad) > 0) != (star_w is not None):
             raise TheoremViolationError(
@@ -197,15 +202,15 @@ def D3_witness(P: FuzzyIdeal, ctx=None):
     return None
 
 
-def is_D3(P: FuzzyIdeal, ctx=None) -> bool:
-    return D3_witness(P, ctx) is None
+def is_D3(P: FuzzyIdeal) -> bool:
+    return D3_witness(P) is None
 
 
-def D4_witness(P: FuzzyIdeal, ctx=None):
+def D4_witness(P: FuzzyIdeal):
     P.require_non_constant()
     if not P.ring.is_table:
         return _cut_witness(P, completely_prime_witness, "completely prime")
-    ctx = ctx or _Ctx(P)
+    ctx = _ctx(P)
     M = ctx.pv[ctx.mul]
     ok = (M == ctx.pv[:, None]) | (M == ctx.pv[None, :])
     bad = np.argwhere(~ok)
@@ -217,8 +222,8 @@ def D4_witness(P: FuzzyIdeal, ctx=None):
             "P(x)": str(ctx.value(ctx.pv[x])), "P(y)": str(ctx.value(ctx.pv[y]))}
 
 
-def is_D4(P: FuzzyIdeal, ctx=None) -> bool:
-    return D4_witness(P, ctx) is None
+def is_D4(P: FuzzyIdeal) -> bool:
+    return D4_witness(P) is None
 
 
 def D1_witness(P: FuzzyIdeal):
@@ -247,11 +252,11 @@ def _grid_product_witness(ctx: _Ctx, prod):
 
     For given x and y, min(t, s) only grows with t and with s, so if the
     least t above P(x) and the least s above P(y) fail, every pair fails,
-    and if they hold they come first.
+    and if they hold they come first.  The least such t is P(x) + 1, or
+    ``end`` (none) when P(x) = 1.
     """
-    pos = [t for t in ctx.grid_ranks if ctx.scale[t] > ZERO]
-    end = len(ctx.scale)  # no positive grid rank above
-    above = np.array(pos + [end])[np.searchsorted(pos, ctx.pv, side="right")]
+    end = len(ctx.scale)
+    above = ctx.pv + 1
     t, s = above[:, None], above[None, :]
     bad = np.argwhere((np.maximum(t, s) < end) & (np.minimum(t, s) <= prod))
     if len(bad) == 0:
@@ -261,42 +266,42 @@ def _grid_product_witness(ctx: _Ctx, prod):
             "t": str(ctx.value(above[x])), "s": str(ctx.value(above[y]))}
 
 
-def D0_witness(P: FuzzyIdeal, grid=None, ctx=None):
+def D0_witness(P: FuzzyIdeal):
     """Singleton product x_t y_s = (xy)_{t^s}; quantifiers on the grid."""
     P.require_non_constant()
     if not P.ring.is_table:
         raise BackendError("D0 requires a table ring")
-    ctx = ctx or _Ctx(P, grid)
+    ctx = _ctx(P)
     return _grid_product_witness(ctx, ctx.pv[ctx.mul])
 
 
-def is_D0(P: FuzzyIdeal, grid=None, ctx=None) -> bool:
-    return D0_witness(P, grid, ctx) is None
+def is_D0(P: FuzzyIdeal) -> bool:
+    return D0_witness(P) is None
 
 
-def D0prime_witness(P: FuzzyIdeal, grid=None, ctx=None):
+def D0prime_witness(P: FuzzyIdeal):
     """<x_t><y_s> is t^s on the product ideal <x><y>; grid-quantified."""
     P.require_non_constant()
     if not P.ring.is_table:
         raise BackendError("D0' requires a table ring")
-    ctx = ctx or _Ctx(P, grid)
+    ctx = _ctx(P)
     return _grid_product_witness(ctx, ctx.m)
 
 
-def is_D0prime(P: FuzzyIdeal, grid=None, ctx=None) -> bool:
-    return D0prime_witness(P, grid, ctx) is None
+def is_D0prime(P: FuzzyIdeal) -> bool:
+    return D0prime_witness(P) is None
 
 
 # --------------------------------------------------------------------------
 # Semiprime notions
 # --------------------------------------------------------------------------
 
-def semiprime_new_witness(P: FuzzyIdeal, ctx=None):
+def semiprime_new_witness(P: FuzzyIdeal):
     """None if Inf P(xRx) = P(x) for all x; else witness."""
     P.require_non_constant()
     if not P.ring.is_table:
         return _cut_witness(P, semiprime_witness, "semiprime")
-    ctx = ctx or _Ctx(P)
+    ctx = _ctx(P)
     n = ctx.ring.size
     diag = ctx.m[np.arange(n), np.arange(n)]
     bad = np.argwhere(diag != ctx.pv)
@@ -307,8 +312,8 @@ def semiprime_new_witness(P: FuzzyIdeal, ctx=None):
             "P(x)": str(ctx.value(ctx.pv[x]))}
 
 
-def is_semiprime_new(P: FuzzyIdeal, ctx=None) -> bool:
-    return semiprime_new_witness(P, ctx) is None
+def is_semiprime_new(P: FuzzyIdeal) -> bool:
+    return semiprime_new_witness(P) is None
 
 
 def SD2_witness(P: FuzzyIdeal):
@@ -320,12 +325,12 @@ def is_SD2(P: FuzzyIdeal) -> bool:
     return SD2_witness(P) is None
 
 
-def SD4_witness(P: FuzzyIdeal, ctx=None):
+def SD4_witness(P: FuzzyIdeal):
     P.require_non_constant()
     if not P.ring.is_table:
         # over Z (commutative) D4-semiprimeness = squarefree cuts
         return _cut_witness(P, semiprime_witness, "semiprime")
-    ctx = ctx or _Ctx(P)
+    ctx = _ctx(P)
     n = ctx.ring.size
     sq = ctx.pv[ctx.mul[np.arange(n), np.arange(n)]]
     bad = np.argwhere(sq != ctx.pv)
@@ -336,16 +341,16 @@ def SD4_witness(P: FuzzyIdeal, ctx=None):
             "P(x)": str(ctx.value(ctx.pv[x]))}
 
 
-def is_SD4(P: FuzzyIdeal, ctx=None) -> bool:
-    return SD4_witness(P, ctx) is None
+def is_SD4(P: FuzzyIdeal) -> bool:
+    return SD4_witness(P) is None
 
 
-def SD0prime_witness(P: FuzzyIdeal, grid=None, ctx=None):
+def SD0prime_witness(P: FuzzyIdeal):
     """<x_t>^2 <= P with x_t !<= P, singletons grid-quantified."""
     P.require_non_constant()
     if not P.ring.is_table:
         raise BackendError("D0'-semiprimeness requires a table ring")
-    ctx = ctx or _Ctx(P, grid)
+    ctx = _ctx(P)
     bad = np.flatnonzero(ctx.m.diagonal() > ctx.pv)
     if len(bad) == 0:
         return None
@@ -353,8 +358,8 @@ def SD0prime_witness(P: FuzzyIdeal, grid=None, ctx=None):
     return {"x": ctx.elem(x), "t": str(ctx.value(ctx.m[x, x]))}
 
 
-def is_SD0prime(P: FuzzyIdeal, grid=None, ctx=None) -> bool:
-    return SD0prime_witness(P, grid, ctx) is None
+def is_SD0prime(P: FuzzyIdeal) -> bool:
+    return SD0prime_witness(P) is None
 
 
 def SD1_witness(P: FuzzyIdeal):
@@ -420,9 +425,8 @@ def _semiprime_chains(R: Ring, max_len: int, bound: int | None = None):
             m = len(chain)
             Q = FuzzyIdeal(R, tuple(
                 zip(chain, (Fraction(m - 1 - k, m - 1) for k in range(m)))))
-            ctx = _Ctx(Q) if R.is_table else None
-            if is_semiprime_new(Q, ctx):
-                by_len.setdefault(m, []).append((chain, is_prime_new(Q, ctx)))
+            if is_semiprime_new(Q):
+                by_len.setdefault(m, []).append((chain, is_prime_new(Q)))
         return {m: ([c for c, _ in rows],
                     np.array([[pos[J] for J in c] for c, _ in rows],
                              dtype=np.int64),
@@ -490,7 +494,7 @@ def semiprimes_above(I: FuzzyIdeal, grid, bound: int | None = None):
 # Characterization and structure checks
 # --------------------------------------------------------------------------
 
-def charprime_equivalence_check(P: FuzzyIdeal, grid=None) -> dict:
+def charprime_equivalence_check(P: FuzzyIdeal) -> dict:
     """Four-way equivalence: Inf-form, prime cuts, prime quotients and the
     grid-quantified fuzzy-ideal test; plus D4 agreement when commutative.
 
@@ -500,12 +504,11 @@ def charprime_equivalence_check(P: FuzzyIdeal, grid=None) -> dict:
     if not R.is_table:
         raise BackendError("the equivalence check requires a table ring")
     P.require_non_constant()
-    ctx = _Ctx(P, grid)
 
-    a = is_prime_new(P, ctx)
+    a = is_prime_new(P)
     b = D2_witness(P) is None
     c = _quotients_prime(P)
-    d = _ideal_test(P, ctx)
+    d = _ideal_test(_ctx(P))
 
     report = {"inf_form": a, "prime_cuts": b, "prime_quotients": c,
               "ideal_test": d}
@@ -513,7 +516,7 @@ def charprime_equivalence_check(P: FuzzyIdeal, grid=None) -> dict:
         raise TheoremViolationError(
             "characterization equivalence failed", details=report)
     if R.commutative:
-        d4 = is_D4(P, ctx)
+        d4 = is_D4(P)
         report["D4"] = d4
         if d4 != a:
             raise TheoremViolationError(
@@ -530,7 +533,7 @@ def _quotients_prime(P: FuzzyIdeal) -> bool:
     return True
 
 
-def _ideal_test(P: FuzzyIdeal, ctx: _Ctx) -> bool:
+def _ideal_test(ctx: _Ctx) -> bool:
     """Condition (d) over the threshold family I_t = max(P, t), t on the grid.
 
     The family is complete: the textbook counterexample to (d), when the
@@ -538,7 +541,7 @@ def _ideal_test(P: FuzzyIdeal, ctx: _Ctx) -> bool:
     strictly between P(x) v P(y) and Inf P(xRy), and the grid midpoints
     realize every such strict interval.
     """
-    for t in ctx.grid_ranks:
+    for t in range(len(ctx.scale)):
         # I_t <= P on xRy (t <= m[x, y]) while I_t > P at x and at y
         low = ctx.pv < t
         if ((ctx.m >= t) & low[:, None] & low[None, :]).any():
@@ -603,25 +606,18 @@ def classify(P: FuzzyIdeal):
     record("D2", D2_witness(P))
     record("SD2", SD2_witness(P))
     record("SD1", SD1_witness(P)[0])
-
+    record("PRIME_NEW", prime_new_witness(P))
+    record("D3", D3_witness(P))
+    record("D4", D4_witness(P))
+    record("SEMIPRIME_NEW", semiprime_new_witness(P))
+    record("SD4", SD4_witness(P))
     if R.is_table:
-        ctx = _Ctx(P)
-        record("PRIME_NEW", prime_new_witness(P, ctx))
-        record("D3", D3_witness(P, ctx))
-        record("D4", D4_witness(P, ctx))
-        record("D0", D0_witness(P, ctx=ctx))
-        record("D0'", D0prime_witness(P, ctx=ctx))
-        record("SEMIPRIME_NEW", semiprime_new_witness(P, ctx))
-        record("SD4", SD4_witness(P, ctx))
-        record("SD0'", SD0prime_witness(P, ctx=ctx))
+        record("D0", D0_witness(P))
+        record("D0'", D0prime_witness(P))
+        record("SD0'", SD0prime_witness(P))
     else:
-        record("PRIME_NEW", prime_new_witness(P))
-        record("D3", D3_witness(P))
-        record("D4", D4_witness(P))
         # Zahedi's equivalence D0' = D1 holds over any ring with unity
         record("D0'", d1_w)
-        record("SEMIPRIME_NEW", semiprime_new_witness(P))
-        record("SD4", SD4_witness(P))
 
     _cross_assert(P, notions)
     return notions, witnesses

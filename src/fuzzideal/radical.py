@@ -57,9 +57,8 @@ def radical_report(I: FuzzyIdeal) -> RadicalReport:
         if sup != F(x):
             raise TheoremViolationError(
                 "trace sup disagrees with the radical chain",
-                details={"x": R.label(x) if R.is_table else str(x)})
-        trace.append((R.label(x) if R.is_table else str(x),
-                      tuple(str(v) for v in levels), str(sup)))
+                details={"x": R.label(x)})
+        trace.append((R.label(x), tuple(str(v) for v in levels), str(sup)))
     return RadicalReport(I, F, tuple(trace),
                          fixed_point=(F.chain == I.chain))
 
@@ -105,11 +104,10 @@ def _excluding_value(I: FuzzyIdeal, x, w, grid):
     return s
 
 
-def frad_intersection_check(I: FuzzyIdeal, grid=None,
-                            bound: int | None = None) -> dict:
-    """Assert FRad(I) = intersection of grid-valued prime fuzzy ideals
-    above I = same with semiprime witnesses; plus explicit prime-avoiding
-    lower-bound witnesses per element.
+def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
+    """Assert FRad(I) = intersection of the prime fuzzy ideals above I
+    valued on ``value_grid(I)`` = same with semiprime witnesses; plus
+    explicit prime-avoiding lower-bound witnesses per element.
 
     The families are generated, not filtered: :func:`semiprimes_above`
     yields exactly the grid-valued semiprimes above I, deciding primeness
@@ -118,8 +116,7 @@ def frad_intersection_check(I: FuzzyIdeal, grid=None,
     """
     I.require_non_constant()
     R = I.ring
-    if grid is None:
-        grid = value_grid(I)
+    grid = value_grid(I)
     if bound is None and not R.is_table:
         bound = max(64, *(c.gen for c, _ in I.chain))
     F3 = frad(I)
@@ -155,22 +152,20 @@ def frad_intersection_check(I: FuzzyIdeal, grid=None,
             "lower_bound_witnesses": len(witnesses)}
 
 
-def semiprime_intersection_check(P: FuzzyIdeal, grid=None,
-                                 bound: int | None = None,
+def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
                                  pair_cap: int = 200) -> dict:
     """Theorem-style check: a semiprime fuzzy ideal is the intersection
-    of the grid-valued primes above it, and finite intersections of
-    primes are semiprime."""
+    of the primes above it valued on ``value_grid(P)``, and finite
+    intersections of primes are semiprime."""
     import itertools
     if not is_semiprime_new(P):
         raise ValueError("input must be semiprime")
     R = P.ring
-    if grid is None:
-        grid = value_grid(P)
     if bound is None and not R.is_table:
         bound = max(64, *(c.gen for c, _ in P.chain))
     # every prime fuzzy ideal is semiprime, so no prime above P is missed
-    primes = [Q for Q, prime in semiprimes_above(P, grid, bound) if prime]
+    primes = [Q for Q, prime in semiprimes_above(P, value_grid(P), bound)
+              if prime]
     if not primes:
         raise TheoremViolationError("no grid-valued prime above P")
     meet = intersect(primes)

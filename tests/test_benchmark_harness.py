@@ -36,3 +36,10 @@ def test_lattice_round():
     """One untraced ``lattice`` round: the checks rebuild every ring's
     tables through the checked ``Ring.add``/``mul``/``neg``."""
     _round("lattice")
+
+
+def test_frad_table_round():
+    """One untraced ``frad_table`` round: the prime-avoiding witnesses,
+    the order of fuzzy ideals and the shared rank views pass the
+    benchmark's own checks."""
+    _round("frad_table")

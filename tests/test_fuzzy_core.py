@@ -1,5 +1,6 @@
 """Fuzzy sets and fuzzy ideals: constructors, cuts, operations, oracles."""
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -283,6 +284,29 @@ def test_value_equivalence(rings):
     Z = rings["Z"]
     assert not value_equivalent(kumar(Z), d3_variant(Z))
     assert value_equivalent(kumar(Z), kumar(Z))
+
+
+def _le_pointwise(A, B):
+    """The pointwise order by its definition, on the probe elements."""
+    return all(A(x) <= B(x) for x in probe_elements(A, B))
+
+
+def test_le_matches_pointwise(rings, corpora, z_corpus):
+    """The order read from the chains equals the pointwise order, on all
+    pairs of the Zn(6) corpus and on sampled pairs of four more corpora,
+    constants included."""
+    rng = random.Random(5)
+    for spec in ("Zn(6)", "Zn(12)", "Tri(2, Zn(2))", "Mat(2, Zn(2))", "Z"):
+        R = rings[spec]
+        items = z_corpus if spec == "Z" else corpora[spec]
+        items = items + [constant(R, v) for v in (F(0), F(1, 2), F(1))]
+        if spec == "Zn(6)":
+            pairs = itertools.product(items, repeat=2)
+        else:
+            pairs = ((rng.choice(items), rng.choice(items))
+                     for _ in range(3000))
+        for A, B in pairs:
+            assert A.le(B) == _le_pointwise(A, B), (spec, A, B)
 
 
 def test_probe_elements_over_z(rings):

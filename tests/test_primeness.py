@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import SMALL_RING, TABLE_SPECS, small_ring
 from fuzzideal import (ConstantIdealError, CrispIdeal,
                        RingConstructionError, build_corpus, characteristic,
-                       classify, compose, constant,
+                       charprime_equivalence_check, classify, compose, constant,
                        count_minimal_prime_classes, cut,
                        enumerate_fuzzy_ideals, format_fuzzy, ideal_generate,
                        is_completely_prime_ideal, is_prime_ideal, is_SD1,
@@ -19,14 +19,14 @@ from fuzzideal import (ConstantIdealError, CrispIdeal,
                        minimal_primes, parse_element, parse_fuzzy_spec,
                        parse_ring, principal_ideal, to_set, value_equivalent,
                        value_grid, zero_type)
+from fuzzideal import primeness, radical
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import zero_ideal
 from fuzzideal.fuzzy import fuzzy_from_chain, star_ideal, whole_ideal
-from fuzzideal.primeness import (D0_witness, D0prime_witness, D3_witness,
+from fuzzideal.primeness import (D0_witness, D0prime_witness,
                                  SD0prime_witness, SD1_witness, _Ctx,
-                                 _ideal_test, is_D0, is_D0prime, is_D1, is_D2,
-                                 is_D4, is_prime_new, is_semiprime_new,
-                                 prime_new_witness, semiprime_new_witness)
+                                 _ideal_test, is_D0, is_D0prime, is_D1,
+                                 is_D4, is_prime_new, is_semiprime_new)
 
 F = Fraction
 
@@ -79,6 +79,37 @@ def test_d1_characterization(rings):
     assert is_D1(two)  # two-valued, top 1, <2> prime
     assert not is_D1(zero_type(R, F(1, 2), 0))  # top != 1
     assert not is_D1(characteristic(zero_ideal(R)))  # {0} not prime in Zn(6)
+
+
+TAKE_CTX = ("prime_new_witness", "is_prime_new", "D3_witness", "is_D3",
+            "D4_witness", "is_D4", "D0_witness", "is_D0", "D0prime_witness",
+            "is_D0prime", "semiprime_new_witness", "is_semiprime_new",
+            "SD4_witness", "is_SD4", "SD0prime_witness", "is_SD0prime")
+TAKE_GRID = ("D0_witness", "is_D0", "D0prime_witness", "is_D0prime",
+             "SD0prime_witness", "is_SD0prime", "charprime_equivalence_check",
+             "radical.frad_intersection_check",
+             "radical.semiprime_intersection_check")
+
+
+def test_deciders_take_p_alone(rings):
+    """No decider takes a grid or a rank context: a coarse grid gave false
+    answers (D0 and D0' held on the Zn(6) item below, whose D1 fails)."""
+    R = rings["Zn(6)"]
+    P = parse_fuzzy_spec(R, "{1: <0>, 1/2: <2>, 0: <*>}")
+    for name, kwargs in ([(n, {"ctx": _Ctx(P)}) for n in TAKE_CTX]
+                         + [(n, {"grid": (F(1, 2),)}) for n in TAKE_GRID]):
+        module, _, attr = name.rpartition(".")
+        fn = getattr(radical if module else primeness, attr)
+        with pytest.raises(TypeError):
+            fn(P, **kwargs)
+    assert is_D0prime(P) is is_D0(P) is is_D1(P) is False
+    assert charprime_equivalence_check(P)["inf_form"] is False
+    # the grid (1, 0) made both checks fail on these Zn(12) items
+    R = rings["Zn(12)"]
+    radical.semiprime_intersection_check(
+        parse_fuzzy_spec(R, "{1: <6>, 1/2: <2>, 0: <*>}"))
+    radical.frad_intersection_check(
+        parse_fuzzy_spec(R, "{1: <0>, 1/2: <6>, 0: <*>}"))
 
 
 def test_d1_falsifier_cross_check(rings, corpora):
@@ -230,11 +261,10 @@ def test_off_grid_sampling_soundness(rings):
         items = [zero_type(R, F(2, 3), F(1, 3))]
         items += [characteristic(Q) for Q in minimal_primes(R)]
         for P in items:
-            ctx = _Ctx(P)
             # P's least value on the product x_t y_s, resp. <x_t><y_s>
             products = {
-                "D0": (is_D0(P, ctx=ctx), lambda x, y: P(R.mul(x, y))),
-                "D0'": (is_D0prime(P, ctx=ctx),
+                "D0": (is_D0(P), lambda x, y: P(R.mul(x, y))),
+                "D0'": (is_D0prime(P),
                         lambda x, y: min(P(e) for e in pp[(x, y)]))}
             for name, (grid_holds, least) in products.items():
                 found = False
@@ -309,9 +339,9 @@ def _principal_products(R):
     return pp
 
 
-def _reference_ctx(P, grid=None):
+def _reference_ctx(P):
     """A rank context whose m is gathered over xRy element by element."""
-    ctx = _Ctx(P, grid)
+    ctx = _Ctx(P)
     n = P.ring.size
     ctx.m = ctx.pv[_xry(P.ring)].min(axis=1).reshape(n, n)
     return ctx
@@ -320,7 +350,7 @@ def _reference_ctx(P, grid=None):
 def _ideal_test_reference(ctx):
     xry = _xry(ctx.ring)
     n = ctx.ring.size
-    for t in ctx.grid_ranks:
+    for t in range(len(ctx.scale)):
         iv = np.maximum(ctx.pv, t)
         hyp = (iv[xry] <= ctx.pv[xry]).all(axis=1).reshape(n, n)
         gt = iv > ctx.pv
@@ -331,7 +361,7 @@ def _ideal_test_reference(ctx):
 
 def _grid_loop(ctx, least):
     """The D0/D0' grid loop; ``least(x, y)`` is the product's rank."""
-    pos = [t for t in ctx.grid_ranks if ctx.scale[t] > 0]
+    pos = [t for t in range(len(ctx.scale)) if ctx.scale[t] > 0]
     pv = ctx.pv
     for x in range(ctx.ring.size):
         for y in range(ctx.ring.size):
@@ -354,27 +384,26 @@ def _sd0prime_loop(ctx, pp):
     return None
 
 
-def _assert_matches_references(P, grid=None):
-    ctx, ref = _Ctx(P, grid), _reference_ctx(P, grid)
+def _assert_matches_references(P):
+    ctx, ref = _Ctx(P), _reference_ctx(P)
+    assert ctx.pv.tolist() == [ctx.scale.index(P(x))
+                               for x in range(P.ring.size)], P
     assert (ctx.m == ref.m).all(), P
-    assert _ideal_test(P, ctx) == _ideal_test_reference(ref), P
-    for decide in (prime_new_witness, D3_witness, semiprime_new_witness):
-        assert decide(P, ctx) == decide(P, ref), (decide.__name__, P)
+    assert _ideal_test(ctx) == _ideal_test_reference(ref), P
     pp = _principal_products(P.ring)
-    assert D0_witness(P, ctx=ctx) == _grid_loop(
+    assert D0_witness(P) == _grid_loop(
         ref, lambda x, y: ref.pv[ref.mul[x, y]]), P
-    assert D0prime_witness(P, ctx=ctx) == _grid_loop(
+    assert D0prime_witness(P) == _grid_loop(
         ref, lambda x, y: min(ref.pv[e] for e in pp[(x, y)])), P
-    assert SD0prime_witness(P, ctx=ctx) == _sd0prime_loop(ref, pp), P
+    assert SD0prime_witness(P) == _sd0prime_loop(ref, pp), P
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_inf_forms_match_references(corpora, spec):
-    """m, the ideal test and the Inf-form witnesses match the element-wise
-    forms on every corpus item, on its own grid and on a coarse one."""
+    """pv, m, the ideal test and the D0/D0'/SD0' witnesses match the
+    element-wise forms on every corpus item."""
     for P in corpora[spec]:
         _assert_matches_references(P)
-        _assert_matches_references(P, (F(1), F(1, 3), F(0)))
 
 
 @given(text=SMALL_RING, data=st.data())
@@ -390,21 +419,21 @@ def test_inf_forms_match_references_on_random_rings(text, data):
     values = sorted(data.draw(st.lists(st.integers(0, 8), min_size=len(chain),
                                        max_size=len(chain), unique=True)),
                     reverse=True)
-    P = fuzzy_from_chain(R, [(C, F(v, 8)) for C, v in zip(chain, values)])
-    grid = data.draw(st.none() | st.sets(st.integers(0, 8), min_size=1).map(
-        lambda ks: tuple(F(k, 8) for k in sorted(ks))))
-    _assert_matches_references(P, grid)
+    _assert_matches_references(
+        fuzzy_from_chain(R, [(C, F(v, 8)) for C, v in zip(chain, values)]))
 
 
 def test_classify_memory_is_quadratic():
-    """Once a ring's lattice index is built, classifying one more item on
-    Zn(360) allocates O(n^2), not an n^2 x n array (373 MB)."""
+    """Once a ring's lattice index is built, classifying more items on
+    Zn(360) allocates O(n^2), not an n^2 x n array (373 MB), and keeps no
+    rank view per item (each holds an n x n array, 1 MB)."""
     R = parse_ring("Zn(360)")
     classify(parse_fuzzy_spec(R, "{1: <0>, 1/2: <6>, 0: <*>}"))
-    P = parse_fuzzy_spec(R, "{1: <12>, 1/4: <*>}")
+    items = build_corpus(R, mode="random", seed=1, cap=40)
     tracemalloc.start()
     try:
-        classify(P)
+        for P in items:
+            classify(P)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

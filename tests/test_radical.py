@@ -16,7 +16,7 @@ from fuzzideal import (FuzzyIdeal, TheoremViolationError, build_corpus,
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import crisp_radical, ideal_generate, zero_ideal
 from fuzzideal.fuzzy import cut
-from fuzzideal.primeness import (_Ctx, is_prime_new, is_semiprime_new,
+from fuzzideal.primeness import (is_prime_new, is_semiprime_new,
                                  semiprimes_above)
 from fuzzideal.radical import (_excluding_value, ring_radical_experimental,
                                ring_radical_value_equivalence)
@@ -161,10 +161,9 @@ def _above_reference(I, grid, bound):
     for Q in enumerate_fuzzy_ideals(R, grid, bound):
         if not I.le(Q):
             continue
-        ctx = _Ctx(Q) if R.is_table else None
-        if is_semiprime_new(Q, ctx):
+        if is_semiprime_new(Q):
             semiprimes.append(Q)
-            if is_prime_new(Q, ctx):
+            if is_prime_new(Q):
                 primes.append(Q)
     return primes, semiprimes
 
