@@ -3,7 +3,8 @@ the radical and the prime-avoiding construction.
 
 Table rings memoize their principal ideals, full ideal lattice, the
 prime and semiprime witnesses and the radical of each ideal on the ring
-object (single-writer init, safe for concurrent readers).  Over Z an
+object (single-writer init, safe for concurrent readers); every ring
+memoizes its prime-avoiding ideals.  Over Z an
 ideal is just its nonnegative generator: 0 for {0}, 1 for Z.
 
 On table rings, generation, joins and the witness searches index the
@@ -209,11 +210,13 @@ def enumerate_ideals(R: Ring, bound: int | None = None) -> list[CrispIdeal]:
 
     Table algorithm: every ideal is a join of principal ideals, so closing
     {0} and the principal ideals under pairwise joins yields the lattice.
+    Both are memoized on the ring, over Z per bound.
     """
     if not R.is_table:
         if bound is None:
             raise ResourceLimitError("ideal enumeration over Z needs a generator bound")
-        return [CrispIdeal(R, gen=n) for n in range(bound + 1)]
+        return list(R.cached(("lattice", bound), lambda: tuple(
+            CrispIdeal(R, gen=n) for n in range(bound + 1))))
 
     def build():
         found = list(dict.fromkeys(
@@ -385,8 +388,15 @@ def prime_avoiding(R: Ring, P: CrispIdeal, x) -> CrispIdeal:
     """A prime ideal M with P <= M and x not in M (McCoy construction).
 
     Requires P semiprime and x outside P.  Ties are broken by canonical
-    element order so witnesses are deterministic.
+    element order so witnesses are deterministic.  Memoized per (ring,
+    ideal, x).
     """
+    return R.cached(("prime_avoiding", P, x),
+                    lambda: _prime_avoiding(R, P, x))
+
+
+def _prime_avoiding(R: Ring, P: CrispIdeal, x) -> CrispIdeal:
+    """The construction behind :func:`prime_avoiding`."""
     if P.contains(x):
         raise ValueError("x must lie outside P")
     if not is_semiprime_ideal(R, P):

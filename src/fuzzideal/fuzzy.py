@@ -21,7 +21,7 @@ import sympy
 from .crisp import CrispIdeal, ideal_generate, is_ideal, whole_ideal, zero_ideal
 from .errors import (BackendError, ConstantIdealError, InvalidFuzzyIdealError,
                      TheoremViolationError)
-from .rings import Ring
+from .rings import Ring, row_blocks
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -78,11 +78,22 @@ class FuzzyIdeal:
 
     def le(self, other: "FuzzyIdeal") -> bool:
         """Pointwise order F <= G, read from the chains: every level
-        (C, v) of F has v <= G(0) and C inside cut(G, v)."""
+        (C, v) of F has v <= G(0) and C inside cut(G, v).
+
+        F(0) is F's largest value, and as v descends F's levels, cut(G, v)
+        (G's last level valued at least v) moves down G's chain, so one
+        merged walk over both chains finds every cut."""
         if self.ring is not other.ring:
             raise ValueError("fuzzy ideals over different rings")
-        return all(v <= other.top and C.subset(cut(other, v))
-                   for C, v in self.chain)
+        if self.top > other.top:
+            return False
+        chain, k = other.chain, 0
+        for C, v in self.chain:
+            while k + 1 < len(chain) and chain[k + 1][1] >= v:
+                k += 1
+            if not C.subset(chain[k][0]):
+                return False
+        return True
 
     def __repr__(self):
         from .dsl import format_fuzzy
@@ -174,12 +185,27 @@ def fuzzy_from_map(R: Ring, assignment) -> FuzzyIdeal:
 
 
 def _axiom_witness(R, table):
-    for x in range(R.size):
-        for y in range(R.size):
-            if table[R.sub(x, y)] < min(table[x], table[y]):
-                return (x, y, "I(x-y) >= I(x) ^ I(y)")
-            if table[R.mul(x, y)] < max(table[x], table[y]):
-                return (x, y, "I(xy) >= I(x) v I(y)")
+    """The first pair (x, y), row-major, at which a pointwise axiom
+    fails, with the subtraction axiom reported first; or None.
+
+    The values are compared as ranks among the distinct values, with
+    x - y = add[x, neg[y]] and xy = mul[x, y] read from ``R.tables``
+    one block of rows at a time.
+    """
+    import numpy as np
+    rank = {v: i for i, v in enumerate(sorted(set(table)))}
+    r = np.array([rank[v] for v in table], dtype=np.intp)
+    add, mul, neg = R.tables
+    for rows in row_blocks(R.size, R.size):
+        rx = r[rows, None]
+        bad_sub = r[add[rows][:, neg]] < np.minimum(rx, r)
+        bad = bad_sub | (r[mul[rows]] < np.maximum(rx, r))
+        i = int(bad.argmax())
+        if bad.flat[i]:
+            x, y = divmod(i, R.size)
+            axiom = ("I(x-y) >= I(x) ^ I(y)" if bad_sub.flat[i]
+                     else "I(xy) >= I(x) v I(y)")
+            return (rows.start + x, y, axiom)
     return None
 
 
@@ -235,7 +261,8 @@ def to_set(F: FuzzyIdeal) -> FuzzySet:
 
 def cut(F: FuzzyIdeal, alpha) -> CrispIdeal:
     """The alpha-cut; defined for alpha <= F(0)."""
-    alpha = Fraction(alpha)
+    if not isinstance(alpha, Fraction):
+        alpha = Fraction(alpha)
     if alpha > F.top:
         raise InvalidFuzzyIdealError(f"cut at {alpha} above the top value is empty")
     out = None

@@ -126,6 +126,16 @@ class _Ctx:
 _ctx = functools.lru_cache(maxsize=1)(_Ctx)
 
 
+def _first_hit(mask):
+    """The index tuple of the first True of ``mask`` in row-major order,
+    or None: ``argmax`` stops at the first True and, unlike
+    ``np.argwhere``, lists no other hit."""
+    i = int(mask.argmax())
+    if not mask.flat[i]:
+        return None
+    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
+
+
 # --------------------------------------------------------------------------
 # Prime notions
 # --------------------------------------------------------------------------
@@ -137,10 +147,10 @@ def prime_new_witness(P: FuzzyIdeal):
         return _cut_witness(P, prime_witness, "prime")
     ctx = _ctx(P)
     tgt = np.maximum.outer(ctx.pv, ctx.pv)
-    bad = np.argwhere(ctx.m != tgt)
-    if len(bad) == 0:
+    hit = _first_hit(ctx.m != tgt)
+    if hit is None:
         return None
-    x, y = (int(v) for v in bad[0])
+    x, y = hit
     return {"x": ctx.elem(x), "y": ctx.elem(y),
             "inf_P_xRy": str(ctx.value(ctx.m[x, y])),
             "P(x)_or_P(y)": str(ctx.value(tgt[x, y]))}
@@ -189,13 +199,13 @@ def D3_witness(P: FuzzyIdeal):
         ctx = _ctx(P)
         hyp = ctx.m == ctx.top
         concl = (ctx.pv[:, None] == ctx.top) | (ctx.pv[None, :] == ctx.top)
-        quant_bad = np.argwhere(hyp & ~concl)
-        if (len(quant_bad) > 0) != (star_w is not None):
+        hit = _first_hit(hyp & ~concl)
+        if (hit is not None) != (star_w is not None):
             raise TheoremViolationError(
                 "D3 quantified form disagrees with P_* primeness",
                 details={"star_witness": star_w})
-        if len(quant_bad) > 0:
-            x, y = (int(v) for v in quant_bad[0])
+        if hit is not None:
+            x, y = hit
             return {"x": ctx.elem(x), "y": ctx.elem(y)}
     if star_w is not None:
         return {"cut_value": str(P.top), "cut_witness": _label_tuple(R, star_w)}
@@ -213,10 +223,10 @@ def D4_witness(P: FuzzyIdeal):
     ctx = _ctx(P)
     M = ctx.pv[ctx.mul]
     ok = (M == ctx.pv[:, None]) | (M == ctx.pv[None, :])
-    bad = np.argwhere(~ok)
-    if len(bad) == 0:
+    hit = _first_hit(~ok)
+    if hit is None:
         return None
-    x, y = (int(v) for v in bad[0])
+    x, y = hit
     return {"x": ctx.elem(x), "y": ctx.elem(y),
             "P(xy)": str(ctx.value(M[x, y])),
             "P(x)": str(ctx.value(ctx.pv[x])), "P(y)": str(ctx.value(ctx.pv[y]))}
@@ -258,10 +268,10 @@ def _grid_product_witness(ctx: _Ctx, prod):
     end = len(ctx.scale)
     above = ctx.pv + 1
     t, s = above[:, None], above[None, :]
-    bad = np.argwhere((np.maximum(t, s) < end) & (np.minimum(t, s) <= prod))
-    if len(bad) == 0:
+    hit = _first_hit((np.maximum(t, s) < end) & (np.minimum(t, s) <= prod))
+    if hit is None:
         return None
-    x, y = (int(v) for v in bad[0])
+    x, y = hit
     return {"x": ctx.elem(x), "y": ctx.elem(y),
             "t": str(ctx.value(above[x])), "s": str(ctx.value(above[y]))}
 
@@ -304,10 +314,10 @@ def semiprime_new_witness(P: FuzzyIdeal):
     ctx = _ctx(P)
     n = ctx.ring.size
     diag = ctx.m[np.arange(n), np.arange(n)]
-    bad = np.argwhere(diag != ctx.pv)
-    if len(bad) == 0:
+    hit = _first_hit(diag != ctx.pv)
+    if hit is None:
         return None
-    x = int(bad[0][0])
+    x, = hit
     return {"x": ctx.elem(x), "inf_P_xRx": str(ctx.value(diag[x])),
             "P(x)": str(ctx.value(ctx.pv[x]))}
 
@@ -333,10 +343,10 @@ def SD4_witness(P: FuzzyIdeal):
     ctx = _ctx(P)
     n = ctx.ring.size
     sq = ctx.pv[ctx.mul[np.arange(n), np.arange(n)]]
-    bad = np.argwhere(sq != ctx.pv)
-    if len(bad) == 0:
+    hit = _first_hit(sq != ctx.pv)
+    if hit is None:
         return None
-    x = int(bad[0][0])
+    x, = hit
     return {"x": ctx.elem(x), "P(x^2)": str(ctx.value(sq[x])),
             "P(x)": str(ctx.value(ctx.pv[x]))}
 
@@ -351,10 +361,10 @@ def SD0prime_witness(P: FuzzyIdeal):
     if not P.ring.is_table:
         raise BackendError("D0'-semiprimeness requires a table ring")
     ctx = _ctx(P)
-    bad = np.flatnonzero(ctx.m.diagonal() > ctx.pv)
-    if len(bad) == 0:
+    hit = _first_hit(ctx.m.diagonal() > ctx.pv)
+    if hit is None:
         return None
-    x = int(bad[0])
+    x, = hit
     return {"x": ctx.elem(x), "t": str(ctx.value(ctx.m[x, x]))}
 
 
@@ -408,13 +418,13 @@ _BLOCK_CELLS = 1 << 16
 def _semiprime_chains(R: Ring, max_len: int, bound: int | None = None):
     """The chains of ``ideal_chains(R, max_len, bound)`` of length at
     least 2 on which fuzzy ideals are semiprime, grouped by length: for
-    each length m, the chains in order, an (N, m) array of their
-    positions in ``enumerate_ideals(R, bound)`` and whether they also
+    each length m, an (N, m) array of their positions in
+    ``enumerate_ideals(R, bound)``, in order, and whether they also
     carry primes.
 
     Both flags come from ``is_semiprime_new``/``is_prime_new`` on one
     value assignment per chain, which decides every assignment (L2 in
-    :func:`semiprimes_above`).
+    :func:`semiprime_family`).
     """
     def build():
         pos = {J: i for i, J in enumerate(enumerate_ideals(R, bound))}
@@ -426,19 +436,34 @@ def _semiprime_chains(R: Ring, max_len: int, bound: int | None = None):
             Q = FuzzyIdeal(R, tuple(
                 zip(chain, (Fraction(m - 1 - k, m - 1) for k in range(m)))))
             if is_semiprime_new(Q):
-                by_len.setdefault(m, []).append((chain, is_prime_new(Q)))
-        return {m: ([c for c, _ in rows],
-                    np.array([[pos[J] for J in c] for c, _ in rows],
-                             dtype=np.int64),
+                by_len.setdefault(m, []).append(
+                    ([pos[J] for J in chain], is_prime_new(Q)))
+        return {m: (np.array([c for c, _ in rows], dtype=np.int64),
                     np.array([p for _, p in rows], dtype=bool))
                 for m, rows in by_len.items()}
     return R.cached(("semiprime_chains", max_len, bound), build)
 
 
-def semiprimes_above(I: FuzzyIdeal, grid, bound: int | None = None):
-    """Yield (Q, prime) for every semiprime fuzzy ideal Q >= I among
-    ``enumerate_fuzzy_ideals(I.ring, grid, bound)``, in that order;
-    ``prime`` tells whether Q is also prime.  Nothing else is built.
+@functools.cache
+def _combinations(k: int, m: int):
+    """The m-subsets of range(k) in ``itertools.combinations`` order, as a
+    read-only (C(k, m), m) array."""
+    out = np.array(list(itertools.combinations(range(k), m)), dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def semiprime_family(I: FuzzyIdeal, grid, bound: int | None = None):
+    """The semiprime fuzzy ideals Q >= I among
+    ``enumerate_fuzzy_ideals(I.ring, grid, bound)``, in rank form.
+
+    Returns ``(values, rows)``.  ``values`` is the grid, descending.
+    ``rows`` holds one ``(positions, value_index, prime)`` triple per
+    chain length m, ascending: the members' chains as an (N, m) array of
+    positions in ``enumerate_ideals(I.ring, bound)``, their values as an
+    (N, m) array of indices into ``values``, and an (N,) array telling
+    which members are also prime.  Members keep the order of
+    ``enumerate_fuzzy_ideals``; no fuzzy ideal is built.
 
     Take a candidate Q with chain C1 < ... < Cm = R and values
     c1 > ... > cm, and set C0 = {} (the empty set).  Two exact facts:
@@ -467,27 +492,87 @@ def semiprimes_above(I: FuzzyIdeal, grid, bound: int | None = None):
     value_ranks = np.array([rank[v] for v in values], dtype=np.int64)
     # the L1 threshold above each lattice ideal C, when C is C(k-1);
     # -1 (no bound) for the whole ring, which every chain ideal is inside
+    level_rank = [rank[v] for v in I.values]
     threshold = np.array(
-        [next((rank[v] for D, v in I.chain if not D.subset(C)), -1)
+        [next((r for (D, _), r in zip(I.chain, level_rank)
+               if not D.subset(C)), -1)
          for C in enumerate_ideals(R, bound)], dtype=np.int64)
-    top = rank[I.top]
-    for m, (chains, positions, prime) in sorted(
+    top = level_rank[0]
+    rows = []
+    for m, (positions, prime) in sorted(
             _semiprime_chains(R, len(values), bound).items()):
-        combos = np.array(list(itertools.combinations(range(len(values)), m)),
-                          dtype=np.int64)
+        combos = _combinations(len(values), m)
         ranks = value_ranks[combos][None, :, :]
         step = max(1, _BLOCK_CELLS // ranks.size)
+        hits = []
         for start in range(0, len(positions), step):
             block = positions[start:start + step]
             need = np.empty_like(block)
             need[:, 0] = top
             need[:, 1:] = threshold[block[:, :-1]]
             above = (ranks >= need[:, None, :]).all(axis=2).ravel()
-            for h in np.flatnonzero(above):
-                c = start + int(h) // len(combos)
-                combo = (values[k] for k in combos[int(h) % len(combos)])
-                yield FuzzyIdeal(R, tuple(zip(chains[c], combo))), \
-                    bool(prime[c])
+            hits.append(start * len(combos) + np.flatnonzero(above))
+        hit = np.concatenate(hits)
+        c = hit // len(combos)
+        rows.append((positions[c], combos[hit % len(combos)], prime[c]))
+    return values, rows
+
+
+def semiprimes_above(I: FuzzyIdeal, grid, bound: int | None = None):
+    """Yield (Q, prime) for every member Q of
+    ``semiprime_family(I, grid, bound)``, in order, built as a
+    ``FuzzyIdeal``; ``prime`` tells whether Q is also prime."""
+    R = I.ring
+    lattice = enumerate_ideals(R, bound)
+    values, rows = semiprime_family(I, grid, bound)
+    for positions, value_index, prime in rows:
+        for chain, index, p in zip(positions.tolist(), value_index.tolist(),
+                                   prime.tolist()):
+            yield FuzzyIdeal(R, tuple((lattice[i], values[k])
+                                      for i, k in zip(chain, index))), p
+
+
+def family_meet(lattice, values, rows) -> tuple:
+    """The canonical cut chain of the pointwise infimum of a nonempty
+    family of fuzzy ideals in rank form.  ``rows`` holds (positions,
+    value_index) pairs of (N, m) arrays, one pair per chain length, as
+    in :func:`semiprime_family`: positions in ``lattice`` and indices
+    into the descending ``values``.
+
+    As in ``fuzzy.intersect``, the alpha-cut of the infimum is the
+    intersection of the members' alpha-cuts, for each member value alpha
+    up to the least top value, and an alpha whose cut repeats the one
+    before adds no level.  A member's alpha-cut is its ideal at its last
+    level valued at least alpha.  At each alpha the distinct cuts (at
+    most the lattice) are met once with ``CrispIdeal.intersect``, so Z
+    keeps exact generators.
+    """
+    rows = [(p, i) for p, i in rows if len(p)]
+    if not rows:
+        raise ValueError("empty family")
+    least_top = max(int(index[:, 0].max()) for _, index in rows)
+    alphas = np.unique(np.concatenate([index.ravel() for _, index in rows]))
+    alphas = alphas[alphas >= least_top]
+    # keys a * n + p: member cut p at values[alphas[a]], one array per length
+    n = len(lattice)
+    keys = set()
+    for positions, index in rows:
+        last = (index[:, :, None] <= alphas).sum(axis=1) - 1
+        at = positions[np.arange(len(positions))[:, None], last]
+        keys.update((at + n * np.arange(len(alphas))).ravel().tolist())
+    cuts = [[] for _ in alphas]
+    for key in keys:
+        cuts[key // n].append(key % n)
+    chain = []
+    for alpha, members in zip(alphas.tolist(), cuts):
+        c = functools.reduce(crisp.CrispIdeal.intersect,
+                             (lattice[p] for p in members))
+        if not chain or chain[-1][0] != c:
+            chain.append((c, values[alpha]))
+    if not chain[-1][0].is_whole:
+        raise TheoremViolationError(
+            "intersection chain does not end at the whole ring")
+    return tuple(chain)
 
 
 # --------------------------------------------------------------------------

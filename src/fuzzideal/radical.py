@@ -10,15 +10,16 @@ the explicit prime-avoiding construction.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crisp import crisp_radical, prime_avoiding
+from .crisp import crisp_radical, enumerate_ideals, prime_avoiding
 from .errors import TheoremViolationError
 from .fuzzy import (FuzzyIdeal, cut, intersect, probe_elements, whole_ideal,
                     zero_type)
-from .primeness import (is_prime_new, is_semiprime_new, semiprimes_above,
-                        value_grid)
+from .primeness import (family_meet, is_prime_new, is_semiprime_new,
+                        semiprime_family, semiprimes_above, value_grid)
 from .rings import Ring
 
 
@@ -65,7 +66,13 @@ def radical_report(I: FuzzyIdeal) -> RadicalReport:
 
 def witness_prime_excluding(I: FuzzyIdeal, x, s) -> FuzzyIdeal:
     """A prime fuzzy ideal P >= I with P(x) = s, via a prime ideal
-    containing Rad(I_s) but avoiding x."""
+    containing Rad(I_s) but avoiding x.
+
+    P's primeness is decided once per ring and distinct P (its chain is
+    the key): the same few witnesses recur across the elements and the
+    items of a check.  ``I <= P`` and ``P(x) = s`` are re-checked on
+    every call.
+    """
     s = Fraction(s)
     R = I.ring
     if not s < I.top:
@@ -75,7 +82,9 @@ def witness_prime_excluding(I: FuzzyIdeal, x, s) -> FuzzyIdeal:
         raise ValueError("x must lie outside Rad(I_s)")
     M = prime_avoiding(R, base, x)
     P = FuzzyIdeal(R, ((M, I.top), (whole_ideal(R), s)))
-    if not (is_prime_new(P) and I.le(P) and P(x) == s):
+    prime = R.cached(("witness_is_prime_new", P.chain),
+                     lambda: is_prime_new(P))
+    if not (prime and I.le(P) and P(x) == s):
         raise TheoremViolationError(
             "prime-avoiding witness is not a prime above I with P(x) = s")
     return P
@@ -86,22 +95,51 @@ def _first_difference(F: FuzzyIdeal, G: FuzzyIdeal):
     return next((x for x in probe_elements(F, G) if F(x) != G(x)), None)
 
 
-def _excluding_value(I: FuzzyIdeal, x, w, grid):
-    """The least grid value s > w with x outside Rad(I_s).
+def _cut_radicals(I: FuzzyIdeal, grid) -> list:
+    """(s, Rad(I_s)) for every grid value s up to I(0), ascending.
+
+    I_s is I's ideal at its last level valued at least s, so walking the
+    ascending grid moves that level up the chain, and the radicals are
+    taken once per level.
+    """
+    R = I.ring
+    radicals = [crisp_radical(R, C) for C, _ in I.chain]
+    level = len(I.chain) - 1
+    out = []
+    for s in sorted(grid):
+        if s > I.top:
+            break
+        while I.chain[level][1] < s:
+            level -= 1
+        out.append((s, radicals[level]))
+    return out
+
+
+def _excluding_value(radicals, x, w):
+    """The least grid value s > w with x outside Rad(I_s), from the
+    :func:`_cut_radicals` of I.
 
     With w = FRad(I)(x) below the top, the next image value of I above w
     is such an s; :func:`witness_prime_excluding` turns it into a prime P
     above I with P(x) = s.
     """
-    R = I.ring
-    s = next((v for v in sorted(grid) if v > w
-              and not crisp_radical(R, cut(I, v)).contains(x)), None)
+    s = next((v for v, rad in radicals if v > w and not rad.contains(x)),
+             None)
     if s is None:
         raise TheoremViolationError(
             "no grid value above FRad(I)(x) leaves x outside the cut radical",
-            details={"x": R.label(x), "frad": str(w),
-                     "grid": [str(v) for v in sorted(grid)]})
+            details={"x": radicals[0][1].ring.label(x), "frad": str(w),
+                     "grid": [str(v) for v, _ in radicals]})
     return s
+
+
+def _meet_difference(F: FuzzyIdeal, chain):
+    """The family meet with the cut chain ``chain`` as a fuzzy ideal G,
+    and an element where F and G differ (None when they are equal)."""
+    G = FuzzyIdeal(F.ring, chain)
+    if G.chain == F.chain:
+        return G, None
+    return G, _first_difference(F, G)
 
 
 def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
@@ -109,10 +147,13 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
     valued on ``value_grid(I)`` = same with semiprime witnesses; plus
     explicit prime-avoiding lower-bound witnesses per element.
 
-    The families are generated, not filtered: :func:`semiprimes_above`
-    yields exactly the grid-valued semiprimes above I, deciding primeness
-    with the Inf-forms once per ideal chain, so the check does not rest
-    on the cut radicals that :func:`frad` uses.
+    The families are generated, not filtered: :func:`semiprime_family`
+    gives exactly the grid-valued semiprimes above I as integer arrays,
+    deciding primeness with the Inf-forms once per ideal chain, so the
+    check does not rest on the cut radicals that :func:`frad` uses.
+    Each intersection is one lattice meet per value
+    (:func:`family_meet`); fuzzy ideals are built only to report a
+    difference.
     """
     I.require_non_constant()
     R = I.ring
@@ -121,17 +162,16 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
         bound = max(64, *(c.gen for c, _ in I.chain))
     F3 = frad(I)
 
-    primes, semiprimes = [], []
-    for Q, prime in semiprimes_above(I, grid, bound):
-        semiprimes.append(Q)
-        if prime:
-            primes.append(Q)
-    if not primes:
+    values, family = semiprime_family(I, grid, bound)
+    semiprimes = [(positions, index) for positions, index, _ in family]
+    primes = [(positions[prime], index[prime])
+              for positions, index, prime in family]
+    prime_count = sum(len(positions) for positions, _ in primes)
+    if not prime_count:
         raise TheoremViolationError("no grid-valued prime above I")
-    F2 = intersect(primes)
-    F1 = intersect(semiprimes)
-    for name, F in (("F2", F2), ("F1", F1)):
-        bad = _first_difference(F3, F)
+    lattice = enumerate_ideals(R, bound)
+    for name, rows in (("F2", primes), ("F1", semiprimes)):
+        F, bad = _meet_difference(F3, family_meet(lattice, values, rows))
         if bad is not None:
             raise TheoremViolationError(
                 f"FRad != {name}",
@@ -139,50 +179,63 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
                          name: str(F(bad))})
 
     # lower-bound direction: explicit prime witnesses excluding each element
-    witnesses = []
+    radicals = _cut_radicals(I, grid)
+    witnesses = 0
     for x in probe_elements(I, F3):
         w = F3(x)
         if w == F3.top:
             continue
-        P = witness_prime_excluding(I, x, _excluding_value(I, x, w, grid))
-        witnesses.append(P)
+        witness_prime_excluding(I, x, _excluding_value(radicals, x, w))
+        witnesses += 1
     return {"frad_equals_prime_intersection": True,
             "frad_equals_semiprime_intersection": True,
-            "prime_count": len(primes), "semiprime_count": len(semiprimes),
-            "lower_bound_witnesses": len(witnesses)}
+            "prime_count": prime_count,
+            "semiprime_count": sum(len(p) for p, _ in semiprimes),
+            "lower_bound_witnesses": witnesses}
 
 
 def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
                                  pair_cap: int = 200) -> dict:
     """Theorem-style check: a semiprime fuzzy ideal is the intersection
     of the primes above it valued on ``value_grid(P)``, and finite
-    intersections of primes are semiprime."""
-    import itertools
+    intersections of primes are semiprime.
+
+    The meet is taken in rank form as in :func:`frad_intersection_check`;
+    only the primes of the first ``pair_cap`` pairs are built.
+    """
     if not is_semiprime_new(P):
         raise ValueError("input must be semiprime")
     R = P.ring
     if bound is None and not R.is_table:
         bound = max(64, *(c.gen for c, _ in P.chain))
+    grid = value_grid(P)
     # every prime fuzzy ideal is semiprime, so no prime above P is missed
-    primes = [Q for Q, prime in semiprimes_above(P, value_grid(P), bound)
-              if prime]
-    if not primes:
+    values, family = semiprime_family(P, grid, bound)
+    primes = [(positions[prime], index[prime])
+              for positions, index, prime in family]
+    prime_count = sum(len(positions) for positions, _ in primes)
+    if not prime_count:
         raise TheoremViolationError("no grid-valued prime above P")
-    meet = intersect(primes)
-    bad = _first_difference(P, meet)
+    _, bad = _meet_difference(
+        P, family_meet(enumerate_ideals(R, bound), values, primes))
     if bad is not None:
         raise TheoremViolationError(
             "semiprime ideal differs from its prime intersection",
             details={"x": str(bad)})
+    # the first pair_cap pairs of combinations() lie among the first
+    # pair_cap + 1 primes
+    built = list(itertools.islice(
+        (Q for Q, prime in semiprimes_above(P, grid, bound) if prime),
+        pair_cap + 1))
     checked = 0
-    for A, B in itertools.combinations(primes, 2):
+    for A, B in itertools.combinations(built, 2):
         if checked >= pair_cap:
             break
         checked += 1
         if not is_semiprime_new(intersect([A, B])):
             raise TheoremViolationError(
                 "intersection of primes is not semiprime")
-    return {"prime_count": len(primes), "pairs_checked": checked,
+    return {"prime_count": prime_count, "pairs_checked": checked,
             "equals_intersection": True}
 
 

@@ -43,3 +43,10 @@ def test_frad_table_round():
     the order of fuzzy ideals and the shared rank views pass the
     benchmark's own checks."""
     _round("frad_table")
+
+
+def test_frad_z_round():
+    """One untraced ``frad_z`` round: the check's integer-backend path
+    (rank-form families over Z, exact generators in the meets) passes
+    the benchmark's own FRad checks."""
+    _round("frad_z")

@@ -13,7 +13,7 @@ from fuzzideal import (BackendError, CrispIdeal, FuzzyIdeal, FuzzySet,
                        parse_ring, singleton, star_ideal, strict_support,
                        to_set, value_equivalent, zero_type)
 from fuzzideal.crisp import ideal_generate, whole_ideal, zero_ideal
-from fuzzideal.fuzzy import probe_elements
+from fuzzideal.fuzzy import _axiom_witness, probe_elements
 
 F = Fraction
 
@@ -51,6 +51,43 @@ def test_from_map_rejects_non_ideal_with_witness(rings):
         fuzzy_from_map(R, {0: F(1), 1: F(1), 2: F(0), 3: F(0), 4: F(0),
                            5: F(0)})
     assert exc.value.witness is not None
+
+
+def _axiom_witness_loop(R, table):
+    """The pair loop that ``_axiom_witness`` replaced, through the checked
+    ``Ring.sub``/``Ring.mul``: the reference for its row-major order."""
+    for x in range(R.size):
+        for y in range(R.size):
+            if table[R.sub(x, y)] < min(table[x], table[y]):
+                return (x, y, "I(x-y) >= I(x) ^ I(y)")
+            if table[R.mul(x, y)] < max(table[x], table[y]):
+                return (x, y, "I(xy) >= I(x) v I(y)")
+    return None
+
+
+def test_axiom_witness_matches_loop(rings, corpora):
+    """No witness on any corpus map, the loop's witness on broken maps:
+    one per axiom, and seeded random maps."""
+    for spec in ("Zn(6)", "Zn(12)", "Tri(2, Zn(2))"):
+        R = rings[spec]
+        for P in corpora[spec]:
+            table = [P(x) for x in range(R.size)]
+            assert _axiom_witness(R, table) is None
+            assert _axiom_witness_loop(R, table) is None
+    R = rings["Zn(6)"]
+    table = [F(1), F(1), F(0), F(0), F(0), F(0)]  # 0 - 1 = 5 drops to 0
+    assert _axiom_witness(R, table) == _axiom_witness_loop(R, table) == (
+        0, 1, "I(x-y) >= I(x) ^ I(y)")
+    R = rings["Tri(2, Zn(2))"]
+    table = [F(1) if x in (R.zero, 1) else F(0) for x in range(R.size)]
+    assert _axiom_witness(R, table) == _axiom_witness_loop(R, table) == (
+        2, 1, "I(xy) >= I(x) v I(y)")
+    rng = random.Random(11)
+    for spec in ("Zn(12)", "Tri(2, Zn(2))", "Mat(2, Zn(2))"):
+        R = rings[spec]
+        for _ in range(50):
+            table = [rng.choice((F(0), F(1, 2), F(1))) for _ in range(R.size)]
+            assert _axiom_witness(R, table) == _axiom_witness_loop(R, table)
 
 
 def test_from_chain_invariants(rings):

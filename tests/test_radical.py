@@ -1,8 +1,10 @@
 """Fuzzy prime radical: computation and theorem verifications."""
 import functools
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,12 +15,15 @@ from fuzzideal import (FuzzyIdeal, TheoremViolationError, build_corpus,
                        radical_report, semiprime_intersection_check,
                        value_equivalent, value_grid, witness_prime_excluding,
                        zero_type)
+from fuzzideal import radical
 from fuzzideal.corpus import ideal_chains
-from fuzzideal.crisp import crisp_radical, ideal_generate, zero_ideal
-from fuzzideal.fuzzy import cut
-from fuzzideal.primeness import (is_prime_new, is_semiprime_new,
+from fuzzideal.crisp import (crisp_radical, enumerate_ideals, ideal_generate,
+                             zero_ideal)
+from fuzzideal.fuzzy import cut, probe_elements
+from fuzzideal.primeness import (family_meet, is_prime_new, is_semiprime_new,
                                  semiprimes_above)
-from fuzzideal.radical import (_excluding_value, ring_radical_experimental,
+from fuzzideal.radical import (_cut_radicals, _excluding_value,
+                               _first_difference, ring_radical_experimental,
                                ring_radical_value_equivalence)
 
 F = Fraction
@@ -234,7 +239,190 @@ def test_lower_bound_search_without_a_value_raises(rings):
     leaves 2 outside Rad(<4>) = <2>, and the search says so."""
     R = rings["Zn(12)"]
     I = characteristic(ideal_generate(R, {4}))
+    radicals = _cut_radicals(I, (F(0), F(1, 2), F(1)))
     with pytest.raises(TheoremViolationError) as exc:
-        _excluding_value(I, 2, F(0), (F(0), F(1, 2), F(1)))
+        _excluding_value(radicals, 2, F(0))
     assert exc.value.details["x"] == "2"
-    assert _excluding_value(I, 3, F(0), (F(0), F(1, 2), F(1))) == F(1, 2)
+    assert _excluding_value(radicals, 3, F(0)) == F(1, 2)
+
+
+def test_cut_radicals_walk_the_chain(rings, corpora, z_corpus):
+    """One radical per grid value up to I(0), each that of I's cut."""
+    for P in corpora["Zn(12)"] + corpora["Tri(2, Zn(2))"] + z_corpus[:40]:
+        grid = value_grid(P)
+        assert _cut_radicals(P, grid) == [
+            (s, crisp_radical(P.ring, cut(P, s))) for s in grid if s <= P.top]
+
+
+# -- the rank-space checks against their Fuzzy-ideal references ---------------
+
+def _frad_check_reference(I, bound=None):
+    """frad_intersection_check on materialized families: ``intersect`` of
+    the members and ``_first_difference`` against FRad, then one
+    prime-avoiding witness per element, each cut radical taken afresh."""
+    I.require_non_constant()
+    R = I.ring
+    grid = value_grid(I)
+    if bound is None and not R.is_table:
+        bound = max(64, *(c.gen for c, _ in I.chain))
+    F3 = frad(I)
+    primes, semiprimes = _generated(I, grid, bound)
+    if not primes:
+        raise TheoremViolationError("no grid-valued prime above I")
+    F2 = intersect(primes)
+    F1 = intersect(semiprimes)
+    for name, G in (("F2", F2), ("F1", F1)):
+        bad = _first_difference(F3, G)
+        if bad is not None:
+            raise TheoremViolationError(
+                f"FRad != {name}",
+                details={"x": str(bad), "frad": str(F3(bad)),
+                         name: str(G(bad))})
+    witnesses = []
+    for x in probe_elements(I, F3):
+        w = F3(x)
+        if w == F3.top:
+            continue
+        s = next((v for v in sorted(grid) if v > w
+                  and not crisp_radical(R, cut(I, v)).contains(x)), None)
+        if s is None:
+            raise TheoremViolationError(
+                "no grid value above FRad(I)(x) leaves x outside the cut "
+                "radical")
+        witnesses.append(witness_prime_excluding(I, x, s))
+    return {"frad_equals_prime_intersection": True,
+            "frad_equals_semiprime_intersection": True,
+            "prime_count": len(primes), "semiprime_count": len(semiprimes),
+            "lower_bound_witnesses": len(witnesses)}
+
+
+def _inter_check_reference(P, bound=None, pair_cap=200):
+    """semiprime_intersection_check on the materialized primes above P."""
+    if not is_semiprime_new(P):
+        raise ValueError("input must be semiprime")
+    R = P.ring
+    if bound is None and not R.is_table:
+        bound = max(64, *(c.gen for c, _ in P.chain))
+    primes, _ = _generated(P, value_grid(P), bound)
+    if not primes:
+        raise TheoremViolationError("no grid-valued prime above P")
+    bad = _first_difference(P, intersect(primes))
+    if bad is not None:
+        raise TheoremViolationError(
+            "semiprime ideal differs from its prime intersection",
+            details={"x": str(bad)})
+    checked = 0
+    for A, B in itertools.combinations(primes, 2):
+        if checked >= pair_cap:
+            break
+        checked += 1
+        if not is_semiprime_new(intersect([A, B])):
+            raise TheoremViolationError(
+                "intersection of primes is not semiprime")
+    return {"prime_count": len(primes), "pairs_checked": checked,
+            "equals_intersection": True}
+
+
+@pytest.mark.parametrize("spec", ["Zn(6)", "Zn(12)", "Mat(2, Zn(2))",
+                                  "Tri(2, Zn(2))", "Prod(Zn(2), Zn(3))",
+                                  "Z@6", "Z@8"])
+def test_checks_match_references(rings, corpora, spec):
+    """Both rank-space checks return the references' dicts on every item."""
+    if spec.startswith("Z@"):
+        bound = int(spec[2:])
+        items = build_corpus(rings["Z"], bound=bound)
+    else:
+        bound, items = None, corpora[spec]
+    for P in items:
+        assert (frad_intersection_check(P, bound=bound)
+                == _frad_check_reference(P, bound=bound)), P
+        if is_semiprime_new(P):
+            assert (semiprime_intersection_check(P, bound=bound, pair_cap=20)
+                    == _inter_check_reference(P, bound=bound, pair_cap=20)), P
+
+
+def test_frad_check_catches_a_wrong_radical(monkeypatch):
+    """With FRad(I) replaced by I, the meets disagree with it; and a
+    semiprime P is not the meet of the primes above another ideal."""
+    R = parse_ring("Zn(12)")
+    I = characteristic(ideal_generate(R, {4}))
+    monkeypatch.setattr(radical, "frad", lambda J: J)
+    with pytest.raises(TheoremViolationError) as exc:
+        frad_intersection_check(I)
+    assert exc.value.details.keys() == {"x", "frad", "F2"}
+    # check-inter, given the primes above another ideal
+    P = parse_fuzzy_spec(R, "{1: <6>, 1/2: <2>, 0: <*>}")
+    other = characteristic(ideal_generate(R, {3}))
+    family = radical.semiprime_family
+    monkeypatch.setattr(radical, "semiprime_family",
+                        lambda J, grid, bound=None: family(other, grid, bound))
+    with pytest.raises(TheoremViolationError) as exc:
+        semiprime_intersection_check(P)
+    assert exc.value.details.keys() == {"x"}
+
+
+def test_witness_recheck_catches_a_non_prime(monkeypatch):
+    """The memoized witness primeness is still decided by is_prime_new:
+    on a fresh ring, a patched answer reaches the re-check."""
+    R = parse_ring("Zn(12)")
+    I = characteristic(ideal_generate(R, {4}))
+    monkeypatch.setattr(radical, "is_prime_new", lambda P: False)
+    with pytest.raises(TheoremViolationError,
+                       match="prime-avoiding witness is not a prime"):
+        frad_intersection_check(I)
+
+
+def _rank_form(R, members, grid):
+    """Members (chains with grid values) as family_meet rows by length."""
+    pos = {J: i for i, J in enumerate(enumerate_ideals(R))}
+    values = sorted(grid, reverse=True)
+    index = {v: i for i, v in enumerate(values)}
+    by_len = {}
+    for chain, combo in members:
+        by_len.setdefault(len(chain), []).append(
+            ([pos[J] for J in chain], [index[v] for v in combo]))
+    rows = [(np.array([c for c, _ in r]), np.array([v for _, v in r]))
+            for _, r in sorted(by_len.items())]
+    return values, rows
+
+
+GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+
+
+@given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
+def test_family_meet_is_the_intersection(spec, data):
+    """The per-value lattice meet of random chains with random grid
+    values is ``intersect`` of the materialized members."""
+    R, chains = _small_ring_chains(spec)
+    members = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        chain = data.draw(st.sampled_from(chains))
+        combo = data.draw(st.sampled_from(
+            list(itertools.combinations(sorted(GRID, reverse=True),
+                                        len(chain)))))
+        members.append((chain, combo))
+    values, rows = _rank_form(R, members, GRID)
+    expected = intersect([FuzzyIdeal(R, tuple(zip(c, v))) for c, v in members])
+    assert family_meet(enumerate_ideals(R), values, rows) == expected.chain
+
+
+@given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
+def test_frad_idempotent_and_monotone(spec, data):
+    """FRad(FRad(I)) = FRad(I), and I <= J gives FRad(I) <= FRad(J)."""
+    R, chains = _small_ring_chains(spec)
+
+    def fuzzy():
+        chain = data.draw(st.sampled_from(chains))
+        combo = data.draw(st.sampled_from(
+            list(itertools.combinations(sorted(GRID, reverse=True),
+                                        len(chain)))))
+        return FuzzyIdeal(R, tuple(zip(chain, combo)))
+
+    I, J = fuzzy(), fuzzy()
+    FI = frad(I)
+    assert frad(FI).chain == FI.chain
+    meet = intersect([I, J])  # below J, so the order always applies
+    assert meet.le(J)
+    assert frad(meet).le(frad(J))
+    if I.le(J):
+        assert FI.le(frad(J))
