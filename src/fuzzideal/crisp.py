@@ -1,11 +1,12 @@
 """Crisp two-sided ideals: generation, the lattice, primeness oracles,
 the radical and the prime-avoiding construction.
 
-Table rings memoize their principal ideals, full ideal lattice, the
-prime and semiprime witnesses and the radical of each ideal on the ring
-object (single-writer init, safe for concurrent readers); every ring
-memoizes its prime-avoiding ideals.  Over Z an
-ideal is just its nonnegative generator: 0 for {0}, 1 for Z.
+Table rings memoize their principal ideals, full ideal lattice and the
+prime, completely prime and semiprime witnesses of each ideal on the
+ring object (single-writer init, safe for concurrent readers); every
+ring memoizes the radical of each ideal and its prime-avoiding ideals.
+Over Z an ideal is just its nonnegative generator: 0 for {0}, 1 for Z,
+and sympy is imported only by the Z branches that factor it.
 
 On table rings, generation, joins and the witness searches index the
 ring's integer-array tables (``Ring.tables``) with boolean membership
@@ -19,8 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
-
-import sympy
 
 from .errors import (NotProperIdealError, ResourceLimitError,
                      TheoremViolationError)
@@ -247,6 +246,7 @@ def prime_witness(R: Ring, P: CrispIdeal):
     """
     _require_proper(P)
     if not R.is_table:
+        import sympy
         n = P.gen
         if n == 0 or sympy.isprime(n):
             return None
@@ -281,12 +281,19 @@ def is_prime_ideal(R: Ring, P: CrispIdeal) -> bool:
 def completely_prime_witness(R: Ring, P: CrispIdeal):
     """None if P is completely prime; else (x, y) with xy in P, x,y not in P.
 
-    On a table ring the witness is the first such pair, row-major over
-    the elements outside P.
+    Memoized per (table ring, ideal); Z is commutative, so its answer is
+    :func:`prime_witness`.
     """
     _require_proper(P)
     if not R.is_table:
-        return prime_witness(R, P)  # Z is commutative
+        return prime_witness(R, P)
+    return R.cached(("completely_prime_witness", P),
+                    lambda: _table_completely_prime_witness(R, P))
+
+
+def _table_completely_prime_witness(R: Ring, P: CrispIdeal):
+    """The table search behind :func:`completely_prime_witness`: the first
+    (x, y), row-major over the elements outside P, with xy in P."""
     import numpy as np
     mul = R.tables.mul
     inside, outside = _inside_outside(P)
@@ -310,6 +317,7 @@ def semiprime_witness(R: Ring, P: CrispIdeal):
     """
     _require_proper(P)
     if not R.is_table:
+        import sympy
         n = P.gen
         if n == 0:
             return None
@@ -342,6 +350,7 @@ def is_semiprime_ideal(R: Ring, P: CrispIdeal) -> bool:
 def _int_radical(n: int) -> int:
     if n in (0, 1):
         return n
+    import sympy
     out = 1
     for p in sympy.primefactors(n):
         out *= p
@@ -351,14 +360,14 @@ def _int_radical(n: int) -> int:
 def crisp_radical(R: Ring, I: CrispIdeal) -> CrispIdeal:
     """Intersection of all prime ideals containing I; Rad(R) = R.
 
-    Memoized per (table ring, ideal).
+    Memoized per (ring, ideal).
     """
-    if not R.is_table:
-        return CrispIdeal(R, gen=_int_radical(I.gen))
     if I.is_whole:
         return I
 
     def build():
+        if not R.is_table:
+            return CrispIdeal(R, gen=_int_radical(I.gen))
         out = whole_ideal(R)
         for P in enumerate_ideals(R):
             if P.is_whole or not I.subset(P):
@@ -403,6 +412,7 @@ def _prime_avoiding(R: Ring, P: CrispIdeal, x) -> CrispIdeal:
         raise ValueError("P must be semiprime")
 
     if not R.is_table:
+        import sympy
         n = P.gen
         if n == 0:
             p = 2

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import sympy
-
 from .crisp import CrispIdeal, ideal_generate, is_ideal, whole_ideal, zero_ideal
 from .errors import (BackendError, ConstantIdealError, InvalidFuzzyIdealError,
                      TheoremViolationError)
@@ -121,6 +119,7 @@ def probe_elements(*fuzzies):
     ring = fuzzies[0].ring
     if ring.is_table:
         return range(ring.size)
+    import sympy
     L = 1
     for f in fuzzies:
         for ideal, _ in f.chain:

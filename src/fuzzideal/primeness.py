@@ -93,9 +93,9 @@ def _lattice_index(R: Ring):
 class _Ctx:
     """Rank-space view of a fuzzy ideal P on a table ring, a rank being a
     position in ``scale = value_grid(P)``: P's ranks ``pv`` (one
-    assignment per chain level, coarsest first), the rank ``top`` of P(0),
-    their minimum ``floor`` on each lattice ideal and
-    ``m[x, y] = min P(xRy)`` (see :func:`_lattice_index`)."""
+    assignment per chain level, coarsest first), their minimum ``floor``
+    on each lattice ideal and ``m[x, y] = min P(xRy)`` (see
+    :func:`_lattice_index`)."""
 
     def __init__(self, P: FuzzyIdeal):
         R = P.ring
@@ -107,7 +107,6 @@ class _Ctx:
         self.pv = np.empty(R.size, dtype=np.int64)
         for C, v in reversed(P.chain):
             self.pv[list(C.elems)] = rank[v]
-        self.top = rank[P.top]
         self.mul = R.tables.mul
         index = _lattice_index(R)
         self.floor = np.minimum.reduceat(self.pv[index["elems"][0]],
@@ -187,29 +186,15 @@ def is_D2(P: FuzzyIdeal) -> bool:
 
 
 def D3_witness(P: FuzzyIdeal):
-    """D3 via the cut characterization (P_* prime), double-checked against
-    the quantified definition on table rings."""
+    """D3 by its cut theorem, P_* prime.  ``prime_witness`` gives the first
+    row-major (x, y) with P(xRy) = P(0) and P(x), P(y) < P(0): the first
+    hit of the quantified form."""
     P.require_non_constant()
     R = P.ring
-    star_w = prime_witness(R, star_ideal(P))
-    if R.is_table:
-        # quantified form: P(x r y) = P(0) for all r forces P(x) = P(0) or
-        # P(y) = P(0) -- elementwise primeness (not complete primeness,
-        # which diverges on noncommutative rings) of the top cut
-        ctx = _ctx(P)
-        hyp = ctx.m == ctx.top
-        concl = (ctx.pv[:, None] == ctx.top) | (ctx.pv[None, :] == ctx.top)
-        hit = _first_hit(hyp & ~concl)
-        if (hit is not None) != (star_w is not None):
-            raise TheoremViolationError(
-                "D3 quantified form disagrees with P_* primeness",
-                details={"star_witness": star_w})
-        if hit is not None:
-            x, y = hit
-            return {"x": ctx.elem(x), "y": ctx.elem(y)}
-    if star_w is not None:
-        return {"cut_value": str(P.top), "cut_witness": _label_tuple(R, star_w)}
-    return None
+    w = prime_witness(R, star_ideal(P))
+    if w is None:
+        return None
+    return {"x": R.label(w[0]), "y": R.label(w[1])}
 
 
 def is_D3(P: FuzzyIdeal) -> bool:
@@ -217,19 +202,20 @@ def is_D3(P: FuzzyIdeal) -> bool:
 
 
 def D4_witness(P: FuzzyIdeal):
+    """D4 (P(xy) is P(x) or P(y)) by its cut theorem: every cut above the
+    bottom is completely prime.  As P(xy) >= P(x) v P(y), a pair fails D4
+    iff it fails complete primeness of the cut at level P(xy), and a pair
+    failing it for any cut fails D4.  So the first failing pair, row-major,
+    is the least of the cuts' first pairs (not the first failing cut's)."""
     P.require_non_constant()
-    if not P.ring.is_table:
-        return _cut_witness(P, completely_prime_witness, "completely prime")
-    ctx = _ctx(P)
-    M = ctx.pv[ctx.mul]
-    ok = (M == ctx.pv[:, None]) | (M == ctx.pv[None, :])
-    hit = _first_hit(~ok)
-    if hit is None:
+    R = P.ring
+    pairs = [w for C, _ in P.chain[:-1]
+             if (w := completely_prime_witness(R, C)) is not None]
+    if not pairs:
         return None
-    x, y = hit
-    return {"x": ctx.elem(x), "y": ctx.elem(y),
-            "P(xy)": str(ctx.value(M[x, y])),
-            "P(x)": str(ctx.value(ctx.pv[x])), "P(y)": str(ctx.value(ctx.pv[y]))}
+    x, y = min(pairs)
+    return {"x": R.label(x), "y": R.label(y), "P(xy)": str(P(R.mul(x, y))),
+            "P(x)": str(P(x)), "P(y)": str(P(y))}
 
 
 def is_D4(P: FuzzyIdeal) -> bool:
@@ -356,16 +342,15 @@ def is_SD4(P: FuzzyIdeal) -> bool:
 
 
 def SD0prime_witness(P: FuzzyIdeal):
-    """<x_t>^2 <= P with x_t !<= P, singletons grid-quantified."""
+    """<x_t>^2 <= P with x_t !<= P: the first x with Inf P(xRx) > P(x),
+    which is SEMIPRIME_NEW's, as Inf P(xRx) >= P(x) always."""
     P.require_non_constant()
     if not P.ring.is_table:
         raise BackendError("D0'-semiprimeness requires a table ring")
-    ctx = _ctx(P)
-    hit = _first_hit(ctx.m.diagonal() > ctx.pv)
-    if hit is None:
+    w = semiprime_new_witness(P)
+    if w is None:
         return None
-    x, = hit
-    return {"x": ctx.elem(x), "t": str(ctx.value(ctx.m[x, x]))}
+    return {"x": w["x"], "t": w["inf_P_xRx"]}
 
 
 def is_SD0prime(P: FuzzyIdeal) -> bool:
@@ -787,12 +772,11 @@ def diagram_check(corpus, notions_list=None) -> dict:
         check_edge(src, dst, comm_only)
 
     # equivalences asserted per item inside classify(), or decided there
-    # from the same cuts (SD1_witness); record them
+    # from the cuts (SD1<=>SD2, D4<=>completely-prime-cuts); record them
     edges.append({"edge": "D0'<=>D1", "status": "implied"})
     edges.append({"edge": "PRIME_NEW<=>D2", "status": "implied"})
     edges.append({"edge": "SD1<=>SD2", "status": "implied"})
     edges.append({"edge": "D4<=>completely-prime-cuts", "status": "implied"})
-    _d4_cut_assert(rows)
 
     for src, dst in PROBED_NON_IMPLICATIONS:
         witness = None
@@ -824,13 +808,3 @@ def diagram_check(corpus, notions_list=None) -> dict:
 def _refutes(notions, src, dst) -> bool:
     """src holds and dst fails; absent notions never do."""
     return notions.get(src) is True and notions.get(dst) is False
-
-
-def _d4_cut_assert(rows):
-    for idx, P, notions in rows:
-        if "D4" not in notions:
-            continue
-        cuts_cp = _cut_witness(P, completely_prime_witness, "cp") is None
-        if notions["D4"] != cuts_cp:
-            raise TheoremViolationError(
-                "D4 disagrees with completely prime cuts", details={"index": idx})

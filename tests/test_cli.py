@@ -1,6 +1,9 @@
 """CLI behavior: reports, exit codes, determinism, witness re-validation."""
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -262,3 +265,22 @@ def test_lattice_dot_only_built_for_dot(capsys, monkeypatch):
     for fmt in ("json", "text"):
         code, _, err = run(capsys, "ideals", "--ring", "Zn(12)", "--format", fmt)
         assert code == 0, err
+
+
+def test_table_ring_commands_never_import_sympy():
+    """sympy serves only the Z branches: ``ideals`` and ``classify`` on a
+    table ring leave it unimported."""
+    code = (
+        "import sys\n"
+        "from fuzzideal.cli import main\n"
+        "assert main(['ideals', '--ring', 'Zn(6)']) == 0\n"
+        "assert main(['classify', '--ring', 'Zn(6)',\n"
+        "             '--fuzzy', '{1: <2>, 1/2: <*>}']) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,8 @@ from fuzzideal import (CrispIdeal, RingConstructionError, crisp_radical,
                        is_completely_prime_ideal, is_prime_ideal,
                        is_semiprime_ideal, minimal_primes, parse_element,
                        parse_ring, prime_avoiding, whole_ideal, zero_ideal)
-from fuzzideal.crisp import (_table_prime_witness, _table_semiprime_witness,
+from fuzzideal.crisp import (_table_completely_prime_witness,
+                             _table_prime_witness, _table_semiprime_witness,
                              completely_prime_witness, is_ideal, prime_witness,
                              semiprime_witness)
 from fuzzideal.corpus import ideal_chains
@@ -246,8 +247,8 @@ def test_radical_is_smallest_semiprime_above(rings):
 
 
 def test_memoized_crisp_answers_match_the_searches():
-    """Memoized prime/semiprime witnesses and radicals, and the completely
-    prime witness, equal the element-by-element searches, first witness
+    """Memoized prime, completely prime and semiprime witnesses and
+    radicals equal the element-by-element searches, first witness
     included, on every lattice ideal, when filling and when reading."""
     for spec in TABLE_SPECS + ("Zn(36)", "Tri(2, Zn(3))",
                                "Prod(Zn(2), Zn(2), Zn(2))", "Tri(3, Zn(2))"):
@@ -268,8 +269,24 @@ def test_memoized_crisp_answers_match_the_searches():
                 expected = _semiprime_witness_loop(R, P)
                 assert semiprime_witness(R, P) == expected, (spec, P)
                 assert _table_semiprime_witness(R, P) == expected
-                assert completely_prime_witness(R, P) == \
-                    _completely_prime_witness_loop(R, P), (spec, P)
+                expected = _completely_prime_witness_loop(R, P)
+                assert completely_prime_witness(R, P) == expected, (spec, P)
+                assert _table_completely_prime_witness(R, P) == expected
+
+
+def test_z_radical_factors_each_generator_once(monkeypatch):
+    """Over Z the radical is memoized per ideal, so each generator is
+    factored once however often its radical is asked for."""
+    Z = parse_ring("Z")  # fresh caches
+    calls = []
+    primefactors = sympy.primefactors
+    monkeypatch.setattr(sympy, "primefactors",
+                        lambda n: calls.append(n) or primefactors(n))
+    for _ in range(3):
+        for n in range(64):
+            assert crisp_radical(Z, CrispIdeal(Z, gen=n)).gen == \
+                (sympy.prod(primefactors(n)) if n else 0)
+    assert calls == list(range(2, 64))
 
 
 def test_whole_ring_rejected():
@@ -337,10 +354,8 @@ def test_theorem_checks_survive_optimize():
     import subprocess
     import sys
     code = (
-        "import sys, types\n"
+        "import sys\n"
         "assert sys.flags.optimize == 1\n"
-        # table rings never call sympy; a stub spares compiling it under -O
-        "sys.modules['sympy'] = types.ModuleType('sympy')\n"
         "from fuzzideal import crisp, parse_ring, TheoremViolationError\n"
         "crisp.is_prime_ideal = lambda R, P: True  # makes {0} < <2> 'prime'\n"
         "try:\n"

@@ -22,11 +22,13 @@ from fuzzideal import (ConstantIdealError, CrispIdeal,
 from fuzzideal import primeness, radical
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import zero_ideal
-from fuzzideal.fuzzy import fuzzy_from_chain, star_ideal, whole_ideal
-from fuzzideal.primeness import (D0_witness, D0prime_witness,
-                                 SD0prime_witness, SD1_witness, _Ctx,
-                                 _ideal_test, is_D0, is_D0prime, is_D1,
-                                 is_D4, is_prime_new, is_semiprime_new)
+from fuzzideal.fuzzy import (fuzzy_from_chain, probe_elements, star_ideal,
+                             whole_ideal)
+from fuzzideal.primeness import (D0_witness, D0prime_witness, D3_witness,
+                                 D4_witness, SD0prime_witness, SD1_witness,
+                                 _Ctx, _ideal_test, is_D0, is_D0prime, is_D1,
+                                 is_D4, is_prime_new, is_SD4,
+                                 is_semiprime_new)
 
 F = Fraction
 
@@ -195,21 +197,31 @@ def test_sd1_search_matches_reference(corpora, spec):
         _assert_sd1_matches_reference(P)
 
 
-@given(text=SMALL_RING, data=st.data())
-def test_sd1_matches_reference_on_random_rings(text, data):
+def _draw_fuzzy(text, data, max_len, denominator):
+    """A fuzzy ideal on the ring ``text``: a drawn chain of at most
+    ``max_len`` ideals with distinct drawn values k / ``denominator``;
+    None when the ring has no such chain."""
     try:
         R = small_ring(text)
     except RingConstructionError:  # a quotient by the whole ring
-        return
-    chains = [c for c in ideal_chains(R, 3) if len(c) > 1]
+        return None
+    chains = [c for c in ideal_chains(R, max_len) if len(c) > 1]
     if not chains:  # the zero ring
-        return
+        return None
     chain = data.draw(st.sampled_from(chains))
-    values = sorted(data.draw(st.lists(st.integers(0, 2), min_size=len(chain),
+    values = sorted(data.draw(st.lists(st.integers(0, denominator),
+                                       min_size=len(chain),
                                        max_size=len(chain), unique=True)),
                     reverse=True)
-    _assert_sd1_matches_reference(
-        fuzzy_from_chain(R, [(C, F(v, 2)) for C, v in zip(chain, values)]))
+    return fuzzy_from_chain(
+        R, [(C, F(v, denominator)) for C, v in zip(chain, values)])
+
+
+@given(text=SMALL_RING, data=st.data())
+def test_sd1_matches_reference_on_random_rings(text, data):
+    P = _draw_fuzzy(text, data, 3, 2)
+    if P is not None:
+        _assert_sd1_matches_reference(P)
 
 
 def test_sd1_is_never_unknown():
@@ -313,6 +325,34 @@ def test_d4_zero_type_on_z(rings):
     assert is_D4(P)  # Z commutative: prime cuts are completely prime
 
 
+def test_d3_d4_witnesses_over_z(z_corpus):
+    """Over Z, D3 and D4 agree with a search over the probe elements, which
+    realize every value profile of P, and every witness re-validates: x and
+    y lie outside the cut (P_* for D3, the cut at P(xy) for D4) and xy
+    inside it; for D4, P(xy) is neither P(x) nor P(y)."""
+    for P in z_corpus:
+        probes = probe_elements(P)
+        pairs = [(x, y) for x in probes for y in probes]
+        top = P.top
+        d3 = D3_witness(P)
+        assert (d3 is None) == all(
+            P(x * y) < top or top in (P(x), P(y)) for x, y in pairs), P
+        if d3 is not None:
+            x, y = int(d3["x"]), int(d3["y"])
+            assert P(x) < top and P(y) < top and P(x * y) == top, (P, d3)
+        d4 = D4_witness(P)
+        assert (d4 is None) == all(
+            P(x * y) in (P(x), P(y)) for x, y in pairs), P
+        if d4 is not None:
+            x, y = int(d4["x"]), int(d4["y"])
+            C = cut(P, P(x * y))
+            assert not C.contains(x) and not C.contains(y), (P, d4)
+            assert C.contains(x * y), (P, d4)
+            assert P(x * y) not in (P(x), P(y)), (P, d4)
+            assert d4 == {"x": str(x), "y": str(y), "P(xy)": str(P(x * y)),
+                          "P(x)": str(P(x)), "P(y)": str(P(y))}, (P, d4)
+
+
 # --------------------------------------------------------------------------
 # References: the element-wise Inf-forms that the lattice kernel replaced
 # --------------------------------------------------------------------------
@@ -384,12 +424,44 @@ def _sd0prime_loop(ctx, pp):
     return None
 
 
+def _first_pair(mask):
+    hits = np.argwhere(mask)
+    return tuple(hits[0]) if len(hits) else None
+
+
+def _d3_reference(ctx, top):
+    """D3's quantified form: P(x r y) = P(0) for every r, while P(x) and
+    P(y) are below P(0); ``top`` is the rank of P(0)."""
+    hyp = ctx.m == top
+    concl = (ctx.pv[:, None] == top) | (ctx.pv[None, :] == top)
+    hit = _first_pair(hyp & ~concl)
+    if hit is None:
+        return None
+    x, y = hit
+    return {"x": ctx.elem(x), "y": ctx.elem(y)}
+
+
+def _d4_reference(ctx):
+    """D4 element by element: P(xy) is P(x) or P(y)."""
+    M = ctx.pv[ctx.mul]
+    ok = (M == ctx.pv[:, None]) | (M == ctx.pv[None, :])
+    hit = _first_pair(~ok)
+    if hit is None:
+        return None
+    x, y = hit
+    return {"x": ctx.elem(x), "y": ctx.elem(y),
+            "P(xy)": str(ctx.value(M[x, y])),
+            "P(x)": str(ctx.value(ctx.pv[x])), "P(y)": str(ctx.value(ctx.pv[y]))}
+
+
 def _assert_matches_references(P):
     ctx, ref = _Ctx(P), _reference_ctx(P)
     assert ctx.pv.tolist() == [ctx.scale.index(P(x))
                                for x in range(P.ring.size)], P
     assert (ctx.m == ref.m).all(), P
     assert _ideal_test(ctx) == _ideal_test_reference(ref), P
+    assert D3_witness(P) == _d3_reference(ref, ref.scale.index(P.top)), P
+    assert D4_witness(P) == _d4_reference(ref), P
     pp = _principal_products(P.ring)
     assert D0_witness(P) == _grid_loop(
         ref, lambda x, y: ref.pv[ref.mul[x, y]]), P
@@ -400,27 +472,33 @@ def _assert_matches_references(P):
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_inf_forms_match_references(corpora, spec):
-    """pv, m, the ideal test and the D0/D0'/SD0' witnesses match the
-    element-wise forms on every corpus item."""
+    """pv, m, the ideal test and the D0/D0'/D3/D4/SD0' witnesses match
+    the element-wise forms on every corpus item."""
     for P in corpora[spec]:
         _assert_matches_references(P)
 
 
 @given(text=SMALL_RING, data=st.data())
 def test_inf_forms_match_references_on_random_rings(text, data):
-    try:
-        R = small_ring(text)
-    except RingConstructionError:  # a quotient by the whole ring
+    P = _draw_fuzzy(text, data, 4, 8)
+    if P is not None:
+        _assert_matches_references(P)
+
+
+@given(text=SMALL_RING, data=st.data())
+def test_cut_theorems_for_d0_and_sd4(text, data):
+    """D0 holds iff P is two-valued with top 1 and a completely prime top
+    cut; SD4 holds iff every cut above the bottom is completely semiprime
+    (x^2 in C implies x in C)."""
+    P = _draw_fuzzy(text, data, 3, 2)
+    if P is None:
         return
-    chains = [c for c in ideal_chains(R, 4) if len(c) > 1]
-    if not chains:  # the zero ring
-        return
-    chain = data.draw(st.sampled_from(chains))
-    values = sorted(data.draw(st.lists(st.integers(0, 8), min_size=len(chain),
-                                       max_size=len(chain), unique=True)),
-                    reverse=True)
-    _assert_matches_references(
-        fuzzy_from_chain(R, [(C, F(v, 8)) for C, v in zip(chain, values)]))
+    R = P.ring
+    assert is_D0(P) == (len(P.chain) == 2 and P.top == 1
+                        and is_completely_prime_ideal(R, star_ideal(P))), P
+    assert is_SD4(P) == all(
+        C.contains(x) or not C.contains(R.mul(x, x))
+        for C, _ in P.chain[:-1] for x in range(R.size)), P
 
 
 def test_classify_memory_is_quadratic():
