@@ -1,7 +1,8 @@
 """Crisp two-sided ideals: generation, the lattice, primeness oracles,
 the radical and the prime-avoiding construction.
 
-Table rings memoize their principal ideals, full ideal lattice and the
+Table rings memoize their principal ideals (one generation per unit
+orbit), principal classes, full ideal lattice, its subset matrix and the
 prime, completely prime and semiprime witnesses of each ideal on the
 ring object (single-writer init, safe for concurrent readers); every
 ring memoizes the radical of each ideal and its prime-avoiding ideals.
@@ -10,7 +11,9 @@ and sympy is imported only by the Z branches that factor it.
 
 On table rings, generation, joins and the witness searches index the
 ring's integer-array tables (``Ring.tables``) with boolean membership
-masks; ideals are still handed out as frozensets of element indices.
+masks; the prime and semiprime searches run on the k x k table of
+principal classes, not on the n elements.  Ideals are still handed out
+as frozensets of element indices.
 numpy is imported inside those functions: importing it at the top of
 this module, ahead of ``primeness``, raised the peak RSS of ``import
 fuzzideal`` by about 1.8 MB.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (NotProperIdealError, ResourceLimitError,
                      TheoremViolationError)
@@ -199,16 +203,143 @@ def _additive_closure(R: Ring, mask):
 def principal_ideal(R: Ring, x) -> CrispIdeal:
     if not R.is_table:
         return CrispIdeal(R, gen=abs(x))
-    table = R.cached("principal",
-                     lambda: tuple(ideal_generate(R, {e}) for e in range(R.size)))
-    return table[x]
+    return R.cached("principal", lambda: _principal_table(R))[x]
+
+
+def _principal_table(R: Ring) -> tuple:
+    """<x> for every element x, generated once per two-sided unit orbit.
+
+    For units u and v, <u x v> = <x>: u x v lies in <x>, and
+    x = u^-1 (u x v) v^-1 lies in <u x v>.  The units are the elements
+    whose ``mul`` row holds ``one``; a finite ring is Dedekind-finite,
+    so a right inverse is an inverse.  The least element x of each orbit
+    {u x v} is generated and its ideal given to every member.  Orbits
+    can be finer than principal classes (rank 1 and rank 2 matrices in
+    M2(F) generate the same ideal), so equal ideals share one object.
+    """
+    import numpy as np
+    mul = R.tables.mul
+    n = R.size
+    units = np.flatnonzero((mul == R.one).any(axis=1))
+    table = [None] * n
+    distinct = {}
+    todo = np.ones(n, dtype=bool)
+    while todo.any():
+        x = int(todo.argmax())
+        left = np.flatnonzero(_mask(n, mul[units, x]))  # u x
+        orbit = np.zeros(n, dtype=bool)
+        for rows in row_blocks(len(left), len(units)):
+            orbit[mul[np.ix_(left[rows], units)]] = True  # (u x) v
+        I = ideal_generate(R, {x})
+        I = distinct.setdefault(I, I)
+        for y in np.flatnonzero(orbit).tolist():
+            table[y] = I
+        todo &= ~orbit
+    return tuple(table)
+
+
+class PrincipalClasses(NamedTuple):
+    """The principal classes of a table ring: x and y share a class iff
+    <x> = <y>.  Classes are numbered in the order of their least
+    elements."""
+    cls: object      # (n,) intp: the class of each element
+    reps: object     # (k,) intp: the least element of each class, ascending
+    product: object  # (k, k) intp: lattice position of <reps[a]><reps[b]>
+
+
+def principal_classes(R: Ring) -> PrincipalClasses:
+    """The principal classes of table ring R and their product table,
+    memoized on the ring.
+
+    In a unital ring <x><y> is the ideal generated by xRy, so it depends
+    only on the classes of x and y.  ``product[a, b]`` is the first
+    ideal of ``enumerate_ideals(R)`` (in size order, so the least) that
+    contains reps[a] R reps[b].  An ideal is a union of classes, so it
+    contains that set iff it contains the class of each of its elements:
+    one gather of n x k products and one (k, k) x (k, L) count per class.
+    """
+    def build():
+        import numpy as np
+        mul = R.tables.mul
+        ids, reps = {}, []
+        cls = np.empty(R.size, dtype=np.intp)
+        for x in range(R.size):
+            I = principal_ideal(R, x)
+            if I not in ids:
+                ids[I] = len(reps)
+                reps.append(x)
+            cls[x] = ids[I]
+        reps = np.array(reps, dtype=np.intp)
+        k = len(reps)
+        # float32 counts are exact below 2**24 and take the BLAS product
+        outside = (~lattice_members(R)[:, reps]).T.astype(np.float32)
+        product = np.empty((k, k), dtype=np.intp)
+        for a in range(k):
+            met = np.zeros((k, k), dtype=np.float32)  # met[b, c]: c in xRy
+            met[np.arange(k), cls[mul[mul[reps[a]][:, None], reps]]] = 1
+            product[a] = np.argmax(met @ outside == 0, axis=1)
+        return PrincipalClasses(cls, reps, product)
+    return R.cached("principal_classes", build)
+
+
+def lattice_members(R: Ring):
+    """The (L, n) boolean membership masks of ``enumerate_ideals(R)`` on
+    table ring R, memoized on the ring."""
+    def build():
+        import numpy as np
+        lattice = enumerate_ideals(R)
+        member = np.zeros((len(lattice), R.size), dtype=bool)
+        for i, J in enumerate(lattice):
+            member[i, _indices(J.elems)] = True
+        return member
+    return R.cached("lattice_members", build)
+
+
+def lattice_positions(R: Ring, bound: int | None = None) -> dict:
+    """Each ideal of ``enumerate_ideals(R, bound)`` mapped to its position,
+    memoized per ring and bound."""
+    return R.cached(("lattice_positions", bound), lambda: {
+        J: i for i, J in enumerate(enumerate_ideals(R, bound))})
+
+
+def subset_matrix(R: Ring):
+    """The (L, L) boolean matrix of ``lattice[i] <= lattice[j]`` over
+    ``lattice = enumerate_ideals(R)`` on table ring R, memoized on the
+    ring: for each pair, a count of the members of lattice[i] outside
+    lattice[j] (exact in float32 below 2**24 members)."""
+    def build():
+        import numpy as np
+        member = lattice_members(R).astype(np.float32)
+        return member @ (1 - member).T == 0
+    return R.cached("subset_matrix", build)
+
+
+def subset_rows(R: Ring, ideals, bound: int | None = None):
+    """The (len(ideals), L) boolean matrix of ``ideals[i] <= lattice[j]``
+    over ``lattice = enumerate_ideals(R, bound)``.
+
+    Table rings read the rows of :func:`subset_matrix`.  Over Z, lattice
+    position j is jZ, and dZ <= jZ iff j divides d (only 0Z lies inside
+    0Z); each generator's row is memoized per bound, generators past the
+    bound included.
+    """
+    import numpy as np
+    if R.is_table:
+        pos = lattice_positions(R)
+        return subset_matrix(R)[[pos[D] for D in ideals]]
+    size = len(enumerate_ideals(R, bound))
+
+    def row(d):
+        return R.cached(("subset_row", d, bound), lambda: np.array(
+            [d % j == 0 if j else d == 0 for j in range(size)]))
+    return np.array([row(D.gen) for D in ideals])
 
 
 def enumerate_ideals(R: Ring, bound: int | None = None) -> list[CrispIdeal]:
     """All two-sided ideals: full lattice for table rings, nZ for n <= bound over Z.
 
     Table algorithm: every ideal is a join of principal ideals, so closing
-    {0} and the principal ideals under pairwise joins yields the lattice.
+    the principal ideals under pairwise joins yields the lattice.
     Both are memoized on the ring, over Z per bound.
     """
     if not R.is_table:
@@ -218,13 +349,17 @@ def enumerate_ideals(R: Ring, bound: int | None = None) -> list[CrispIdeal]:
             CrispIdeal(R, gen=n) for n in range(bound + 1))))
 
     def build():
+        # {0} = <0> and R = <1> are among them; orbit members share one
+        # ideal object, so deduplicating compares no element sets
         found = list(dict.fromkeys(
-            [zero_ideal(R), whole_ideal(R),
-             *(principal_ideal(R, x) for x in range(R.size))]))
+            principal_ideal(R, x) for x in range(R.size)))
         seen = set(found)
-        # each ideal is joined once with every ideal found before it
+        # each ideal is joined once with every ideal found before it; a
+        # join of comparable ideals is the larger one, already found
         for i, a in enumerate(found):
             for b in found[:i]:
+                if a.elems <= b.elems or b.elems <= a.elems:
+                    continue
                 j = a.join(b)
                 if j not in seen:
                     seen.add(j)
@@ -242,6 +377,16 @@ def _require_proper(P: CrispIdeal):
 def prime_witness(R: Ring, P: CrispIdeal):
     """None if P is prime; else (x, y) with xRy <= P, x,y not in P.
 
+    On a table ring the witness is the first such (x, y), row-major over
+    the elements outside P, found on the principal classes.  xRy <= P iff
+    <x><y> <= P (P is an ideal, and <x><y> is generated by xRy), and
+    both that and x in P depend only on the classes of x and y.  So P is
+    prime iff no two classes outside P have their product inside P.  In
+    the k x k table of such pairs of classes, the first x is the least
+    element whose class row has a hit (the least element of the first
+    such class) and the first y the least element of the first class
+    hit in that row.
+
     Memoized per (table ring, ideal); Z answers by its direct formula.
     """
     _require_proper(P)
@@ -254,24 +399,27 @@ def prime_witness(R: Ring, P: CrispIdeal):
         p = sympy.factorint(n)
         a = min(p)
         return (a, n // a)
-    return R.cached(("prime_witness", P), lambda: _table_prime_witness(R, P))
+
+    def search():
+        import numpy as np
+        reps, out, inside = _class_products_inside(R, P)
+        hit = inside[np.ix_(out, out)]
+        i, j = divmod(int(hit.argmax()), len(out))
+        if not hit[i, j]:
+            return None
+        return (int(reps[out[i]]), int(reps[out[j]]))
+    return R.cached(("prime_witness", P), search)
 
 
-def _table_prime_witness(R: Ring, P: CrispIdeal):
-    """The table search behind :func:`prime_witness`: the first (x, y),
-    row-major over the elements outside P, with (x r) y in P for every r."""
+def _class_products_inside(R: Ring, P: CrispIdeal):
+    """The class representatives, the classes outside P, ascending (never
+    none: the class of ``one`` is outside a proper ideal), and the (k, k)
+    matrix of <reps[a]><reps[b]> <= P."""
     import numpy as np
-    mul = R.tables.mul
-    inside, outside = _inside_outside(P)
-    for rows in row_blocks(len(outside), R.size * R.size):
-        xs = outside[rows]
-        # hit[i, y]: (xs[i] r) y in P for every r
-        hit = inside[mul[mul[xs]]].all(axis=1) & ~inside
-        found = np.flatnonzero(hit)
-        if found.size:
-            i, y = divmod(int(found[0]), R.size)
-            return (int(xs[i]), y)
-    return None
+    classes = principal_classes(R)
+    p = lattice_positions(R)[P]
+    out = np.flatnonzero(~lattice_members(R)[p][classes.reps])
+    return classes.reps, out, subset_matrix(R)[classes.product, p]
 
 
 def is_prime_ideal(R: Ring, P: CrispIdeal) -> bool:
@@ -313,6 +461,11 @@ def is_completely_prime_ideal(R: Ring, P: CrispIdeal) -> bool:
 def semiprime_witness(R: Ring, P: CrispIdeal):
     """None if P is semiprime; else x with xRx <= P, x not in P.
 
+    On a table ring the witness is the least such x, found on the
+    principal classes as in :func:`prime_witness`: P is semiprime iff no
+    class outside P has its square <x><x> inside P, and the least x is
+    the least element of the first such class.
+
     Memoized per (table ring, ideal); Z answers by its direct formula.
     """
     _require_proper(P)
@@ -325,22 +478,15 @@ def semiprime_witness(R: Ring, P: CrispIdeal):
             if e >= 2:
                 return n // p  # n | (n/p)^2 but n does not divide n/p
         return None
-    return R.cached(("semiprime_witness", P),
-                    lambda: _table_semiprime_witness(R, P))
 
-
-def _table_semiprime_witness(R: Ring, P: CrispIdeal):
-    """The table search behind :func:`semiprime_witness`: the least x
-    outside P with (x r) x in P for every r."""
-    import numpy as np
-    mul = R.tables.mul
-    inside, outside = _inside_outside(P)
-    for rows in row_blocks(len(outside), R.size):
-        xs = outside[rows]
-        found = np.flatnonzero(inside[mul[mul[xs], xs[:, None]]].all(axis=1))
-        if found.size:
-            return int(xs[found[0]])
-    return None
+    def search():
+        reps, out, inside = _class_products_inside(R, P)
+        hit = inside[out, out]
+        i = int(hit.argmax())
+        if not hit[i]:
+            return None
+        return int(reps[out[i]])
+    return R.cached(("semiprime_witness", P), search)
 
 
 def is_semiprime_ideal(R: Ring, P: CrispIdeal) -> bool:

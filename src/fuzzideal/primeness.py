@@ -61,32 +61,16 @@ def _lattice_index(R: Ring):
     ``product[x, y]`` is the position of <x><y>.  In a unital ring both
     <xRy> and <x><y> are the additive span of R x R y R, so
     min P(xRy) = floor[product[x, y]].  <x><y> depends only on <x> and
-    <y>, so it is found once per pair of distinct principal ideals, from
-    xRy for one representative of each.
+    <y>, so ``crisp.principal_classes`` finds it once per pair of
+    principal classes.
     """
     def build():
-        lattice = enumerate_ideals(R)
-        n = R.size
-        mul = R.tables.mul
-        member = np.zeros((len(lattice), n), dtype=bool)
-        for i, J in enumerate(lattice):
-            member[i, list(J.elems)] = True
-
-        def least(S):
-            inside = np.zeros(n, dtype=bool)
-            inside[S] = True
-            return int(np.argmax(member[:, inside].all(axis=1)))
-
-        rep = {}  # principal ideal -> (class, representative)
-        cls = np.array([rep.setdefault(crisp.principal_ideal(R, x),
-                                       (len(rep), x))[0] for x in range(n)])
-        reps = [x for _, x in rep.values()]
-        table = np.array([[least(mul[mul[x], y]) for y in reps]
-                          for x in reps], dtype=np.intp)
+        member = crisp.lattice_members(R)
+        classes = crisp.principal_classes(R)
         sizes = member.sum(axis=1)
         starts = np.cumsum(sizes) - sizes
-        return {"elems": (np.flatnonzero(member) % n, starts),
-                "product": table[np.ix_(cls, cls)]}
+        return {"elems": (np.flatnonzero(member) % R.size, starts),
+                "product": classes.product[np.ix_(classes.cls, classes.cls)]}
     return R.cached("lattice_index", build)
 
 
@@ -412,7 +396,7 @@ def _semiprime_chains(R: Ring, max_len: int, bound: int | None = None):
     :func:`semiprime_family`).
     """
     def build():
-        pos = {J: i for i, J in enumerate(enumerate_ideals(R, bound))}
+        pos = crisp.lattice_positions(R, bound)
         by_len = {}
         for chain in ideal_chains(R, max_len, bound):
             if len(chain) < 2:
@@ -467,21 +451,22 @@ def semiprime_family(I: FuzzyIdeal, grid, bound: int | None = None):
 
     By L2 the chains and their flags are taken once per ring from
     :func:`_semiprime_chains`.  By L1 each lattice ideal gets one
-    threshold per call, found with ``CrispIdeal.subset`` (so both
-    backends work), and every chain is tested against all value
-    combinations at once, in integer ranks on grid + image(I).
+    threshold per call, read with one ``argmax`` from the rows of I's
+    chain ideals in ``crisp.subset_rows``, and every chain is tested
+    against all value combinations at once, in integer ranks on
+    grid + image(I).
     """
     R = I.ring
     values = sorted((Fraction(v) for v in set(grid)), reverse=True)
     rank = {v: i for i, v in enumerate(sorted(set(values) | set(I.values)))}
     value_ranks = np.array([rank[v] for v in values], dtype=np.int64)
-    # the L1 threshold above each lattice ideal C, when C is C(k-1);
-    # -1 (no bound) for the whole ring, which every chain ideal is inside
-    level_rank = [rank[v] for v in I.values]
-    threshold = np.array(
-        [next((r for (D, _), r in zip(I.chain, level_rank)
-               if not D.subset(C)), -1)
-         for C in enumerate_ideals(R, bound)], dtype=np.int64)
+    # the L1 threshold above each lattice ideal C, when C is C(k-1): the
+    # rank of I's first level D not inside C; -1 (no bound) for the whole
+    # ring, which every chain ideal is inside
+    level_rank = np.array([rank[v] for v in I.values], dtype=np.int64)
+    outside = ~crisp.subset_rows(R, [D for D, _ in I.chain], bound)
+    threshold = np.where(outside.any(axis=0),
+                         level_rank[outside.argmax(axis=0)], -1)
     top = level_rank[0]
     rows = []
     for m, (positions, prime) in sorted(
@@ -536,7 +521,11 @@ def family_meet(lattice, values, rows) -> tuple:
     if not rows:
         raise ValueError("empty family")
     least_top = max(int(index[:, 0].max()) for _, index in rows)
-    alphas = np.unique(np.concatenate([index.ravel() for _, index in rows]))
+    # the member values, marked in a mask: np.unique would import numpy.ma
+    used = np.zeros(len(values), dtype=bool)
+    for _, index in rows:
+        used[index.ravel()] = True
+    alphas = np.flatnonzero(used)
     alphas = alphas[alphas >= least_top]
     # keys a * n + p: member cut p at values[alphas[a]], one array per length
     n = len(lattice)

@@ -256,6 +256,18 @@ def test_ideals_reports_match_golden_files(capsys, name, fmt):
     assert out.encode() == path.read_bytes()
 
 
+@pytest.mark.parametrize("name, spec", [
+    ("zn1024", "Zn(1024)"), ("prod_zn32_zn32", "Prod(Zn(32),Zn(32))")])
+def test_ideals_on_1024_element_rings_match_golden_files(capsys, name, spec):
+    """`ideals` on two 1024-element rings is byte-identical to the json
+    reports recorded while the crisp searches still ran element by
+    element."""
+    path = pathlib.Path(__file__).parent / "data" / "ideals" / f"{name}.json"
+    code, out, err = run(capsys, "ideals", "--ring", spec)
+    assert code == 0, err
+    assert out.encode() == path.read_bytes()
+
+
 def test_lattice_dot_only_built_for_dot(capsys, monkeypatch):
     import fuzzideal.cli as cli
 
@@ -267,20 +279,38 @@ def test_lattice_dot_only_built_for_dot(capsys, monkeypatch):
         assert code == 0, err
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_table_ring_commands_never_import_sympy():
     """sympy serves only the Z branches: ``ideals`` and ``classify`` on a
     table ring leave it unimported."""
-    code = (
+    proc = _run_fresh(
         "import sys\n"
         "from fuzzideal.cli import main\n"
         "assert main(['ideals', '--ring', 'Zn(6)']) == 0\n"
         "assert main(['classify', '--ring', 'Zn(6)',\n"
         "             '--fuzzy', '{1: <2>, 1/2: <*>}']) == 0\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_never_import_numpy_ma():
+    """numpy.ma costs about 20 ms and 1.3 MB of peak RSS to import, and
+    ``np.unique`` imports it: ``ideals``, ``diagram`` and ``check-frad``
+    on table rings and on Z leave it unimported."""
+    proc = _run_fresh(
+        "import sys\n"
+        "from fuzzideal.cli import main\n"
+        "for ring in (['Zn(12)'], ['Tri(2, Zn(2))'], ['Z', '--bound', '8']):\n"
+        "    for cmd in ('ideals', 'diagram', 'check-frad'):\n"
+        "        assert main([cmd, '--ring', *ring]) == 0, (cmd, ring)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
     assert proc.returncode == 0, proc.stderr

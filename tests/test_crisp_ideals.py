@@ -2,23 +2,25 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from conftest import SMALL_RING, small_ring
+from conftest import SMALL_RING, Z_BOUND, small_ring
 from fuzzideal import (CrispIdeal, RingConstructionError, crisp_radical,
                        enumerate_ideals, ideal_generate,
                        is_completely_prime_ideal, is_prime_ideal,
                        is_semiprime_ideal, minimal_primes, parse_element,
                        parse_ring, prime_avoiding, whole_ideal, zero_ideal)
-from fuzzideal.crisp import (_table_completely_prime_witness,
-                             _table_prime_witness, _table_semiprime_witness,
-                             completely_prime_witness, is_ideal, prime_witness,
-                             semiprime_witness)
+from fuzzideal.crisp import (_inside_outside, _table_completely_prime_witness,
+                             completely_prime_witness, is_ideal,
+                             principal_classes, principal_ideal, prime_witness,
+                             semiprime_witness, subset_matrix, subset_rows)
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.errors import (NotProperIdealError, ResourceLimitError,
                               TheoremViolationError)
+from fuzzideal.rings import row_blocks
 
 TABLE_SPECS = ("Zn(6)", "Zn(12)", "Mat(2, Zn(2))", "Tri(2, Zn(2))",
                "Prod(Zn(2), Zn(3))")
@@ -84,6 +86,37 @@ def _semiprime_witness_loop(R, P):
     return None
 
 
+def _table_prime_witness(R, P):
+    """The blocked element search that ``prime_witness`` made before it
+    ran on the principal classes: the first (x, y), row-major over the
+    elements outside P, with (x r) y in P for every r."""
+    mul = R.tables.mul
+    inside, outside = _inside_outside(P)
+    for rows in row_blocks(len(outside), R.size * R.size):
+        xs = outside[rows]
+        # hit[i, y]: (xs[i] r) y in P for every r
+        hit = inside[mul[mul[xs]]].all(axis=1) & ~inside
+        found = np.flatnonzero(hit)
+        if found.size:
+            i, y = divmod(int(found[0]), R.size)
+            return (int(xs[i]), y)
+    return None
+
+
+def _table_semiprime_witness(R, P):
+    """The blocked element search that ``semiprime_witness`` made before
+    it ran on the principal classes: the least x outside P with
+    (x r) x in P for every r."""
+    mul = R.tables.mul
+    inside, outside = _inside_outside(P)
+    for rows in row_blocks(len(outside), R.size):
+        xs = outside[rows]
+        found = np.flatnonzero(inside[mul[mul[xs], xs[:, None]]].all(axis=1))
+        if found.size:
+            return int(xs[found[0]])
+    return None
+
+
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_generation_matches_fixpoint(spec, rings):
     """On every generator set of size <= 2 and on random larger sets."""
@@ -110,6 +143,73 @@ def test_generation_is_the_least_ideal(text, data):
     I = ideal_generate(R, gens)
     assert I.elems == _fixpoint_generate(R, gens)
     assert is_ideal(R, I.elems)
+
+
+@given(text=SMALL_RING)
+def test_principal_classes_match_generation(text):
+    """The principal ideals, generated once per unit orbit, equal
+    ``ideal_generate(R, {x})`` for every x; the classes group exactly the
+    elements with equal ideals, led by their least elements; and each
+    class product is the ideal generated by reps[a] R reps[b]."""
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    ideals = [ideal_generate(R, {x}) for x in range(R.size)]
+    assert [principal_ideal(R, x) for x in range(R.size)] == ideals
+    classes = principal_classes(R)
+    first = {}
+    for x, I in enumerate(ideals):
+        first.setdefault(I, x)
+    assert classes.reps.tolist() == list(first.values())
+    assert [classes.reps[c] for c in classes.cls] == \
+        [first[I] for I in ideals]
+    lattice = enumerate_ideals(R)
+    for a, x in enumerate(classes.reps.tolist()):
+        for b, y in enumerate(classes.reps.tolist()):
+            xry = {R.mul(R.mul(x, r), y) for r in range(R.size)}
+            assert lattice[classes.product[a, b]] == ideal_generate(R, xry)
+
+
+@given(text=SMALL_RING)
+def test_class_witnesses_match_the_element_searches(text):
+    """The class-table prime and semiprime witnesses equal the element
+    searches' on every proper lattice ideal, and re-validate from the
+    tables: x, y outside P with (x r) y in P for every r, and x outside P
+    with (x r) x in P for every r."""
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    mul = R.tables.mul
+    for P in enumerate_ideals(R):
+        if P.is_whole:
+            continue
+        w = prime_witness(R, P)
+        assert w == _table_prime_witness(R, P), (text, P)
+        if w is not None:
+            x, y = w
+            assert not P.contains(x) and not P.contains(y)
+            assert all(P.contains(v) for v in mul[mul[x], y].tolist())
+        x = semiprime_witness(R, P)
+        assert x == _table_semiprime_witness(R, P), (text, P)
+        if x is not None:
+            assert not P.contains(x)
+            assert all(P.contains(v) for v in mul[mul[x], x].tolist())
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS + ("Z",))
+def test_subset_rows_are_the_subset_order(spec, rings):
+    """Over Z the rows also cover generators past the bound."""
+    R = rings[spec]
+    bound = None if R.is_table else Z_BOUND
+    lattice = enumerate_ideals(R, bound)
+    ideals = lattice if R.is_table else [CrispIdeal(R, gen=g)
+                                         for g in range(3 * Z_BOUND)]
+    assert subset_rows(R, ideals, bound).tolist() == \
+        [[I.subset(J) for J in lattice] for I in ideals]
+    if R.is_table:
+        assert (subset_matrix(R) == subset_rows(R, lattice)).all()
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)

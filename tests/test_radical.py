@@ -105,6 +105,10 @@ def test_frad_intersection_check_examples(rings):
     d3v = parse_fuzzy_spec(Z, "{1: <0>, 4/5: <4>, 3/5: <*>}")
     rep = frad_intersection_check(d3v, bound=12)
     assert rep["frad_equals_prime_intersection"]
+    # a chain ideal past the bound still gets its thresholds
+    past = parse_fuzzy_spec(Z, "{1: <9>, 1/2: <*>}")
+    assert frad_intersection_check(past, bound=4) == \
+        _frad_check_reference(past, bound=4)
 
 
 def test_semiprime_intersection_examples(rings):
