@@ -281,15 +281,42 @@ def _verify(ring, seed=0):
     """Check the eight ring axioms on the array tables.
 
     Per element a, ascending: additive identity, negation, two-sided
-    unit, then commutative addition against every b.  Then per triple
-    (a, b, c): both associativities and both distributivities, on every
-    triple in row-major order up to EXHAUSTIVE_AXIOM_LIMIT elements and on
+    unit, then commutative addition against every b.  Then the
+    associativities and distributivities: exactly, by the certificate of
+    ``_axiom_certificate``, up to EXHAUSTIVE_AXIOM_LIMIT elements, and on
     AXIOM_SAMPLES triples above it: the rows of one (AXIOM_SAMPLES, 3)
     array of little-endian 64-bit words from ``random.Random(seed)``,
     each reduced mod n.  (``numpy.random`` would add 6 MB to the peak
     RSS of a run that builds one ring above the limit.)
-    The error names the first failure in exactly that order, so it is the
-    message a loop over the same checks would raise.
+    The error names the first failure in exactly that order, every triple
+    in row-major order on the exact path, so it is the message a loop over
+    the same checks would raise.
+
+    The certificate is exact.  Let G be the additive generators of
+    ``_additive_generators``: every element is z or a left-nested sum
+    ((h1 + h2) + h3) + ... with every h_i in G.  It checks
+
+    1. (x + g) + y = x + (g + y) for all x, y in R and g in G.  The middle
+       elements m with (x + m) + y = x + (m + y) for all x, y are closed
+       under + (Light's associativity test): for such m and m',
+       (x + (m + m')) + y = ((x + m) + m') + y = (x + m) + (m' + y)
+       = x + (m + (m' + y)) = x + ((m + m') + y).  They hold z and G, so
+       + is associative, and (R, +) is an abelian group: every element,
+       z too, is then a sum of members of G.
+    2. a(b + g) = ab + ag and (b + g)a = ba + ga for all a, b in R and g in
+       G.  For f = left or right multiplication by a, the c with
+       f(b + c) = f(b) + f(c) for all b are closed under + by step 1:
+       f(b + (c + d)) = f((b + c) + d) = (f(b) + f(c)) + f(d)
+       = f(b) + f(c + d).  They hold G, hence every sum of its members.
+    3. (gh)k = g(hk) on G x G x G.  With both distributive laws the
+       associator (ab)c - a(bc) is additive in each argument, so it
+       vanishes on R once it vanishes on G.
+
+    For a ring each check is an instance of an axiom, so the certificate
+    fails exactly when some triple breaks one, and only then does the
+    blocked triple scan run, to name the first failing triple.  The work
+    is O(n^2 |G|), and |G| <= log2 n, since in an abelian group each new
+    generator at least doubles the subgroup reached so far.
     """
     import numpy as np
     n = ring.size
@@ -312,9 +339,10 @@ def _verify(ring, seed=0):
         b = int(np.argmax(noncommuting[a]))
         raise RingConstructionError(f"addition not commutative at {a},{b}")
     if n <= EXHAUSTIVE_AXIOM_LIMIT:
-        for rows in row_blocks(n, n * n):
-            _check_triples(add, mul, elems[rows, None, None],
-                           elems[None, :, None], elems[None, None, :])
+        if not _axiom_certificate(add, mul, z):
+            for rows in row_blocks(n, n * n):
+                _check_triples(add, mul, elems[rows, None, None],
+                               elems[None, :, None], elems[None, None, :])
     else:
         words = random.Random(seed).randbytes(3 * 8 * AXIOM_SAMPLES)
         draws = np.frombuffer(words, dtype="<u8") % n
@@ -322,9 +350,47 @@ def _verify(ring, seed=0):
         _check_triples(add, mul, draws[:, 0], draws[:, 1], draws[:, 2])
 
 
+def _additive_generators(add, z):
+    """Greedy additive generators: the least element not yet reached,
+    until the elements reached from z by steps r -> r + g, g a generator,
+    are all of them."""
+    import numpy as np
+    reached = {z}
+    gens, steps = [], []
+    for g in range(len(add)):
+        if g in reached:
+            continue
+        gens.append(g)
+        steps.append(add[:, g].tolist())    # r -> r + g
+        stack = [steps[-1][r] for r in reached]
+        while stack:
+            r = stack.pop()
+            if r not in reached:
+                reached.add(r)
+                stack.extend(step[r] for step in steps)
+    return np.array(gens, dtype=np.intp)
+
+
+def _axiom_certificate(add, mul, z):
+    """Whether both associativities and both distributivities hold, read
+    off the additive generators (the proof is in ``_verify``)."""
+    g = _additive_generators(add, z)
+    x_g = add[:, g]                       # [x, g] -> x + g
+    if not (add[x_g] == add[:, add[g]]).all():
+        return False
+    if not (mul[:, x_g] == add[mul[:, :, None], mul[:, g][:, None]]).all():
+        return False
+    if not (mul[x_g] == add[mul[:, None], mul[g][None]]).all():
+        return False
+    gg = mul[g[:, None], g]
+    return bool((mul[gg][..., g] == mul[g[:, None, None], gg]).all())
+
+
 def _check_triples(add, mul, a, b, c):
     """Raise for the first (a, b, c), in broadcast row-major order, that
-    breaks an associativity or a distributivity."""
+    breaks an associativity or a distributivity.  Up to
+    EXHAUSTIVE_AXIOM_LIMIT elements it runs only on a table that failed
+    the certificate, to name the failure."""
     import numpy as np
     bad = (add[add[a, b], c] != add[a, add[b, c]],
            mul[mul[a, b], c] != mul[a, mul[b, c]],
@@ -442,17 +508,26 @@ def _build_matrix(spec, base, upper):
         return sum(w * badd[digit[p][rows, None], digit[p][None, :]]
                    for p, w in weight.items())
 
+    # A row or a column is an index among the b**k tuples of k entries;
+    # dot[r, c] sums row r times column c over l ascending.  The base ring
+    # is verified, so zero + p = p starts each sum.
+    tuple_digits, tuple_weights = _digits(base.size ** k, [base.size] * k)
+    dot = bmul if k == 1 else bmul[tuple_digits[0][:, None], tuple_digits[0]]
+    for l in range(1, k):
+        dot = badd[dot, bmul[tuple_digits[l][:, None], tuple_digits[l]]]
+
+    def entry(p):
+        # an entry outside the free positions is zero in every element
+        return digit[p] if p in digit else zero
+
+    row = [sum(w * entry((i, l)) for l, w in enumerate(tuple_weights))
+           for i in range(k)]
+    col = [sum(w * entry((l, j)) for l, w in enumerate(tuple_weights))
+           for j in range(k)]
+
     def mmul(rows):
-        out = np.zeros((rows.stop - rows.start, n), dtype=np.intp)
-        # an entry outside the free positions is zero in every product
-        for (i, j), w in weight.items():
-            acc = zero
-            for l in range(k):
-                x = digit[i, l][rows, None] if (i, l) in digit else zero
-                y = digit[l, j][None, :] if (l, j) in digit else zero
-                acc = badd[acc, bmul[x, y]]
-            out += w * acc
-        return out
+        return sum(w * dot[row[i][rows, None], col[j][None, :]]
+                   for (i, j), w in weight.items())
 
     mneg = sum(w * bneg[digit[p]] for p, w in weight.items())
     zmat = sum(w * zero for w in weight.values())

@@ -1,12 +1,15 @@
 """Ring construction: canonical element order, axiom checks, quotients."""
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import SMALL_RING, TABLE_SPECS, small_ring
 from fuzzideal import (RingConstructionError, build_ring, parse_ring,
-                       quotient_ring)
+                       quotient_ring, rings)
 from fuzzideal.crisp import ideal_generate
 from fuzzideal.dsl import parse_ring_spec
 from fuzzideal.rings import (AXIOM_SAMPLES, EXHAUSTIVE_AXIOM_LIMIT, Backend,
@@ -60,6 +63,9 @@ def _reference_tables(R):
                lambda a: (-a) % m)
     elif isinstance(spec, (SpecMat, SpecTri)):
         base, k = R.base_ring, spec.k
+        # the base ring's operations as nested lists: the checked methods
+        # would make the 729-element Tri(3, Zn(3)) take a minute
+        badd, bmul = (t.tolist() for t in base.tables[:2])
 
         def mmul(a, b):
             out = []
@@ -67,10 +73,10 @@ def _reference_tables(R):
                 for j in range(k):
                     acc = base.zero
                     for l in range(k):
-                        acc = base.add(acc, base.mul(a[i * k + l], b[l * k + j]))
+                        acc = badd[acc][bmul[a[i * k + l]][b[l * k + j]]]
                     out.append(acc)
             return tuple(out)
-        ops = (lambda a, b: tuple(map(base.add, a, b)), mmul,
+        ops = (lambda a, b: tuple(badd[x][y] for x, y in zip(a, b)), mmul,
                lambda a: tuple(map(base.neg, a)))
     elif isinstance(spec, SpecProd):
         fs = R.factor_rings
@@ -252,19 +258,145 @@ def test_axiom_verification_rejects_broken_table():
             assert str(ref.value) == expected
 
 
+def _outcome(check, ring):
+    """The message ``check`` raises for the ring, or None if it passes."""
+    try:
+        check(ring)
+    except RingConstructionError as exc:
+        return str(exc)
+    return None
+
+
+@given(text=SMALL_RING, data=st.data())
+def test_certificate_matches_the_triple_loop(text, data):
+    """On small rings with one to three table entries overwritten, the
+    generator certificate with its fallback scan and the triple loop pass
+    together or raise the same message.  An ``add`` entry is written at
+    (a, b) and (b, a), so that addition stays commutative and the
+    certificate, not the element checks, decides."""
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    assert R.size <= EXHAUSTIVE_AXIOM_LIMIT
+    add, mul = R.tables.add.copy(), R.tables.mul.copy()
+    index = st.integers(0, R.size - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, b, value = data.draw(index), data.draw(index), data.draw(index)
+        if data.draw(st.booleans()):
+            add[a, b] = add[b, a] = value
+        else:
+            mul[a, b] = value
+    broken = Ring(Backend.TABLE, R.spec,
+                  tables=R.tables._replace(add=add, mul=mul), zero=R.zero,
+                  one=R.one, labels=R.labels, elems=R.elems)
+    assert _outcome(_verify, broken) == _outcome(_verify_loop, broken)
+
+
+def _nonassociative_algebra():
+    """The unital algebra over Zn(2) with basis 1, x, y and x*x = y,
+    x*y = y*y = 0, y*x = x; element c0 + 2 c1 + 4 c2 is c0 + c1 x + c2 y.
+    It is bilinear, so both distributive laws hold, but
+    (x*x)*x = x and x*(x*x) = 0."""
+    basis = {(1, b): b for b in (1, 2, 4)} | {(b, 1): b for b in (1, 2, 4)}
+    basis |= {(2, 2): 4, (2, 4): 0, (4, 2): 2, (4, 4): 0}
+
+    def times(a, b):
+        out = 0
+        for i in (1, 2, 4):
+            for j in (1, 2, 4):
+                if a & i and b & j:
+                    out ^= basis[i, j]
+        return out
+    return ([[a ^ b for b in range(8)] for a in range(8)],
+            [[times(a, b) for b in range(8)] for a in range(8)], range(8))
+
+
+def _function_near_ring(opposite):
+    """The 27 maps Z3 -> Z3 under pointwise addition and composition
+    a*b = a(b(x)), or b(a(x)) when ``opposite``: map f has index
+    9 f(0) + 3 f(1) + f(2), the identity map is 5.  Composition is
+    associative and distributes over + on one side only."""
+    maps = list(itertools.product(range(3), repeat=3))
+    index = {f: i for i, f in enumerate(maps)}
+
+    def compose(a, b):
+        return index[tuple(a[x] for x in b)]
+    return ([[index[tuple((x + y) % 3 for x, y in zip(a, b))] for b in maps]
+             for a in maps],
+            [[compose(b, a) if opposite else compose(a, b) for b in maps]
+             for a in maps],
+            [index[tuple(-x % 3 for x in a)] for a in maps])
+
+
+@pytest.mark.parametrize("tables,one,axiom", [
+    (_nonassociative_algebra(), 1, "multiplication not associative"),
+    (_function_near_ring(False), 5, "left distributivity fails"),
+    (_function_near_ring(True), 5, "right distributivity fails")],
+    ids=("nonassociative-algebra", "near-ring", "opposite-near-ring"))
+def test_certificate_rejects_a_single_broken_law(tables, one, axiom):
+    """Tables that break one multiplicative law and keep the others, so
+    that no other step of the certificate can stand in for the missing
+    one; the first needs more than one generator to show."""
+    broken = _table_ring(*tables, one=one)
+    message = _outcome(_verify_loop, broken)
+    assert message.startswith(axiom + " at ")
+    assert _outcome(_verify, broken) == message
+
+
+# Every table ring of at most EXHAUSTIVE_AXIOM_LIMIT elements that the
+# tests and the benchmark's ring ladder build, besides Zn(2) to Zn(64).
+GUARD_SPECS = (
+    *TABLE_SPECS, "Mat(1, Zn(4))", "Tri(2, Zn(3))",
+    "Tri(3, Zn(2))", "Prod(Zn(2), Zn(2))", "Prod(Zn(4), Zn(2))",
+    "Prod(Zn(4), Zn(4))", "Prod(Zn(2), Zn(9))", "Prod(Zn(4), Zn(6))",
+    "Prod(Zn(4), Zn(9))", "Prod(Zn(6), Zn(6))", "Prod(Zn(5), Zn(7))",
+    "Prod(Zn(2), Zn(2), Zn(2))", "Prod(Zn(2), Zn(3), Zn(2))",
+    "Prod(Zn(3), Zn(3), Zn(3))", "Prod(Zn(2), Zn(3), Zn(5))",
+    "Prod(Zn(4), Zn(3), Zn(5))", "Prod(Mat(2, Zn(2)), Zn(2))",
+    "Prod(Tri(2, Zn(2)), Zn(2))", "Prod(Tri(2, Zn(2)), Zn(3))",
+    "Quot(Z, <10>)", "Quot(Zn(12), <4>)",
+    "Quot(Tri(2, Zn(2)), <[[0,1],[0,0]]>)",
+    "Quot(Tri(2, Zn(3)), <[[0,1],[0,0]]>)",
+    "Quot(Prod(Zn(4), Zn(6)), <(2, 0)>)")
+
+
+def _scan_reached(*args):
+    raise AssertionError("the triple scan ran on a valid ring")
+
+
+def test_valid_rings_never_reach_the_triple_scan():
+    """The certificate accepts every valid ring up to the exhaustive
+    limit by itself: the row-major triple scan only names failures."""
+    with mock.patch.object(rings, "_check_triples", _scan_reached):
+        for text in (*(f"Zn({n})" for n in range(2, 65)), *GUARD_SPECS):
+            assert parse_ring(text).size <= EXHAUSTIVE_AXIOM_LIMIT, text
+
+
+@given(text=SMALL_RING)
+def test_small_rings_never_reach_the_triple_scan(text):
+    """The same on random small Zn/Prod/Tri/Mat/Quot rings."""
+    with mock.patch.object(rings, "_check_triples", _scan_reached):
+        try:
+            parse_ring(text)
+        except RingConstructionError:  # a quotient by the whole ring
+            pass
+
+
 @pytest.mark.parametrize("spec", ["Zn(6)", "Zn(65)", "Mat(2, Zn(2))",
-                                  "Mat(2, Zn(3))", "Tri(2, Zn(3))",
-                                  "Tri(3, Zn(2))", "Prod(Zn(2), Zn(3))",
+                                  "Mat(2, Zn(3))", "Mat(2, Zn(4))",
+                                  "Tri(2, Zn(3))", "Tri(3, Zn(2))",
+                                  "Tri(3, Zn(3))", "Prod(Zn(2), Zn(3))",
                                   "Prod(Mat(2, Zn(2)), Zn(2))",
                                   "Prod(Zn(4), Zn(3), Zn(5))"])
 def test_array_built_tables_match_element_construction(spec):
     """Tables computed from the base rings' arrays equal those built one
     element operation at a time, and the ring passes both axiom checks."""
     R = parse_ring(spec)
-    assert all(map(np.array_equal, R.tables, _reference_tables(R)))
+    reference = [np.array(t) for t in _reference_tables(R)]
+    assert all(map(np.array_equal, R.tables, reference))
     _verify_loop(R)
-    assert R.commutative == all(R.mul(a, b) == R.mul(b, a)
-                                for a in range(R.size) for b in range(R.size))
+    assert R.commutative == np.array_equal(reference[1], reference[1].T)
 
 
 @pytest.mark.parametrize("spec,gens", [
