@@ -244,6 +244,7 @@ class PrincipalClasses(NamedTuple):
     elements."""
     cls: object      # (n,) intp: the class of each element
     reps: object     # (k,) intp: the least element of each class, ascending
+    members: object  # (L, k) bool: lattice ideal i holds class a
     product: object  # (k, k) intp: lattice position of <reps[a]><reps[b]>
 
 
@@ -251,12 +252,15 @@ def principal_classes(R: Ring) -> PrincipalClasses:
     """The principal classes of table ring R and their product table,
     memoized on the ring.
 
-    In a unital ring <x><y> is the ideal generated by xRy, so it depends
-    only on the classes of x and y.  ``product[a, b]`` is the first
-    ideal of ``enumerate_ideals(R)`` (in size order, so the least) that
-    contains reps[a] R reps[b].  An ideal is a union of classes, so it
-    contains that set iff it contains the class of each of its elements:
-    one gather of n x k products and one (k, k) x (k, L) count per class.
+    Every ideal is a union of principal classes, so ``members`` (the
+    columns of ``lattice_members(R)`` at the representatives) tells
+    which elements each lattice ideal holds.  In a unital ring <x><y> is
+    the ideal generated by xRy, so it depends only on the classes of x
+    and y.  ``product[a, b]`` is the first ideal of ``enumerate_ideals(R)``
+    (in size order, so the least) that contains reps[a] R reps[b].  An
+    ideal contains that set iff it contains the class of each of its
+    elements: one gather of n x k products and one (k, k) x (k, L) count
+    per class.
     """
     def build():
         import numpy as np
@@ -271,15 +275,43 @@ def principal_classes(R: Ring) -> PrincipalClasses:
             cls[x] = ids[I]
         reps = np.array(reps, dtype=np.intp)
         k = len(reps)
+        members = lattice_members(R)[:, reps]
         # float32 counts are exact below 2**24 and take the BLAS product
-        outside = (~lattice_members(R)[:, reps]).T.astype(np.float32)
+        outside = (~members).T.astype(np.float32)
         product = np.empty((k, k), dtype=np.intp)
         for a in range(k):
             met = np.zeros((k, k), dtype=np.float32)  # met[b, c]: c in xRy
             met[np.arange(k), cls[mul[mul[reps[a]][:, None], reps]]] = 1
             product[a] = np.argmax(met @ outside == 0, axis=1)
-        return PrincipalClasses(cls, reps, product)
+        return PrincipalClasses(cls, reps, members, product)
     return R.cached("principal_classes", build)
+
+
+def first_hit(mask):
+    """The index tuple of the first True of ``mask`` in row-major order,
+    or None: ``argmax`` stops at the first True and, unlike
+    ``np.argwhere``, lists no other hit."""
+    import numpy as np
+    i = int(mask.argmax())
+    if not mask.flat[i]:
+        return None
+    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
+
+
+def first_class_hit(mask, reps):
+    """The first hit of a mask over principal classes, row-major, as the
+    pair (class indices, their least elements ``reps[a]``); or None.
+
+    When the element-level mask depends only on the classes of its
+    indices, those elements are its first row-major hit: the first x is
+    the least element whose class has a hit in the first axis, which is
+    the least element of the first such class (classes are numbered by
+    their least elements), and so on along each axis in turn.
+    """
+    hit = first_hit(mask)
+    if hit is None:
+        return None
+    return hit, tuple(int(reps[a]) for a in hit)
 
 
 def lattice_members(R: Ring):
@@ -381,11 +413,9 @@ def prime_witness(R: Ring, P: CrispIdeal):
     the elements outside P, found on the principal classes.  xRy <= P iff
     <x><y> <= P (P is an ideal, and <x><y> is generated by xRy), and
     both that and x in P depend only on the classes of x and y.  So P is
-    prime iff no two classes outside P have their product inside P.  In
-    the k x k table of such pairs of classes, the first x is the least
-    element whose class row has a hit (the least element of the first
-    such class) and the first y the least element of the first class
-    hit in that row.
+    prime iff no two classes outside P have their product inside P, and
+    the first hit of that k x k table gives the first witness
+    (:func:`first_class_hit`).
 
     Memoized per (table ring, ideal); Z answers by its direct formula.
     """
@@ -401,25 +431,19 @@ def prime_witness(R: Ring, P: CrispIdeal):
         return (a, n // a)
 
     def search():
-        import numpy as np
-        reps, out, inside = _class_products_inside(R, P)
-        hit = inside[np.ix_(out, out)]
-        i, j = divmod(int(hit.argmax()), len(out))
-        if not hit[i, j]:
-            return None
-        return (int(reps[out[i]]), int(reps[out[j]]))
+        found = first_class_hit(*_class_products_inside(R, P))
+        return None if found is None else found[1]
     return R.cached(("prime_witness", P), search)
 
 
 def _class_products_inside(R: Ring, P: CrispIdeal):
-    """The class representatives, the classes outside P, ascending (never
-    none: the class of ``one`` is outside a proper ideal), and the (k, k)
-    matrix of <reps[a]><reps[b]> <= P."""
-    import numpy as np
+    """The (k, k) matrix of classes a, b outside P with <reps[a]><reps[b]>
+    inside P, and the class representatives."""
     classes = principal_classes(R)
     p = lattice_positions(R)[P]
-    out = np.flatnonzero(~lattice_members(R)[p][classes.reps])
-    return classes.reps, out, subset_matrix(R)[classes.product, p]
+    out = ~classes.members[p]
+    inside = subset_matrix(R)[classes.product, p]
+    return inside & out[:, None] & out[None, :], classes.reps
 
 
 def is_prime_ideal(R: Ring, P: CrispIdeal) -> bool:
@@ -463,8 +487,7 @@ def semiprime_witness(R: Ring, P: CrispIdeal):
 
     On a table ring the witness is the least such x, found on the
     principal classes as in :func:`prime_witness`: P is semiprime iff no
-    class outside P has its square <x><x> inside P, and the least x is
-    the least element of the first such class.
+    class outside P has its square <x><x> inside P.
 
     Memoized per (table ring, ideal); Z answers by its direct formula.
     """
@@ -480,12 +503,9 @@ def semiprime_witness(R: Ring, P: CrispIdeal):
         return None
 
     def search():
-        reps, out, inside = _class_products_inside(R, P)
-        hit = inside[out, out]
-        i = int(hit.argmax())
-        if not hit[i]:
-            return None
-        return int(reps[out[i]])
+        hits, reps = _class_products_inside(R, P)
+        found = first_class_hit(hits.diagonal(), reps)
+        return None if found is None else found[1][0]
     return R.cached(("semiprime_witness", P), search)
 
 

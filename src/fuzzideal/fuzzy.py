@@ -363,6 +363,14 @@ def intersect(family) -> FuzzyIdeal:
                                           starts[1:] + [len(values)]):
             for i in range(start, end):
                 cuts[i].add(ideal)
+    return FuzzyIdeal(R, meet_chain(values, cuts))
+
+
+def meet_chain(values, cuts) -> tuple:
+    """The cut chain of a pointwise infimum from its members' cuts: at
+    each of the descending ``values``, the intersection of the distinct
+    member cuts ``cuts[i]``, each met once.  A value whose cut repeats
+    the one before adds no level."""
     chain = []
     for alpha, members in zip(values, cuts):
         c = functools.reduce(CrispIdeal.intersect, members)
@@ -371,7 +379,7 @@ def intersect(family) -> FuzzyIdeal:
     if not chain[-1][0].is_whole:
         raise TheoremViolationError(
             "intersection chain does not end at the whole ring")
-    return FuzzyIdeal(R, tuple(chain))
+    return tuple(chain)
 
 
 def value_equivalent(I: FuzzyIdeal, J: FuzzyIdeal) -> bool:

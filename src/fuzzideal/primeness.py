@@ -22,12 +22,11 @@ import numpy as np
 
 from . import crisp
 from .corpus import ideal_chains
-from .crisp import (completely_prime_witness, enumerate_ideals,
-                    is_prime_ideal, minimal_primes, prime_witness,
-                    semiprime_witness)
+from .crisp import (completely_prime_witness, is_prime_ideal,
+                    minimal_primes, prime_witness, semiprime_witness)
 from .errors import BackendError, TheoremViolationError
-from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, star_ideal,
-                    value_equivalent)
+from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, meet_chain,
+                    star_ideal, value_equivalent)
 from .rings import Ring, quotient_ring
 
 
@@ -46,56 +45,39 @@ def value_grid(P: FuzzyIdeal) -> tuple[Fraction, ...]:
 # Rank context for table rings
 # --------------------------------------------------------------------------
 
-def _lattice_index(R: Ring):
-    """The ideal lattice as the one rank kernel of a table ring.
+class _Ctx:
+    """Rank-space view of a fuzzy ideal P on the principal classes of a
+    table ring, a rank being a position in ``scale = value_grid(P)``.
 
+    Every cut of P is an ideal, a union of principal classes, so P is
+    constant on each class: ``pk`` is P's rank on each class, one
+    assignment per chain level, and ``pk[cls]`` its rank on each element.
     Every Inf-form reads minima of P over sets of elements, and a fuzzy
     ideal P takes its least value on the ideal <S> generated by a set S
     at a member of S: each element of <S> is a sum of terms +-r s t with
     s in S and r, t in R, and P(a + b) >= min(P(a), P(b)), P(-a) = P(a),
-    P(r s t) >= P(s).  So min P(S) = min P(<S>), and the minima over the
-    lattice ideals (``floor``, one ``np.minimum.reduceat`` over the packed
-    ``elems``) give all of them.  <S> is the first lattice ideal, in the
-    size order of ``enumerate_ideals(R)``, that contains S.
-
-    ``product[x, y]`` is the position of <x><y>.  In a unital ring both
-    <xRy> and <x><y> are the additive span of R x R y R, so
-    min P(xRy) = floor[product[x, y]].  <x><y> depends only on <x> and
-    <y>, so ``crisp.principal_classes`` finds it once per pair of
-    principal classes.
+    P(r s t) >= P(s).  So min P(S) = min P(<S>), and ``floor``, P's least
+    rank on each lattice ideal, gives all of them.  In a unital ring both
+    <xRy> and <x><y> are the additive span of R x R y R, so for x in
+    class a and y in class b, min P(xRy) = floor[product[a, b]] =
+    ``mk[a, b]``.
     """
-    def build():
-        member = crisp.lattice_members(R)
-        classes = crisp.principal_classes(R)
-        sizes = member.sum(axis=1)
-        starts = np.cumsum(sizes) - sizes
-        return {"elems": (np.flatnonzero(member) % R.size, starts),
-                "product": classes.product[np.ix_(classes.cls, classes.cls)]}
-    return R.cached("lattice_index", build)
-
-
-class _Ctx:
-    """Rank-space view of a fuzzy ideal P on a table ring, a rank being a
-    position in ``scale = value_grid(P)``: P's ranks ``pv`` (one
-    assignment per chain level, coarsest first), their minimum ``floor``
-    on each lattice ideal and ``m[x, y] = min P(xRy)`` (see
-    :func:`_lattice_index`)."""
 
     def __init__(self, P: FuzzyIdeal):
         R = P.ring
         if not R.is_table:
             raise BackendError("rank context requires a table ring")
-        self.ring = R
+        classes = crisp.principal_classes(R)
+        self.ring, self.cls, self.reps = R, classes.cls, classes.reps
         self.scale = value_grid(P)
         rank = {v: i for i, v in enumerate(self.scale)}
-        self.pv = np.empty(R.size, dtype=np.int64)
+        pos = crisp.lattice_positions(R)
+        self.pk = np.empty(len(self.reps), dtype=np.int64)
         for C, v in reversed(P.chain):
-            self.pv[list(C.elems)] = rank[v]
-        self.mul = R.tables.mul
-        index = _lattice_index(R)
-        self.floor = np.minimum.reduceat(self.pv[index["elems"][0]],
-                                         index["elems"][1])
-        self.m = self.floor[index["product"]]
+            self.pk[classes.members[pos[C]]] = rank[v]
+        self.floor = np.where(classes.members, self.pk,
+                              len(self.scale)).min(axis=1)
+        self.mk = self.floor[classes.product]
 
     def value(self, r):
         return self.scale[int(r)]
@@ -104,19 +86,8 @@ class _Ctx:
         return self.ring.label(int(i))
 
 
-# One slot: classify and the checks ask every decider about one P in turn,
-# and a larger memo would keep an n x n array per item of a corpus.
+# One slot: classify and the checks ask every decider about one P in turn.
 _ctx = functools.lru_cache(maxsize=1)(_Ctx)
-
-
-def _first_hit(mask):
-    """The index tuple of the first True of ``mask`` in row-major order,
-    or None: ``argmax`` stops at the first True and, unlike
-    ``np.argwhere``, lists no other hit."""
-    i = int(mask.argmax())
-    if not mask.flat[i]:
-        return None
-    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
 
 
 # --------------------------------------------------------------------------
@@ -129,14 +100,14 @@ def prime_new_witness(P: FuzzyIdeal):
     if not P.ring.is_table:
         return _cut_witness(P, prime_witness, "prime")
     ctx = _ctx(P)
-    tgt = np.maximum.outer(ctx.pv, ctx.pv)
-    hit = _first_hit(ctx.m != tgt)
-    if hit is None:
+    tgt = np.maximum.outer(ctx.pk, ctx.pk)
+    found = crisp.first_class_hit(ctx.mk != tgt, ctx.reps)
+    if found is None:
         return None
-    x, y = hit
+    (a, b), (x, y) = found
     return {"x": ctx.elem(x), "y": ctx.elem(y),
-            "inf_P_xRy": str(ctx.value(ctx.m[x, y])),
-            "P(x)_or_P(y)": str(ctx.value(tgt[x, y]))}
+            "inf_P_xRy": str(ctx.value(ctx.mk[a, b])),
+            "P(x)_or_P(y)": str(ctx.value(tgt[a, b]))}
 
 
 def is_prime_new(P: FuzzyIdeal) -> bool:
@@ -225,10 +196,12 @@ def is_D1(P: FuzzyIdeal) -> bool:
     return D1_witness(P) is None
 
 
-def _grid_product_witness(ctx: _Ctx, prod):
+def _grid_product_witness(ctx: _Ctx, ranks, prod, reps):
     """The first (x, y, t, s), x and y row-major and t, s ascending over
     the positive grid ranks, with P(x) < t, P(y) < s and
-    min(t, s) <= prod[x, y]; or None.
+    min(t, s) <= prod[x, y]; or None.  ``ranks`` and ``prod`` are P's
+    ranks and the product's on classes whose least elements are
+    ``reps``.
 
     For given x and y, min(t, s) only grows with t and with s, so if the
     least t above P(x) and the least s above P(y) fail, every pair fails,
@@ -236,23 +209,28 @@ def _grid_product_witness(ctx: _Ctx, prod):
     ``end`` (none) when P(x) = 1.
     """
     end = len(ctx.scale)
-    above = ctx.pv + 1
+    above = ranks + 1
     t, s = above[:, None], above[None, :]
-    hit = _first_hit((np.maximum(t, s) < end) & (np.minimum(t, s) <= prod))
-    if hit is None:
+    found = crisp.first_class_hit(
+        (np.maximum(t, s) < end) & (np.minimum(t, s) <= prod), reps)
+    if found is None:
         return None
-    x, y = hit
+    (a, b), (x, y) = found
     return {"x": ctx.elem(x), "y": ctx.elem(y),
-            "t": str(ctx.value(above[x])), "s": str(ctx.value(above[y]))}
+            "t": str(ctx.value(above[a])), "s": str(ctx.value(above[b]))}
 
 
 def D0_witness(P: FuzzyIdeal):
-    """Singleton product x_t y_s = (xy)_{t^s}; quantifiers on the grid."""
+    """Singleton product x_t y_s = (xy)_{t^s}; quantifiers on the grid.
+    P(xy) is no class function on a noncommutative ring, so each element
+    is its own class here."""
     P.require_non_constant()
-    if not P.ring.is_table:
+    R = P.ring
+    if not R.is_table:
         raise BackendError("D0 requires a table ring")
     ctx = _ctx(P)
-    return _grid_product_witness(ctx, ctx.pv[ctx.mul])
+    pv = ctx.pk[ctx.cls]
+    return _grid_product_witness(ctx, pv, pv[R.tables.mul], range(R.size))
 
 
 def is_D0(P: FuzzyIdeal) -> bool:
@@ -265,7 +243,7 @@ def D0prime_witness(P: FuzzyIdeal):
     if not P.ring.is_table:
         raise BackendError("D0' requires a table ring")
     ctx = _ctx(P)
-    return _grid_product_witness(ctx, ctx.m)
+    return _grid_product_witness(ctx, ctx.pk, ctx.mk, ctx.reps)
 
 
 def is_D0prime(P: FuzzyIdeal) -> bool:
@@ -282,14 +260,13 @@ def semiprime_new_witness(P: FuzzyIdeal):
     if not P.ring.is_table:
         return _cut_witness(P, semiprime_witness, "semiprime")
     ctx = _ctx(P)
-    n = ctx.ring.size
-    diag = ctx.m[np.arange(n), np.arange(n)]
-    hit = _first_hit(diag != ctx.pv)
-    if hit is None:
+    diag = ctx.mk.diagonal()
+    found = crisp.first_class_hit(diag != ctx.pk, ctx.reps)
+    if found is None:
         return None
-    x, = hit
-    return {"x": ctx.elem(x), "inf_P_xRx": str(ctx.value(diag[x])),
-            "P(x)": str(ctx.value(ctx.pv[x]))}
+    (a,), (x,) = found
+    return {"x": ctx.elem(x), "inf_P_xRx": str(ctx.value(diag[a])),
+            "P(x)": str(ctx.value(ctx.pk[a]))}
 
 
 def is_semiprime_new(P: FuzzyIdeal) -> bool:
@@ -311,14 +288,14 @@ def SD4_witness(P: FuzzyIdeal):
         # over Z (commutative) D4-semiprimeness = squarefree cuts
         return _cut_witness(P, semiprime_witness, "semiprime")
     ctx = _ctx(P)
-    n = ctx.ring.size
-    sq = ctx.pv[ctx.mul[np.arange(n), np.arange(n)]]
-    hit = _first_hit(sq != ctx.pv)
+    pv = ctx.pk[ctx.cls]
+    sq = pv[P.ring.tables.mul.diagonal()]
+    hit = crisp.first_hit(sq != pv)
     if hit is None:
         return None
     x, = hit
     return {"x": ctx.elem(x), "P(x^2)": str(ctx.value(sq[x])),
-            "P(x)": str(ctx.value(ctx.pv[x]))}
+            "P(x)": str(ctx.value(pv[x]))}
 
 
 def is_SD4(P: FuzzyIdeal) -> bool:
@@ -488,20 +465,6 @@ def semiprime_family(I: FuzzyIdeal, grid, bound: int | None = None):
     return values, rows
 
 
-def semiprimes_above(I: FuzzyIdeal, grid, bound: int | None = None):
-    """Yield (Q, prime) for every member Q of
-    ``semiprime_family(I, grid, bound)``, in order, built as a
-    ``FuzzyIdeal``; ``prime`` tells whether Q is also prime."""
-    R = I.ring
-    lattice = enumerate_ideals(R, bound)
-    values, rows = semiprime_family(I, grid, bound)
-    for positions, value_index, prime in rows:
-        for chain, index, p in zip(positions.tolist(), value_index.tolist(),
-                                   prime.tolist()):
-            yield FuzzyIdeal(R, tuple((lattice[i], values[k])
-                                      for i, k in zip(chain, index))), p
-
-
 def family_meet(lattice, values, rows) -> tuple:
     """The canonical cut chain of the pointwise infimum of a nonempty
     family of fuzzy ideals in rank form.  ``rows`` holds (positions,
@@ -514,8 +477,8 @@ def family_meet(lattice, values, rows) -> tuple:
     up to the least top value, and an alpha whose cut repeats the one
     before adds no level.  A member's alpha-cut is its ideal at its last
     level valued at least alpha.  At each alpha the distinct cuts (at
-    most the lattice) are met once with ``CrispIdeal.intersect``, so Z
-    keeps exact generators.
+    most the lattice) are met once by ``fuzzy.meet_chain``, so Z keeps
+    exact generators.
     """
     rows = [(p, i) for p, i in rows if len(p)]
     if not rows:
@@ -536,17 +499,8 @@ def family_meet(lattice, values, rows) -> tuple:
         keys.update((at + n * np.arange(len(alphas))).ravel().tolist())
     cuts = [[] for _ in alphas]
     for key in keys:
-        cuts[key // n].append(key % n)
-    chain = []
-    for alpha, members in zip(alphas.tolist(), cuts):
-        c = functools.reduce(crisp.CrispIdeal.intersect,
-                             (lattice[p] for p in members))
-        if not chain or chain[-1][0] != c:
-            chain.append((c, values[alpha]))
-    if not chain[-1][0].is_whole:
-        raise TheoremViolationError(
-            "intersection chain does not end at the whole ring")
-    return tuple(chain)
+        cuts[key // n].append(lattice[key % n])
+    return meet_chain([values[a] for a in alphas.tolist()], cuts)
 
 
 # --------------------------------------------------------------------------
@@ -601,9 +555,9 @@ def _ideal_test(ctx: _Ctx) -> bool:
     realize every such strict interval.
     """
     for t in range(len(ctx.scale)):
-        # I_t <= P on xRy (t <= m[x, y]) while I_t > P at x and at y
-        low = ctx.pv < t
-        if ((ctx.m >= t) & low[:, None] & low[None, :]).any():
+        # I_t <= P on xRy (t <= mk) while I_t > P at x and at y
+        low = ctx.pk < t
+        if ((ctx.mk >= t) & low[:, None] & low[None, :]).any():
             return False
     return True
 
@@ -646,8 +600,9 @@ def classify(P: FuzzyIdeal):
     """Full truth table of all notions, with witnesses for the false ones.
     Quantifiers range over ``value_grid(P)``; ℤ lacks D0 and SD0'.
 
-    Internal cross-assertions (D0' = D1, PRIME_NEW = D2, SD2 agreement,
-    commutative D4 agreement) raise TheoremViolationError on failure.
+    Internal cross-assertions (D0' = D1, PRIME_NEW = D2,
+    SEMIPRIME_NEW = SD2 and, on commutative rings, PRIME_NEW = D4 and
+    SEMIPRIME_NEW = SD4) raise TheoremViolationError on failure.
     """
     P.require_non_constant()
     R = P.ring

@@ -19,7 +19,7 @@ from .errors import TheoremViolationError
 from .fuzzy import (FuzzyIdeal, cut, intersect, probe_elements, whole_ideal,
                     zero_type)
 from .primeness import (family_meet, is_prime_new, is_semiprime_new,
-                        semiprime_family, semiprimes_above, value_grid)
+                        semiprime_family, value_grid)
 from .rings import Ring
 
 
@@ -200,8 +200,9 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
     of the primes above it valued on ``value_grid(P)``, and finite
     intersections of primes are semiprime.
 
-    The meet is taken in rank form as in :func:`frad_intersection_check`;
-    only the primes of the first ``pair_cap`` pairs are built.
+    Every meet is taken in rank form as in
+    :func:`frad_intersection_check`, the pairwise ones on one-member rows;
+    a fuzzy ideal is built only for each pair's meet.
     """
     if not is_semiprime_new(P):
         raise ValueError("input must be semiprime")
@@ -216,23 +217,25 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
     prime_count = sum(len(positions) for positions, _ in primes)
     if not prime_count:
         raise TheoremViolationError("no grid-valued prime above P")
-    _, bad = _meet_difference(
-        P, family_meet(enumerate_ideals(R, bound), values, primes))
+    lattice = enumerate_ideals(R, bound)
+    _, bad = _meet_difference(P, family_meet(lattice, values, primes))
     if bad is not None:
         raise TheoremViolationError(
             "semiprime ideal differs from its prime intersection",
             details={"x": str(bad)})
     # the first pair_cap pairs of combinations() lie among the first
-    # pair_cap + 1 primes
-    built = list(itertools.islice(
-        (Q for Q, prime in semiprimes_above(P, grid, bound) if prime),
+    # pair_cap + 1 primes, each a one-member row of family_meet
+    first = list(itertools.islice(
+        ((positions[i:i + 1], index[i:i + 1])
+         for positions, index in primes for i in range(len(positions))),
         pair_cap + 1))
     checked = 0
-    for A, B in itertools.combinations(built, 2):
+    for A, B in itertools.combinations(first, 2):
         if checked >= pair_cap:
             break
         checked += 1
-        if not is_semiprime_new(intersect([A, B])):
+        meet = FuzzyIdeal(R, family_meet(lattice, values, [A, B]))
+        if not is_semiprime_new(meet):
             raise TheoremViolationError(
                 "intersection of primes is not semiprime")
     return {"prime_count": prime_count, "pairs_checked": checked,

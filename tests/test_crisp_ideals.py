@@ -149,8 +149,9 @@ def test_generation_is_the_least_ideal(text, data):
 def test_principal_classes_match_generation(text):
     """The principal ideals, generated once per unit orbit, equal
     ``ideal_generate(R, {x})`` for every x; the classes group exactly the
-    elements with equal ideals, led by their least elements; and each
-    class product is the ideal generated by reps[a] R reps[b]."""
+    elements with equal ideals, led by their least elements; ``members``
+    tells which lattice ideals hold each representative; and each class
+    product is the ideal generated by reps[a] R reps[b]."""
     try:
         R = small_ring(text)
     except RingConstructionError:  # a quotient by the whole ring
@@ -165,6 +166,8 @@ def test_principal_classes_match_generation(text):
     assert [classes.reps[c] for c in classes.cls] == \
         [first[I] for I in ideals]
     lattice = enumerate_ideals(R)
+    assert classes.members.tolist() == [
+        [J.contains(x) for x in classes.reps.tolist()] for J in lattice]
     for a, x in enumerate(classes.reps.tolist()):
         for b, y in enumerate(classes.reps.tolist()):
             xry = {R.mul(R.mul(x, r), y) for r in range(R.size)}

@@ -28,7 +28,8 @@ from fuzzideal.primeness import (D0_witness, D0prime_witness, D3_witness,
                                  D4_witness, SD0prime_witness, SD1_witness,
                                  _Ctx, _ideal_test, is_D0, is_D0prime, is_D1,
                                  is_D4, is_prime_new, is_SD4,
-                                 is_semiprime_new)
+                                 is_semiprime_new, prime_new_witness,
+                                 semiprime_new_witness)
 
 F = Fraction
 
@@ -354,7 +355,7 @@ def test_d3_d4_witnesses_over_z(z_corpus):
 
 
 # --------------------------------------------------------------------------
-# References: the element-wise Inf-forms that the lattice kernel replaced
+# References: the element-wise Inf-forms that the class kernel replaced
 # --------------------------------------------------------------------------
 
 def _xry(R):
@@ -379,12 +380,47 @@ def _principal_products(R):
     return pp
 
 
-def _reference_ctx(P):
-    """A rank context whose m is gathered over xRy element by element."""
-    ctx = _Ctx(P)
-    n = P.ring.size
-    ctx.m = ctx.pv[_xry(P.ring)].min(axis=1).reshape(n, n)
-    return ctx
+class _ReferenceCtx:
+    """An element-level rank view: P's rank ``pv`` on each element, read
+    from P(x), and m[x, y] = min P(xRy) gathered over xRy element by
+    element."""
+
+    def __init__(self, P):
+        R = P.ring
+        self.ring, self.mul = R, R.tables.mul
+        self.scale = value_grid(P)
+        self.pv = np.array([self.scale.index(P(x)) for x in range(R.size)])
+        n = R.size
+        self.m = self.pv[_xry(R)].min(axis=1).reshape(n, n)
+
+    def value(self, r):
+        return self.scale[int(r)]
+
+    def elem(self, i):
+        return self.ring.label(int(i))
+
+
+def _prime_new_reference(ctx):
+    """PRIME_NEW on the n x n forms: Inf P(xRy) = P(x) v P(y)."""
+    tgt = np.maximum.outer(ctx.pv, ctx.pv)
+    hit = _first_pair(ctx.m != tgt)
+    if hit is None:
+        return None
+    x, y = hit
+    return {"x": ctx.elem(x), "y": ctx.elem(y),
+            "inf_P_xRy": str(ctx.value(ctx.m[x, y])),
+            "P(x)_or_P(y)": str(ctx.value(tgt[x, y]))}
+
+
+def _semiprime_new_reference(ctx):
+    """SEMIPRIME_NEW on the n-long diagonal: Inf P(xRx) = P(x)."""
+    diag = np.diagonal(ctx.m)
+    hit = _first_pair(diag != ctx.pv)
+    if hit is None:
+        return None
+    x, = hit
+    return {"x": ctx.elem(x), "inf_P_xRx": str(ctx.value(diag[x])),
+            "P(x)": str(ctx.value(ctx.pv[x]))}
 
 
 def _ideal_test_reference(ctx):
@@ -455,11 +491,12 @@ def _d4_reference(ctx):
 
 
 def _assert_matches_references(P):
-    ctx, ref = _Ctx(P), _reference_ctx(P)
-    assert ctx.pv.tolist() == [ctx.scale.index(P(x))
-                               for x in range(P.ring.size)], P
-    assert (ctx.m == ref.m).all(), P
+    ctx, ref = _Ctx(P), _ReferenceCtx(P)
+    assert ctx.pk[ctx.cls].tolist() == ref.pv.tolist(), P
+    assert (ctx.mk[np.ix_(ctx.cls, ctx.cls)] == ref.m).all(), P
     assert _ideal_test(ctx) == _ideal_test_reference(ref), P
+    assert prime_new_witness(P) == _prime_new_reference(ref), P
+    assert semiprime_new_witness(P) == _semiprime_new_reference(ref), P
     assert D3_witness(P) == _d3_reference(ref, ref.scale.index(P.top)), P
     assert D4_witness(P) == _d4_reference(ref), P
     pp = _principal_products(P.ring)
@@ -472,8 +509,9 @@ def _assert_matches_references(P):
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_inf_forms_match_references(corpora, spec):
-    """pv, m, the ideal test and the D0/D0'/D3/D4/SD0' witnesses match
-    the element-wise forms on every corpus item."""
+    """The class ranks and the class table, read at each element, the
+    ideal test and the PRIME_NEW/SEMIPRIME_NEW/D0/D0'/D3/D4/SD0'
+    witnesses match the element-wise forms on every corpus item."""
     for P in corpora[spec]:
         _assert_matches_references(P)
 
@@ -502,9 +540,9 @@ def test_cut_theorems_for_d0_and_sd4(text, data):
 
 
 def test_classify_memory_is_quadratic():
-    """Once a ring's lattice index is built, classifying more items on
-    Zn(360) allocates O(n^2), not an n^2 x n array (373 MB), and keeps no
-    rank view per item (each holds an n x n array, 1 MB)."""
+    """Once a ring's principal classes are built, classifying more items
+    on Zn(360) allocates O(n^2), not an n^2 x n array (373 MB), and keeps
+    no rank view per item."""
     R = parse_ring("Zn(360)")
     classify(parse_fuzzy_spec(R, "{1: <0>, 1/2: <6>, 0: <*>}"))
     items = build_corpus(R, mode="random", seed=1, cap=40)

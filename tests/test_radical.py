@@ -21,7 +21,7 @@ from fuzzideal.crisp import (crisp_radical, enumerate_ideals, ideal_generate,
                              zero_ideal)
 from fuzzideal.fuzzy import cut, probe_elements
 from fuzzideal.primeness import (family_meet, is_prime_new, is_semiprime_new,
-                                 semiprimes_above)
+                                 semiprime_family)
 from fuzzideal.radical import (_cut_radicals, _excluding_value,
                                _first_difference, ring_radical_experimental,
                                ring_radical_value_equivalence)
@@ -175,6 +175,20 @@ def _above_reference(I, grid, bound):
             if is_prime_new(Q):
                 primes.append(Q)
     return primes, semiprimes
+
+
+def semiprimes_above(I, grid, bound=None):
+    """Yield (Q, prime) for every member Q of
+    ``semiprime_family(I, grid, bound)``, in order, built as a
+    ``FuzzyIdeal``; ``prime`` tells whether Q is also prime."""
+    R = I.ring
+    lattice = enumerate_ideals(R, bound)
+    values, rows = semiprime_family(I, grid, bound)
+    for positions, value_index, prime in rows:
+        for chain, index, p in zip(positions.tolist(), value_index.tolist(),
+                                   prime.tolist()):
+            yield FuzzyIdeal(R, tuple((lattice[i], values[k])
+                                      for i, k in zip(chain, index))), p
 
 
 def _generated(I, grid, bound):
