@@ -124,15 +124,17 @@ def _inside_outside(P: "CrispIdeal"):
 
 
 def zero_ideal(R: Ring) -> CrispIdeal:
-    if R.is_table:
-        return CrispIdeal(R, elems=frozenset({R.zero}))
-    return CrispIdeal(R, gen=0)
+    """{0}, memoized per ring."""
+    return R.cached("zero_ideal", lambda: (
+        CrispIdeal(R, elems=frozenset({R.zero})) if R.is_table
+        else CrispIdeal(R, gen=0)))
 
 
 def whole_ideal(R: Ring) -> CrispIdeal:
-    if R.is_table:
-        return CrispIdeal(R, elems=frozenset(range(R.size)))
-    return CrispIdeal(R, gen=1)
+    """R itself, memoized per ring: a table ring's is an n-element set."""
+    return R.cached("whole_ideal", lambda: (
+        CrispIdeal(R, elems=frozenset(range(R.size))) if R.is_table
+        else CrispIdeal(R, gen=1)))
 
 
 def is_ideal(R: Ring, subset: frozenset[int]) -> bool:

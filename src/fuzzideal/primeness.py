@@ -36,7 +36,14 @@ from .rings import Ring, quotient_ring
 
 def value_grid(P: FuzzyIdeal) -> tuple[Fraction, ...]:
     """image(P) + {0, 1} + midpoints of consecutive members, ascending."""
-    base = sorted(set(P.values) | {ZERO, ONE})
+    return _value_grid(P.values)
+
+
+@functools.lru_cache(maxsize=1024)
+def _value_grid(image) -> tuple[Fraction, ...]:
+    """The grid of :func:`value_grid`, memoized per image: a check calls
+    it once per item, and corpora draw their images from a few values."""
+    base = sorted(set(image) | {ZERO, ONE})
     mids = [(a + b) / 2 for a, b in zip(base, base[1:])]
     return tuple(sorted(set(base) | set(mids)))
 

@@ -10,11 +10,14 @@ the explicit prime-avoiding construction.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .crisp import crisp_radical, enumerate_ideals, prime_avoiding
+from .crisp import (crisp_radical, enumerate_ideals, lattice_positions,
+                    prime_avoiding)
 from .errors import TheoremViolationError
 from .fuzzy import (FuzzyIdeal, cut, intersect, probe_elements, whole_ideal,
                     zero_type)
@@ -68,10 +71,13 @@ def witness_prime_excluding(I: FuzzyIdeal, x, s) -> FuzzyIdeal:
     """A prime fuzzy ideal P >= I with P(x) = s, via a prime ideal
     containing Rad(I_s) but avoiding x.
 
-    P's primeness is decided once per ring and distinct P (its chain is
-    the key): the same few witnesses recur across the elements and the
-    items of a check.  ``I <= P`` and ``P(x) = s`` are re-checked on
-    every call.
+    Per element: s is below I(0), x lies outside Rad(I_s), and M is the
+    memoized ``prime_avoiding`` ideal.  Per prime, in
+    :func:`_prime_above`: P = {(M, I(0)), (R, s)} is prime (decided once
+    per ring and P) and above I.  Per element again: P(x) = s.
+    :func:`frad_intersection_check` runs the same steps but builds each
+    distinct (M, s) once per item, since the same few witnesses serve
+    most of the elements.
     """
     s = Fraction(s)
     R = I.ring
@@ -80,14 +86,35 @@ def witness_prime_excluding(I: FuzzyIdeal, x, s) -> FuzzyIdeal:
     base = crisp_radical(R, cut(I, s))
     if base.contains(x):
         raise ValueError("x must lie outside Rad(I_s)")
-    M = prime_avoiding(R, base, x)
-    P = FuzzyIdeal(R, ((M, I.top), (whole_ideal(R), s)))
-    prime = R.cached(("witness_is_prime_new", P.chain),
-                     lambda: is_prime_new(P))
-    if not (prime and I.le(P) and P(x) == s):
-        raise TheoremViolationError(
-            "prime-avoiding witness is not a prime above I with P(x) = s")
+    P = _prime_above(I, prime_avoiding(R, base, x), s)
+    _require_excluded(P, x, s)
     return P
+
+
+_WITNESS_FAILED = "prime-avoiding witness is not a prime above I with P(x) = s"
+
+
+def _prime_above(I: FuzzyIdeal, M, s) -> FuzzyIdeal:
+    """P = {(M, I(0)), (R, s)}, checked to be a prime fuzzy ideal above I.
+
+    P's primeness is memoized per ring and distinct P (its chain is the
+    key): the same few witnesses recur across the items of a check.
+    """
+    R = I.ring
+    P = FuzzyIdeal(R, ((M, I.top), (whole_ideal(R), s)))
+    if not (s < I.top
+            and R.cached(("witness_is_prime_new", P.chain),
+                         lambda: is_prime_new(P))
+            and I.le(P)):
+        raise TheoremViolationError(_WITNESS_FAILED)
+    return P
+
+
+def _require_excluded(P: FuzzyIdeal, x, s):
+    """Raise unless the witness P takes the value s at x."""
+    if P(x) != s:
+        raise TheoremViolationError(_WITNESS_FAILED,
+                                    details={"x": P.ring.label(x)})
 
 
 def _first_difference(F: FuzzyIdeal, G: FuzzyIdeal):
@@ -119,11 +146,14 @@ def _excluding_value(radicals, x, w):
     """The least grid value s > w with x outside Rad(I_s), from the
     :func:`_cut_radicals` of I.
 
-    With w = FRad(I)(x) below the top, the next image value of I above w
-    is such an s; :func:`witness_prime_excluding` turns it into a prime P
-    above I with P(x) = s.
+    With w = FRad(I)(x) below the top, the next image value v of I above
+    w has x outside Rad(I_v), and so does the midpoint of w and v, which
+    has the same cut; on ``value_grid(I)`` s is therefore below I(0).
+    :func:`witness_prime_excluding` turns it into a prime P above I with
+    P(x) = s.
     """
-    s = next((v for v, rad in radicals if v > w and not rad.contains(x)),
+    start = bisect.bisect_right(radicals, w, key=itemgetter(0))
+    s = next((v for v, rad in radicals[start:] if not rad.contains(x)),
              None)
     if s is None:
         raise TheoremViolationError(
@@ -133,12 +163,64 @@ def _excluding_value(radicals, x, w):
     return s
 
 
-def _meet_difference(F: FuzzyIdeal, chain):
-    """The family meet with the cut chain ``chain`` as a fuzzy ideal G,
-    and an element where F and G differ (None when they are equal)."""
-    G = FuzzyIdeal(F.ring, chain)
-    if G.chain == F.chain:
-        return G, None
+def _ranked(F: FuzzyIdeal, rank) -> tuple:
+    """F's cut chain with each value replaced by its rank (None off the
+    grid)."""
+    return tuple((C, rank.get(v)) for C, v in F.chain)
+
+
+def _family_meets(I: FuzzyIdeal, rank, bound, family=None) -> tuple:
+    """``(prime_count, semiprime_count, F2, F1)`` for the family
+    ``semiprime_family(I, grid, bound)``, where ``grid = value_grid(I)``
+    and ``rank`` maps each grid value, ascending, to its position: the
+    family's sizes, and the meets of its primes (F2) and of all its
+    members (F1) as cut chains of ranks (None for an empty family).
+    ``family`` is that family when the caller has already built it.
+
+    Memoized per ring and rank pattern K = (I's chain ideals, the ranks
+    of I's level values, the grid's length, ``bound``).  K determines all
+    four.  ``semiprime_family`` reads I only through its L1 thresholds,
+    which depend on the chain ideals and the ranks of their values, and
+    through its L2 chain flags, which depend on the ring, the grid's
+    length and ``bound``; every value it compares is a rank.
+    ``family_meet`` reads value indices only and attaches the labels at
+    the end, so with the ranks as labels it returns the meet in rank
+    form.  The memo holds these tuples, not the family arrays.
+    """
+    R = I.ring
+
+    def build():
+        values, rows = (family if family is not None
+                        else semiprime_family(I, tuple(rank), bound))
+        semiprimes = [(positions, index) for positions, index, _ in rows]
+        primes = [(positions[prime], index[prime])
+                  for positions, index, prime in rows]
+        lattice = enumerate_ideals(R, bound)
+        position = lattice_positions(R, bound)
+        ranks = range(len(values) - 1, -1, -1)  # values descend
+
+        def shared(meet):
+            # the lattice's own ideal objects, not the meet's fresh copies,
+            # which were most of the memo on Zn(360); over Z an lcm can
+            # leave the bounded lattice
+            return tuple((lattice[position[C]] if C in position else C, r)
+                         for C, r in meet)
+        counts = [sum(len(p) for p, _ in f) for f in (primes, semiprimes)]
+        meets = [shared(family_meet(lattice, ranks, f)) if n else None
+                 for n, f in zip(counts, (primes, semiprimes))]
+        return (*counts, *meets)
+    return R.cached(("frad_family", _ranked(I, rank), len(rank), bound),
+                    build)
+
+
+def _meet_difference(F: FuzzyIdeal, meet, rank):
+    """The rank-form meet ``meet`` of :func:`_family_meets` as a fuzzy
+    ideal G, and an element where F and G differ; (None, None) when F is
+    the meet."""
+    if _ranked(F, rank) == meet:
+        return None, None
+    grid = tuple(rank)
+    G = FuzzyIdeal(F.ring, tuple((C, grid[r]) for C, r in meet))
     return G, _first_difference(F, G)
 
 
@@ -152,7 +234,22 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
     deciding primeness with the Inf-forms once per ideal chain, so the
     check does not rest on the cut radicals that :func:`frad` uses.
     Each intersection is one lattice meet per value
-    (:func:`family_meet`); fuzzy ideals are built only to report a
+    (:func:`family_meet`).
+
+    The work is split by what it depends on:
+
+    - per rank pattern of I (see :func:`_family_meets`, which gives the
+      argument that the pattern determines the family): the family, its
+      sizes and both meets, memoized per ring;
+    - per item: FRad(I), compared with both meets in rank form, and the
+      radicals of I's cuts;
+    - per element x with FRad(I)(x) below the top: the witness value s
+      and the prime-avoiding ideal M (memoized per ring);
+    - per distinct (M, s) of the item: P = {(M, I(0)), (R, s)} is prime
+      (memoized per ring) and above I;
+    - per element again: P(x) = s.
+
+    Fuzzy ideals are built only for the witnesses and to report a
     difference.
     """
     I.require_non_constant()
@@ -162,16 +259,12 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
         bound = max(64, *(c.gen for c, _ in I.chain))
     F3 = frad(I)
 
-    values, family = semiprime_family(I, grid, bound)
-    semiprimes = [(positions, index) for positions, index, _ in family]
-    primes = [(positions[prime], index[prime])
-              for positions, index, prime in family]
-    prime_count = sum(len(positions) for positions, _ in primes)
+    rank = {v: r for r, v in enumerate(grid)}
+    prime_count, semiprime_count, *meets = _family_meets(I, rank, bound)
     if not prime_count:
         raise TheoremViolationError("no grid-valued prime above I")
-    lattice = enumerate_ideals(R, bound)
-    for name, rows in (("F2", primes), ("F1", semiprimes)):
-        F, bad = _meet_difference(F3, family_meet(lattice, values, rows))
+    for name, meet in zip(("F2", "F1"), meets):
+        F, bad = _meet_difference(F3, meet, rank)
         if bad is not None:
             raise TheoremViolationError(
                 f"FRad != {name}",
@@ -180,17 +273,24 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
 
     # lower-bound direction: explicit prime witnesses excluding each element
     radicals = _cut_radicals(I, grid)
+    radical_at = dict(radicals)
+    primes = {}
     witnesses = 0
     for x in probe_elements(I, F3):
         w = F3(x)
         if w == F3.top:
             continue
-        witness_prime_excluding(I, x, _excluding_value(radicals, x, w))
+        s = _excluding_value(radicals, x, w)
+        M = prime_avoiding(R, radical_at[s], x)
+        P = primes.get((M, s))
+        if P is None:
+            P = primes[M, s] = _prime_above(I, M, s)
+        _require_excluded(P, x, s)
         witnesses += 1
     return {"frad_equals_prime_intersection": True,
             "frad_equals_semiprime_intersection": True,
             "prime_count": prime_count,
-            "semiprime_count": sum(len(p) for p, _ in semiprimes),
+            "semiprime_count": semiprime_count,
             "lower_bound_witnesses": witnesses}
 
 
@@ -200,9 +300,11 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
     of the primes above it valued on ``value_grid(P)``, and finite
     intersections of primes are semiprime.
 
-    Every meet is taken in rank form as in
-    :func:`frad_intersection_check`, the pairwise ones on one-member rows;
-    a fuzzy ideal is built only for each pair's meet.
+    The prime meet is read from the rank-pattern memo of
+    :func:`frad_intersection_check` (:func:`_family_meets`) and compared
+    in rank form; the pairwise meets are taken on one-member rows of
+    :func:`family_meet`, and a fuzzy ideal is built only for each pair's
+    meet.
     """
     if not is_semiprime_new(P):
         raise ValueError("input must be semiprime")
@@ -212,17 +314,19 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
     grid = value_grid(P)
     # every prime fuzzy ideal is semiprime, so no prime above P is missed
     values, family = semiprime_family(P, grid, bound)
-    primes = [(positions[prime], index[prime])
-              for positions, index, prime in family]
-    prime_count = sum(len(positions) for positions, _ in primes)
+    rank = {v: r for r, v in enumerate(grid)}
+    prime_count, _, prime_meet, _ = _family_meets(P, rank, bound,
+                                                  (values, family))
     if not prime_count:
         raise TheoremViolationError("no grid-valued prime above P")
-    lattice = enumerate_ideals(R, bound)
-    _, bad = _meet_difference(P, family_meet(lattice, values, primes))
+    _, bad = _meet_difference(P, prime_meet, rank)
     if bad is not None:
         raise TheoremViolationError(
             "semiprime ideal differs from its prime intersection",
             details={"x": str(bad)})
+    primes = [(positions[prime], index[prime])
+              for positions, index, prime in family]
+    lattice = enumerate_ideals(R, bound)
     # the first pair_cap pairs of combinations() lie among the first
     # pair_cap + 1 primes, each a one-member row of family_meet
     first = list(itertools.islice(

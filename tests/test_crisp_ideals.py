@@ -288,6 +288,20 @@ def test_zero_ideal_of_z_is_prime(rings):
     assert is_semiprime_ideal(Z, zero_ideal(Z))
 
 
+def test_zero_and_whole_ideal_are_memoized(rings):
+    """One object per ring, equal to a freshly built one."""
+    for R in rings.values():
+        zero, whole = zero_ideal(R), whole_ideal(R)
+        assert zero_ideal(R) is zero and whole_ideal(R) is whole
+        if R.is_table:
+            assert zero == CrispIdeal(R, elems=frozenset({R.zero}))
+            assert whole == CrispIdeal(R, elems=frozenset(range(R.size)))
+        else:
+            assert zero == CrispIdeal(R, gen=0)
+            assert whole == CrispIdeal(R, gen=1)
+        assert zero.is_zero and whole.is_whole
+
+
 def test_matrix_zero_ideal_prime_not_completely_prime(rings):
     """The zero ideal of a full matrix ring is prime, but E12^2 = 0
     certifies it is not completely prime."""

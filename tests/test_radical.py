@@ -390,6 +390,91 @@ def test_witness_recheck_catches_a_non_prime(monkeypatch):
         frad_intersection_check(I)
 
 
+def _family_memo_size(R):
+    return sum(1 for key in R._cache
+               if isinstance(key, tuple) and key[0] == "frad_family")
+
+
+@given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
+def test_frad_check_depends_on_the_rank_pattern(spec, data):
+    """Remapping I's values by an order-preserving bijection of [0, 1]
+    keeps its rank pattern: the check returns the same dict and finds
+    the family meets in the memo."""
+    R, chains = _small_ring_chains(spec)
+    chain = data.draw(st.sampled_from(chains))
+    values = data.draw(st.sampled_from(list(itertools.combinations(
+        sorted(GRID, reverse=True), len(chain)))))
+    inner = [v for v in values if 0 < v < 1]
+    moved = sorted(data.draw(st.lists(
+        st.fractions(0, 1).filter(lambda v: 0 < v < 1),
+        min_size=len(inner), max_size=len(inner), unique=True)),
+        reverse=True)
+    remap = dict(zip(inner, moved))
+    I = FuzzyIdeal(R, tuple(zip(chain, values)))
+    J = FuzzyIdeal(R, tuple((C, remap.get(v, v))
+                            for C, v in zip(chain, values)))
+    expected = frad_intersection_check(I)
+    size = _family_memo_size(R)
+    assert frad_intersection_check(J) == expected
+    assert _family_memo_size(R) == size
+
+
+def test_family_memo_holds_the_lattice_ideals():
+    """The memoized meets point at the lattice's ideal objects, so the
+    memo adds no ideal copies."""
+    R = parse_ring("Zn(12)")
+    for P in build_corpus(R):
+        frad_intersection_check(P)
+    lattice = {id(J) for J in enumerate_ideals(R)}
+    meets = [meet for key, value in R._cache.items()
+             if isinstance(key, tuple) and key[0] == "frad_family"
+             for meet in value[2:]]
+    assert meets and all(id(C) in lattice for meet in meets
+                         for C, _ in meet)
+
+
+def test_frad_check_catches_a_wrong_radical_on_a_memo_hit(monkeypatch):
+    """The memoized meets are compared with each item's own FRad."""
+    R = parse_ring("Zn(12)")
+    I = characteristic(ideal_generate(R, {4}))
+    frad_intersection_check(I)
+    size = _family_memo_size(R)
+    monkeypatch.setattr(radical, "frad", lambda J: J)
+    with pytest.raises(TheoremViolationError, match="FRad != F2") as exc:
+        frad_intersection_check(I)
+    assert exc.value.details.keys() == {"x", "frad", "F2"}
+    assert _family_memo_size(R) == size
+
+
+def test_witness_primes_are_built_once_per_prime(monkeypatch):
+    """chi{0} in Zn(6): five elements below the top share two witness
+    primes, (<3>, 1/2) for 1, 2, 4, 5 and (<2>, 1/2) for 3."""
+    R = parse_ring("Zn(6)")
+    I = characteristic(zero_ideal(R))
+    built = []
+    prime_above = radical._prime_above
+    monkeypatch.setattr(radical, "_prime_above",
+                        lambda J, M, s: built.append((M, s))
+                        or prime_above(J, M, s))
+    assert frad_intersection_check(I)["lower_bound_witnesses"] == 5
+    assert sorted((sorted(M.elems), s) for M, s in built) == [
+        ([0, 2, 4], F(1, 2)), ([0, 3], F(1, 2))]
+
+
+def test_witness_group_rechecks_every_element(monkeypatch):
+    """A prime-avoiding ideal that contains its element fails for that
+    element, though 3 built and passed the same witness prime."""
+    R = parse_ring("Zn(6)")
+    I = characteristic(zero_ideal(R))
+    avoiding = radical.prime_avoiding
+    monkeypatch.setattr(radical, "prime_avoiding",
+                        lambda R, P, x: avoiding(R, P, 3 if x == 4 else x))
+    with pytest.raises(TheoremViolationError,
+                       match="prime-avoiding witness is not a prime") as exc:
+        frad_intersection_check(I)
+    assert exc.value.details == {"x": "4"}
+
+
 def _rank_form(R, members, grid):
     """Members (chains with grid values) as family_meet rows by length."""
     pos = {J: i for i, J in enumerate(enumerate_ideals(R))}
