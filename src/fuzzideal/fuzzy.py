@@ -291,20 +291,25 @@ def compose(A: FuzzySet, B: FuzzySet) -> FuzzySet:
     """(A o B)(x) = sup over x = ab of A(a) ^ B(b).
 
     With unity every element factors trivially, so the sup is over a
-    nonempty set.  Unsupported over Z (unbounded factorization search).
+    nonempty set.  The sup is taken in rank form, on the ranks of the
+    values among the distinct values of A, B and 0: the rank of
+    A(a) ^ B(b) for a block of rows a is one outer minimum, and a max
+    scatter onto ab = mul[a, b], one gather from ``R.tables`` per block.
+    Unsupported over Z (unbounded factorization search).
     """
     R = A.ring
     if not R.is_table:
         raise BackendError("compose requires a table ring")
-    out = [ZERO] * R.size
-    for a in range(R.size):
-        va = A(a)
-        for b in range(R.size):
-            v = min(va, B(b))
-            x = R.mul(a, b)
-            if v > out[x]:
-                out[x] = v
-    return FuzzySet(R, tuple(out))
+    import numpy as np
+    values = sorted({ZERO} | set(A.table) | set(B.table))
+    rank = {v: i for i, v in enumerate(values)}
+    ra, rb = (np.array([rank[v] for v in S.table], dtype=np.intp)
+              for S in (A, B))
+    out = np.zeros(R.size, dtype=np.intp)  # the rank of 0
+    mul = R.tables.mul
+    for rows in row_blocks(R.size, R.size):
+        np.maximum.at(out, mul[rows], np.minimum(ra[rows, None], rb))
+    return FuzzySet(R, tuple(values[r] for r in out.tolist()))
 
 
 def generate(F: FuzzySet) -> FuzzyIdeal:

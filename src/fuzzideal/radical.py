@@ -10,14 +10,15 @@ the explicit prime-avoiding construction.
 """
 from __future__ import annotations
 
-import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
-from .crisp import (crisp_radical, enumerate_ideals, lattice_positions,
-                    prime_avoiding)
+import numpy as np
+
+from .crisp import (crisp_radical, enumerate_ideals, lattice_members,
+                    lattice_positions, prime_avoiding)
 from .errors import TheoremViolationError
 from .fuzzy import (FuzzyIdeal, cut, intersect, probe_elements, whole_ideal,
                     zero_type)
@@ -75,9 +76,9 @@ def witness_prime_excluding(I: FuzzyIdeal, x, s) -> FuzzyIdeal:
     memoized ``prime_avoiding`` ideal.  Per prime, in
     :func:`_prime_above`: P = {(M, I(0)), (R, s)} is prime (decided once
     per ring and P) and above I.  Per element again: P(x) = s.
-    :func:`frad_intersection_check` runs the same steps but builds each
-    distinct (M, s) once per item, since the same few witnesses serve
-    most of the elements.
+    :func:`frad_intersection_check` finds the (M, s) of all its elements
+    at once in :func:`_witness_pairs`, where P(x) = s is x outside M, and
+    builds each distinct P once per item.
     """
     s = Fraction(s)
     R = I.ring
@@ -87,7 +88,9 @@ def witness_prime_excluding(I: FuzzyIdeal, x, s) -> FuzzyIdeal:
     if base.contains(x):
         raise ValueError("x must lie outside Rad(I_s)")
     P = _prime_above(I, prime_avoiding(R, base, x), s)
-    _require_excluded(P, x, s)
+    if P(x) != s:
+        raise TheoremViolationError(_WITNESS_FAILED,
+                                    details={"x": R.label(x)})
     return P
 
 
@@ -108,13 +111,6 @@ def _prime_above(I: FuzzyIdeal, M, s) -> FuzzyIdeal:
             and I.le(P)):
         raise TheoremViolationError(_WITNESS_FAILED)
     return P
-
-
-def _require_excluded(P: FuzzyIdeal, x, s):
-    """Raise unless the witness P takes the value s at x."""
-    if P(x) != s:
-        raise TheoremViolationError(_WITNESS_FAILED,
-                                    details={"x": P.ring.label(x)})
 
 
 def _first_difference(F: FuzzyIdeal, G: FuzzyIdeal):
@@ -142,25 +138,96 @@ def _cut_radicals(I: FuzzyIdeal, grid) -> list:
     return out
 
 
-def _excluding_value(radicals, x, w):
-    """The least grid value s > w with x outside Rad(I_s), from the
-    :func:`_cut_radicals` of I.
+def _probe_masks(R: Ring, ideals, probes):
+    """The (len(ideals), len(probes)) boolean matrix of
+    ``probes[p] in ideals[i]``: rows of :func:`lattice_members` on table
+    rings, whose probes are all the elements; divisibility over Z."""
+    if R.is_table:
+        pos = lattice_positions(R)
+        return lattice_members(R)[[pos[C] for C in ideals]]
+    return np.array([[x % C.gen == 0 if C.gen else x == 0 for x in probes]
+                     for C in ideals], dtype=bool)
 
-    With w = FRad(I)(x) below the top, the next image value v of I above
-    w has x outside Rad(I_v), and so does the midpoint of w and v, which
-    has the same cut; on ``value_grid(I)`` s is therefore below I(0).
-    :func:`witness_prime_excluding` turns it into a prime P above I with
-    P(x) = s.
+
+def _avoiding_positions(R: Ring, rad):
+    """The lattice position of ``prime_avoiding(R, rad, x)`` for every
+    element x outside the semiprime ideal ``rad`` of table ring R, -1 for
+    the elements inside; memoized per ring and ideal.  Each position
+    comes from one call to :func:`prime_avoiding`."""
+    def build():
+        pos = lattice_positions(R)
+        outside = np.flatnonzero(~lattice_members(R)[pos[rad]]).tolist()
+        out = np.full(R.size, -1, dtype=np.intp)
+        out[outside] = [pos[prime_avoiding(R, rad, x)] for x in outside]
+        return out
+    return R.cached(("avoiding_positions", rad), build)
+
+
+def _witness_pairs(I: FuzzyIdeal, F: FuzzyIdeal, grid) -> tuple:
+    """The lower-bound witness pair (M, s) of every element x with
+    F(x) = FRad(I)(x) below the top, in a few array steps over the
+    probe elements: ``(below, pairs, group)``, the positions of those x
+    in ``probe_elements(I, F)``, the distinct pairs in order of first
+    use, and ``pairs[group[i]]`` the pair of the element at ``below[i]``.
+
+    ``grid`` is ascending and holds I's image, as ``value_grid(I)`` does.
+    s is the least grid value above F(x) with x outside Rad(I_s).  With
+    F(x) below the top, the next image value v of I above F(x) has x
+    outside Rad(I_v), and so does the midpoint of F(x) and v, which has
+    the same cut; on ``value_grid(I)`` s is therefore below I(0).  The ranks come from two masks over the probes: the
+    radicals of I's cuts at the grid values up to I(0), and F's chain,
+    one rank assignment per level.  M is ``prime_avoiding(R, Rad(I_s),
+    x)``, read on table rings from :func:`_avoiding_positions`.
+
+    P = {(M, I(0)), (R, s)} takes the value s < I(0) exactly outside M,
+    so P(x) = s for every element is one mask test, x outside its M.
     """
-    start = bisect.bisect_right(radicals, w, key=itemgetter(0))
-    s = next((v for v, rad in radicals[start:] if not rad.contains(x)),
-             None)
-    if s is None:
+    R = I.ring
+    radicals = _cut_radicals(I, grid)
+    levels = len(radicals)  # levels - 1 is the rank of I(0) = F(0)
+    probes = probe_elements(I, F)
+    rank = {v: r for r, v in enumerate(grid)}
+    frank = np.empty(len(probes), dtype=np.intp)
+    for row, (_, v) in zip(_probe_masks(R, F.ideals, probes)[::-1],
+                           reversed(F.chain)):
+        frank[row] = rank[v]
+    below = np.flatnonzero(frank < levels - 1)
+    member = _probe_masks(R, [rad for _, rad in radicals], probes)
+    outside = ~member[:, below] & (np.arange(levels)[:, None]
+                                   > frank[below])
+    level = outside.argmax(axis=0)
+    found = outside[level, np.arange(len(below))]
+    if not found.all():
+        p = int(below[found.argmin()])
         raise TheoremViolationError(
             "no grid value above FRad(I)(x) leaves x outside the cut radical",
-            details={"x": radicals[0][1].ring.label(x), "frad": str(w),
+            details={"x": R.label(probes[p]), "frad": str(grid[frank[p]]),
                      "grid": [str(v) for v, _ in radicals]})
-    return s
+
+    if R.is_table:
+        ideals, masks = enumerate_ideals(R), lattice_members(R)
+        avoiding = np.array([_avoiding_positions(R, rad)
+                             for _, rad in radicals])
+        index = avoiding[level, below]
+    else:
+        avoid = [prime_avoiding(R, radicals[j][1], probes[p])
+                 for p, j in zip(below.tolist(), level.tolist())]
+        ideals = list(dict.fromkeys(avoid))
+        pos = {M: i for i, M in enumerate(ideals)}
+        index = np.array([pos[M] for M in avoid], dtype=np.intp)
+        masks = _probe_masks(R, ideals, probes)
+    inside = masks[index, below]
+    if inside.any():
+        p = int(below[inside.argmax()])
+        raise TheoremViolationError(_WITNESS_FAILED,
+                                    details={"x": R.label(probes[p])})
+    keys = index * levels + level
+    distinct = list(dict.fromkeys(keys.tolist()))
+    group = np.empty(len(ideals) * levels, dtype=np.intp)
+    group[distinct] = np.arange(len(distinct))
+    pairs = [(ideals[k // levels], radicals[k % levels][0])
+             for k in distinct]
+    return below, pairs, group[keys]
 
 
 def _ranked(F: FuzzyIdeal, rank) -> tuple:
@@ -175,7 +242,8 @@ def _family_meets(I: FuzzyIdeal, rank, bound, family=None) -> tuple:
     and ``rank`` maps each grid value, ascending, to its position: the
     family's sizes, and the meets of its primes (F2) and of all its
     members (F1) as cut chains of ranks (None for an empty family).
-    ``family`` is that family when the caller has already built it.
+    ``family``, when given, returns that family; it is called only on a
+    memo miss.
 
     Memoized per ring and rank pattern K = (I's chain ideals, the ranks
     of I's level values, the grid's length, ``bound``).  K determines all
@@ -190,7 +258,7 @@ def _family_meets(I: FuzzyIdeal, rank, bound, family=None) -> tuple:
     R = I.ring
 
     def build():
-        values, rows = (family if family is not None
+        values, rows = (family() if family is not None
                         else semiprime_family(I, tuple(rank), bound))
         semiprimes = [(positions, index) for positions, index, _ in rows]
         primes = [(positions[prime], index[prime])
@@ -241,13 +309,15 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
     - per rank pattern of I (see :func:`_family_meets`, which gives the
       argument that the pattern determines the family): the family, its
       sizes and both meets, memoized per ring;
-    - per item: FRad(I), compared with both meets in rank form, and the
-      radicals of I's cuts;
-    - per element x with FRad(I)(x) below the top: the witness value s
-      and the prime-avoiding ideal M (memoized per ring);
+    - per ring and semiprime ideal: the prime-avoiding ideal M of every
+      element outside it (:func:`_avoiding_positions`, table rings);
+    - per item: FRad(I), compared with both meets in rank form, and
+      :func:`_witness_pairs`, a few array steps over masks and grid ranks
+      of the probe elements: each element's witness value s and M, the
+      distinct pairs (M, s), and P(x) = s for every element as one mask
+      test;
     - per distinct (M, s) of the item: P = {(M, I(0)), (R, s)} is prime
-      (memoized per ring) and above I;
-    - per element again: P(x) = s.
+      (memoized per ring) and above I.
 
     Fuzzy ideals are built only for the witnesses and to report a
     difference.
@@ -272,26 +342,14 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
                          name: str(F(bad))})
 
     # lower-bound direction: explicit prime witnesses excluding each element
-    radicals = _cut_radicals(I, grid)
-    radical_at = dict(radicals)
-    primes = {}
-    witnesses = 0
-    for x in probe_elements(I, F3):
-        w = F3(x)
-        if w == F3.top:
-            continue
-        s = _excluding_value(radicals, x, w)
-        M = prime_avoiding(R, radical_at[s], x)
-        P = primes.get((M, s))
-        if P is None:
-            P = primes[M, s] = _prime_above(I, M, s)
-        _require_excluded(P, x, s)
-        witnesses += 1
+    below, pairs, _ = _witness_pairs(I, F3, grid)
+    for M, s in pairs:
+        _prime_above(I, M, s)
     return {"frad_equals_prime_intersection": True,
             "frad_equals_semiprime_intersection": True,
             "prime_count": prime_count,
             "semiprime_count": semiprime_count,
-            "lower_bound_witnesses": witnesses}
+            "lower_bound_witnesses": len(below)}
 
 
 def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
@@ -302,9 +360,13 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
 
     The prime meet is read from the rank-pattern memo of
     :func:`frad_intersection_check` (:func:`_family_meets`) and compared
-    in rank form; the pairwise meets are taken on one-member rows of
-    :func:`family_meet`, and a fuzzy ideal is built only for each pair's
-    meet.
+    in rank form.  The pair loop (:func:`_prime_pairs_checked`) is
+    memoized beside it, per ring, rank pattern and ``pair_cap``: its
+    pairs are the first primes of the family, which the pattern
+    determines, and each pair's meet is taken on value indices, so its
+    cut chain of ideals is fixed by the pattern too; ``is_semiprime_new``
+    of a meet depends on that chain alone, its values only labelling the
+    levels.  The family is built at most once, on a miss of either memo.
     """
     if not is_semiprime_new(P):
         raise ValueError("input must be semiprime")
@@ -313,10 +375,9 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
         bound = max(64, *(c.gen for c, _ in P.chain))
     grid = value_grid(P)
     # every prime fuzzy ideal is semiprime, so no prime above P is missed
-    values, family = semiprime_family(P, grid, bound)
+    family = functools.cache(lambda: semiprime_family(P, grid, bound))
     rank = {v: r for r, v in enumerate(grid)}
-    prime_count, _, prime_meet, _ = _family_meets(P, rank, bound,
-                                                  (values, family))
+    prime_count, _, prime_meet, _ = _family_meets(P, rank, bound, family)
     if not prime_count:
         raise TheoremViolationError("no grid-valued prime above P")
     _, bad = _meet_difference(P, prime_meet, rank)
@@ -324,33 +385,79 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
         raise TheoremViolationError(
             "semiprime ideal differs from its prime intersection",
             details={"x": str(bad)})
-    primes = [(positions[prime], index[prime])
-              for positions, index, prime in family]
-    lattice = enumerate_ideals(R, bound)
-    # the first pair_cap pairs of combinations() lie among the first
-    # pair_cap + 1 primes, each a one-member row of family_meet
-    first = list(itertools.islice(
-        ((positions[i:i + 1], index[i:i + 1])
-         for positions, index in primes for i in range(len(positions))),
-        pair_cap + 1))
-    checked = 0
-    for A, B in itertools.combinations(first, 2):
-        if checked >= pair_cap:
-            break
-        checked += 1
-        meet = FuzzyIdeal(R, family_meet(lattice, values, [A, B]))
-        if not is_semiprime_new(meet):
-            raise TheoremViolationError(
-                "intersection of primes is not semiprime")
+    checked = R.cached(
+        ("inter_pairs", _ranked(P, rank), len(rank), bound, pair_cap),
+        lambda: _prime_pairs_checked(R, bound, pair_cap, *family()))
     return {"prime_count": prime_count, "pairs_checked": checked,
             "equals_intersection": True}
 
 
+def _prime_pairs_checked(R: Ring, bound, pair_cap, values, family) -> int:
+    """Check that the meets of the first ``pair_cap`` pairs of primes in
+    ``semiprime_family``'s ``(values, family)`` are semiprime, and return
+    the number of pairs checked.  The meets are taken on one-member rows
+    of :func:`family_meet`, and a fuzzy ideal is built only for each
+    pair's meet.
+
+    Each pair's answer is memoized per ring and bound, keyed by the two
+    chains' lattice positions and the ranks of their value indices among
+    the indices of both: ``family_meet`` only compares value indices, so
+    these ranks fix the meet's chain of ideals, and ``is_semiprime_new``
+    of the meet depends on that chain alone.
+    """
+    primes = [(positions[prime], index[prime])
+              for positions, index, prime in family]
+    lattice = enumerate_ideals(R, bound)
+    # the first pair_cap pairs of combinations() lie among the first
+    # pair_cap + 1 primes, kept as (positions, value indices) tuples
+    first = list(itertools.islice(
+        ((tuple(positions[i].tolist()), tuple(index[i].tolist()))
+         for positions, index in primes for i in range(len(positions))),
+        pair_cap + 1))
+
+    def semiprime_meet(*pair):
+        rows = [(np.array([p]), np.array([i])) for p, i in pair]
+        return is_semiprime_new(FuzzyIdeal(R, family_meet(lattice, values,
+                                                          rows)))
+    checked = 0
+    for (pa, ia), (pb, ib) in itertools.combinations(first, 2):
+        if checked >= pair_cap:
+            break
+        checked += 1
+        rank = {k: r for r, k in enumerate(sorted({*ia, *ib}))}
+        key = ("prime_pair_meet", bound, pa, tuple(rank[k] for k in ia),
+               pb, tuple(rank[k] for k in ib))
+        if not R.cached(key, lambda: semiprime_meet((pa, ia), (pb, ib))):
+            raise TheoremViolationError(
+                "intersection of primes is not semiprime")
+    return checked
+
+
 def radical_properties_check(P: FuzzyIdeal, Q: FuzzyIdeal) -> dict:
     """Idempotence, monotonicity, intersection-commutation, endpoints and
-    cut equality for the fuzzy prime radical."""
+    cut equality for the fuzzy prime radical.
+
+    With Q is P, the call ``check-frad`` makes, the outcome is memoized
+    per ring and chain ideals ``P.ideals``, and each call returns a copy
+    of the dict.  For Q = P, "intersection", "monotone" and "endpoints"
+    hold trivially: P meets P in P, P <= P, and :func:`frad` raises
+    unless it keeps P's top and bottom.  "idempotent" and "cut_equality"
+    read only the chain's ideals: ``frad`` keeps or collapses P's levels
+    by their radicals alone and keeps P's values as labels, so FRad(P)'s
+    ideals, and its cut at each of P's values, depend on P's ideals in
+    their order alone.  Each distinct chain still runs the full check
+    once per ring; calls with Q not P always run it.
+    """
     if P.ring is not Q.ring:
         raise ValueError("fuzzy ideals over different rings")
+    if Q is P:
+        return dict(P.ring.cached(("radical_properties", P.ideals),
+                                  lambda: _radical_properties(P, P)))
+    return _radical_properties(P, Q)
+
+
+def _radical_properties(P: FuzzyIdeal, Q: FuzzyIdeal) -> dict:
+    """The checks of :func:`radical_properties_check`, run directly."""
     R = P.ring
     FP, FQ = frad(P), frad(Q)
 

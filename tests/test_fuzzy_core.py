@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import SMALL_RING, TABLE_SPECS, small_ring
 from fuzzideal import (BackendError, CrispIdeal, FuzzyIdeal, FuzzySet,
                        InvalidFuzzyIdealError, characteristic, compose,
                        constant, cut, fuzzy_from_chain, fuzzy_from_map,
@@ -13,6 +15,7 @@ from fuzzideal import (BackendError, CrispIdeal, FuzzyIdeal, FuzzySet,
                        parse_ring, singleton, star_ideal, strict_support,
                        to_set, value_equivalent, zero_type)
 from fuzzideal.crisp import ideal_generate, whole_ideal, zero_ideal
+from fuzzideal.errors import RingConstructionError
 from fuzzideal.fuzzy import _axiom_witness, probe_elements
 
 F = Fraction
@@ -159,6 +162,45 @@ def test_compose_characteristics_zn6(rings):
     b = to_set(characteristic(ideal_generate(R, {3})))
     comp = compose(a, b)
     assert comp.table == tuple(F(1) if x == 0 else F(0) for x in range(6))
+
+
+def _compose_reference(A, B):
+    """The definition's pair loop: every (a, b) through ``Ring.mul``."""
+    R = A.ring
+    out = [F(0)] * R.size
+    for a in range(R.size):
+        for b in range(R.size):
+            v = min(A(a), B(b))
+            x = R.mul(a, b)
+            if v > out[x]:
+                out[x] = v
+    return FuzzySet(R, tuple(out))
+
+
+def test_compose_matches_the_pair_loop(rings, corpora):
+    """On every table ring, the composites of fuzzy-ideal pairs and of
+    fuzzy points equal the pair loop's."""
+    rng = random.Random(5)
+    for spec in TABLE_SPECS:
+        R = rings[spec]
+        sets = [to_set(P) for P in rng.sample(corpora[spec], 6)]
+        sets += [singleton(R, x, F(1, 2)) for x in range(0, R.size, 3)]
+        for A, B in itertools.product(sets, repeat=2):
+            assert compose(A, B) == _compose_reference(A, B), spec
+
+
+@given(text=SMALL_RING, data=st.data())
+def test_compose_matches_the_pair_loop_on_small_rings(text, data):
+    """Random fuzzy sets on random small rings, values drawn from a few
+    fractions with repeats."""
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    value = st.sampled_from([F(0), F(1, 3), F(1, 2), F(5, 7), F(1)])
+    A, B = (FuzzySet(R, tuple(data.draw(st.lists(
+        value, min_size=R.size, max_size=R.size)))) for _ in range(2))
+    assert compose(A, B) == _compose_reference(A, B)
 
 
 def test_compose_unsupported_over_z(rings):

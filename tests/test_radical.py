@@ -1,8 +1,10 @@
 """Fuzzy prime radical: computation and theorem verifications."""
+import bisect
 import functools
 import itertools
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -15,15 +17,16 @@ from fuzzideal import (FuzzyIdeal, TheoremViolationError, build_corpus,
                        radical_report, semiprime_intersection_check,
                        value_equivalent, value_grid, witness_prime_excluding,
                        zero_type)
+from conftest import TABLE_SPECS, Z_BOUND
 from fuzzideal import radical
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import (crisp_radical, enumerate_ideals, ideal_generate,
-                             zero_ideal)
+                             prime_avoiding, zero_ideal)
 from fuzzideal.fuzzy import cut, probe_elements
 from fuzzideal.primeness import (family_meet, is_prime_new, is_semiprime_new,
                                  semiprime_family)
-from fuzzideal.radical import (_cut_radicals, _excluding_value,
-                               _first_difference, ring_radical_experimental,
+from fuzzideal.radical import (_cut_radicals, _first_difference,
+                               _witness_pairs, ring_radical_experimental,
                                ring_radical_value_equivalence)
 
 F = Fraction
@@ -252,16 +255,70 @@ def test_primeness_depends_on_the_chain_alone(spec, data):
     assert is_semiprime_new(Q) == is_semiprime_new(rep)
 
 
+def _excluding_value(radicals, x, w):
+    """The least grid value s > w with x outside Rad(I_s), from the
+    ``_cut_radicals`` of I: the per-element reference for the witness
+    values of ``_witness_pairs``."""
+    start = bisect.bisect_right(radicals, w, key=itemgetter(0))
+    s = next((v for v, rad in radicals[start:] if not rad.contains(x)),
+             None)
+    if s is None:
+        raise TheoremViolationError(
+            "no grid value above FRad(I)(x) leaves x outside the cut radical",
+            details={"x": radicals[0][1].ring.label(x), "frad": str(w),
+                     "grid": [str(v) for v, _ in radicals]})
+    return s
+
+
+def _witness_pairs_reference(I, F, grid):
+    """(x, M, s) for every probe element x with F(x) below the top, one
+    element at a time."""
+    R = I.ring
+    radicals = _cut_radicals(I, grid)
+    radical_at = dict(radicals)
+    out = []
+    for x in probe_elements(I, F):
+        w = F(x)
+        if w == F.top:
+            continue
+        s = _excluding_value(radicals, x, w)
+        out.append((x, prime_avoiding(R, radical_at[s], x), s))
+    return out
+
+
 def test_lower_bound_search_without_a_value_raises(rings):
-    """FRad(chi<4>)(2) = 1 in Zn(12); searched from 0, no grid value above
-    leaves 2 outside Rad(<4>) = <2>, and the search says so."""
+    """FRad(chi<4>)(2) = 1 in Zn(12); taken as 0, no grid value above
+    leaves 2 outside Rad(<4>) = <2>, and both the array search and the
+    per-element reference say so with the same details."""
     R = rings["Zn(12)"]
     I = characteristic(ideal_generate(R, {4}))
-    radicals = _cut_radicals(I, (F(0), F(1, 2), F(1)))
+    grid = (F(0), F(1, 2), F(1))
     with pytest.raises(TheoremViolationError) as exc:
+        _witness_pairs(I, I, grid)  # I in place of FRad(I): I(2) = 0
+    radicals = _cut_radicals(I, grid)
+    with pytest.raises(TheoremViolationError) as ref:
         _excluding_value(radicals, 2, F(0))
-    assert exc.value.details["x"] == "2"
+    assert exc.value.details == ref.value.details == {
+        "x": "2", "frad": "0", "grid": ["0", "1/2", "1"]}
     assert _excluding_value(radicals, 3, F(0)) == F(1, 2)
+
+
+def test_witness_pairs_match_the_per_element_reference(rings, corpora,
+                                                       z_corpus):
+    """Every element's (M, s), and the witness count, are those of the
+    per-element reference."""
+    items = [P for spec in TABLE_SPECS for P in corpora[spec]]
+    for I in items + z_corpus[:40]:
+        F3, grid = frad(I), value_grid(I)
+        probes = probe_elements(I, F3)
+        below, pairs, group = _witness_pairs(I, F3, grid)
+        got = [(probes[p], *pairs[g])
+               for p, g in zip(below.tolist(), group.tolist())]
+        assert got == _witness_pairs_reference(I, F3, grid), I
+        assert len(set(pairs)) == len(pairs), I
+        bound = None if I.ring.is_table else Z_BOUND
+        assert (frad_intersection_check(I, bound=bound)
+                ["lower_bound_witnesses"] == len(got)), I
 
 
 def test_cut_radicals_walk_the_chain(rings, corpora, z_corpus):
@@ -419,6 +476,93 @@ def test_frad_check_depends_on_the_rank_pattern(spec, data):
     assert _family_memo_size(R) == size
 
 
+def _memo_size(R, name):
+    return sum(1 for key in R._cache
+               if isinstance(key, tuple) and key[0] == name)
+
+
+@given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
+def test_radical_properties_depend_on_the_chain_ideals(spec, data):
+    """Remapping P's values by an order-preserving bijection of [0, 1]
+    keeps its chain ideals: the check returns the same dict, that of the
+    direct path, and finds it in the memo."""
+    R, chains = _small_ring_chains(spec)
+    chain = data.draw(st.sampled_from(chains))
+
+    def values():
+        return sorted(data.draw(st.lists(
+            st.fractions(0, 1), min_size=len(chain), max_size=len(chain),
+            unique=True)), reverse=True)
+    P = FuzzyIdeal(R, tuple(zip(chain, values())))
+    J = FuzzyIdeal(R, tuple(zip(chain, values())))
+    expected = radical_properties_check(P, P)
+    size = _memo_size(R, "radical_properties")
+    assert radical_properties_check(J, J) == expected
+    assert _memo_size(R, "radical_properties") == size
+    assert expected == radical._radical_properties(J, J)
+    expected.clear()  # each call hands out its own copy
+    assert radical_properties_check(P, P) == radical._radical_properties(P, P)
+
+
+def test_radical_properties_catch_a_wrong_radical(monkeypatch):
+    """With FRad replaced by the identity on a fresh ring, cut equality
+    fails: chi<4> in Zn(12) has Rad(<4>) = <2>."""
+    R = parse_ring("Zn(12)")
+    I = characteristic(ideal_generate(R, {4}))
+    monkeypatch.setattr(radical, "frad", lambda J: J)
+    with pytest.raises(TheoremViolationError,
+                       match="radical property failed: cut_equality"):
+        radical_properties_check(I, I)
+
+
+def test_radical_properties_memo_only_when_q_is_p(monkeypatch):
+    """An equal Q that is not P takes the direct path: with FRad replaced
+    by the identity after P's check, P's memo entry still answers, and
+    the direct check of (P, Q) fails and adds no entry."""
+    R = parse_ring("Zn(12)")
+    I = characteristic(ideal_generate(R, {4}))
+    J = FuzzyIdeal(R, I.chain)
+    expected = radical_properties_check(I, I)
+    size = _memo_size(R, "radical_properties")
+    monkeypatch.setattr(radical, "frad", lambda K: K)
+    assert radical_properties_check(I, I) == expected
+    with pytest.raises(TheoremViolationError, match="cut_equality"):
+        radical_properties_check(I, J)
+    assert _memo_size(R, "radical_properties") == size
+
+
+def test_inter_pair_loop_is_memoized_per_rank_pattern(monkeypatch):
+    """{1: <0>, 1/2: R} and {1: <0>, 1/3: R} in Zn(6) share a rank
+    pattern: the second check reads the pair loop's outcome from the
+    memo, and another pair_cap runs the loop again."""
+    R = parse_ring("Zn(6)")
+    P, Q = zero_type(R, 1, F(1, 2)), zero_type(R, 1, F(1, 3))
+    expected = semiprime_intersection_check(P)
+    assert expected["pairs_checked"] > 1
+    size = _memo_size(R, "inter_pairs")
+
+    def boom(*args):
+        raise RuntimeError("pair loop ran")
+    monkeypatch.setattr(radical, "_prime_pairs_checked", boom)
+    assert semiprime_intersection_check(Q) == expected
+    assert _memo_size(R, "inter_pairs") == size
+    with pytest.raises(RuntimeError, match="pair loop ran"):
+        semiprime_intersection_check(Q, pair_cap=1)
+
+
+def test_inter_pair_loop_catches_a_non_semiprime_meet(monkeypatch):
+    """On a fresh ring, the memoized pair answers still come from
+    is_semiprime_new: with every meet other than P reported not
+    semiprime, the loop fails."""
+    R = parse_ring("Zn(6)")
+    P = characteristic(zero_ideal(R))
+    monkeypatch.setattr(radical, "is_semiprime_new",
+                        lambda Q: Q.chain == P.chain)
+    with pytest.raises(TheoremViolationError,
+                       match="intersection of primes is not semiprime"):
+        semiprime_intersection_check(P)
+
+
 def test_family_memo_holds_the_lattice_ideals():
     """The memoized meets point at the lattice's ideal objects, so the
     memo adds no ideal copies."""
@@ -507,6 +651,31 @@ def test_family_meet_is_the_intersection(spec, data):
     values, rows = _rank_form(R, members, GRID)
     expected = intersect([FuzzyIdeal(R, tuple(zip(c, v))) for c, v in members])
     assert family_meet(enumerate_ideals(R), values, rows) == expected.chain
+
+
+@given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
+def test_pair_meet_chain_depends_on_the_value_order(spec, data):
+    """The key of check-inter's pair memo: the meet of two chains, taken
+    on value indices, has the same chain of ideals when the indices are
+    replaced by their ranks among those of both chains."""
+    R, chains = _small_ring_chains(spec)
+    lattice = enumerate_ideals(R)
+    pos = {J: i for i, J in enumerate(lattice)}
+    values = sorted(GRID, reverse=True)
+    rows = []
+    for _ in range(2):
+        chain = data.draw(st.sampled_from(chains))
+        index = sorted(data.draw(st.lists(
+            st.integers(0, len(values) - 1), min_size=len(chain),
+            max_size=len(chain), unique=True)))
+        rows.append(([pos[J] for J in chain], index))
+    rank = {k: r for r, k in enumerate(sorted({*rows[0][1], *rows[1][1]}))}
+
+    def meet_ideals(rows):
+        return [C for C, _ in family_meet(
+            lattice, values, [(np.array([p]), np.array([i])) for p, i in rows])]
+    assert meet_ideals(rows) == meet_ideals(
+        [(p, [rank[k] for k in i]) for p, i in rows])
 
 
 @given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
