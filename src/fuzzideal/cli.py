@@ -2,10 +2,10 @@
 
 Commands: ideals, primes, classify, radical, diagram, check-charprime,
 check-inter, check-frad.  Exit codes: 0 ok, 2 parse error or bad
-arguments (--bound, --cap or --jobs below 1, --corpus random without
---seed), 3 resource limit, 4 invalid fuzzy ideal, 5 constant ideal, 6
-theorem-assertion failure.  Reports are byte-identical for identical inputs (including
-seeds and job counts).
+arguments (--bound or --cap below 1, --corpus random without --seed),
+3 resource limit, 4 invalid fuzzy ideal, 5 constant ideal, 6
+theorem-assertion failure.  Reports are byte-identical for identical
+inputs, seeds included.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import corpus as corpus_mod
 from . import crisp, primeness, radical as radical_mod
@@ -69,8 +68,6 @@ def _build_parser():
                        default="exhaustive")
         p.add_argument("--seed", type=int, help="seed for random corpus mode")
         caps.append(p.add_argument("--cap", type=_positive_int))
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for corpus classification")
 
     common(sub.add_parser("ideals", help="enumerate crisp ideals"))
     common(sub.add_parser("primes", help="enumerate prime crisp ideals"))
@@ -220,27 +217,9 @@ def _make_corpus(args, R):
                                    seed=args.seed, cap=args.cap, bound=bound)
 
 
-_WORKER_RINGS = {}
-
-
-def _worker_classify(task):
-    ring_text, fuzzy_text = task
-    R = _WORKER_RINGS.get(ring_text)
-    if R is None:
-        R = _WORKER_RINGS[ring_text] = parse_ring(ring_text)
-    P = parse_fuzzy_spec(R, fuzzy_text)
-    return primeness.classify(P)[0]
-
-
 def cmd_diagram(args):
     R = parse_ring(args.ring)
-    items = _make_corpus(args, R)
-    notions_list = None
-    if args.jobs > 1:
-        tasks = [(args.ring, format_fuzzy(P)) for P in items]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            notions_list = list(pool.map(_worker_classify, tasks, chunksize=16))
-    report = primeness.diagram_check(items, notions_list=notions_list)
+    report = primeness.diagram_check(_make_corpus(args, R))
     report["ring"] = format_ring_spec(R.spec)
     _emit(report, args)
     return EXIT_OK

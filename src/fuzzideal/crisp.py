@@ -21,7 +21,7 @@ fuzzideal`` by about 1.8 MB.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -35,16 +35,6 @@ class CrispIdeal:
     ring: Ring
     elems: frozenset[int] | None = None
     gen: int | None = None
-    _key: tuple = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        if self.ring.is_table:
-            mask = 0
-            for x in self.elems:
-                mask |= 1 << x
-            object.__setattr__(self, "_key", (len(self.elems), mask))
-        else:
-            object.__setattr__(self, "_key", (self.gen,))
 
     # -- membership and order ---------------------------------------------
 
@@ -75,9 +65,6 @@ class CrispIdeal:
         if self.ring.is_table:
             return len(self.elems) == 1
         return self.gen == 0
-
-    def sort_key(self):
-        return self._key
 
     def intersect(self, other: "CrispIdeal") -> "CrispIdeal":
         if self.ring.is_table:
@@ -398,7 +385,9 @@ def enumerate_ideals(R: Ring, bound: int | None = None) -> list[CrispIdeal]:
                 if j not in seen:
                     seen.add(j)
                     found.append(j)
-        return sorted(found, key=CrispIdeal.sort_key)
+        # by size, then by the bitmask of the elements
+        return sorted(found, key=lambda I: (
+            len(I.elems), sum(1 << x for x in I.elems)))
 
     return list(R.cached("lattice", build))
 

@@ -373,10 +373,8 @@ def _literal_text(spec, lit) -> str:
 
 
 def format_element(R: Ring, x) -> str:
-    from .rings import _elem_literal
-    if not R.is_table:
-        return str(x)
-    return _literal_text(R.spec, _elem_literal(R, x))
+    """The element's text, which the ring constructors build as its label."""
+    return R.label(x)
 
 
 def format_fuzzy(F) -> str:

@@ -203,28 +203,44 @@ def is_D1(P: FuzzyIdeal) -> bool:
     return D1_witness(P) is None
 
 
-def _grid_product_witness(ctx: _Ctx, ranks, prod, reps):
+def _product_witness(ctx: _Ctx, ranks, prod_row, reps, top_cut_witness):
     """The first (x, y, t, s), x and y row-major and t, s ascending over
     the positive grid ranks, with P(x) < t, P(y) < s and
-    min(t, s) <= prod[x, y]; or None.  ``ranks`` and ``prod`` are P's
-    ranks and the product's on classes whose least elements are
-    ``reps``.
+    min(t, s) <= prod(x, y); or None.  ``ranks`` holds P's rank on the
+    classes whose least elements are ``reps`` (single elements for D0,
+    principal classes for D0'), ``prod_row(a)`` the product's ranks on
+    row a, and ``top_cut_witness()`` returns the first pair outside P's
+    top cut whose product lies inside it, or None.
 
     For given x and y, min(t, s) only grows with t and with s, so if the
     least t above P(x) and the least s above P(y) fail, every pair fails,
-    and if they hold they come first.  The least such t is P(x) + 1, or
-    ``end`` (none) when P(x) = 1.
+    and if they hold they come first.  The least such t is P(x) + 1, and
+    there is none when P(x) = 1.  So (x, y) fails iff P(x) < 1,
+    P(y) < 1 and prod(x, y) > min(P(x), P(y)).
+
+    prod(x, y) >= max(P(x), P(y)) always holds, as P(xy) >= P(x) v P(y)
+    and every x r y has the same bound.  Let x0 be the first x with
+    P(x) < 1 (P is not constant, so one exists); no earlier row fails.
+    Row x0 fails at every y with P(y) < 1 and P(y) != P(x0), where
+    prod >= max > min.  If row x0 holds no failing pair, every y has
+    P(y) = 1 or P(y) = P(x0): P is two-valued with top 1, and a pair fails
+    iff x and y lie outside the top cut P_* and the product lies inside
+    it.  The first such pair is the crisp witness of P_*, memoized per
+    ideal.  Either way t and s are the grid ranks just above P(x), P(y).
     """
-    end = len(ctx.scale)
-    above = ranks + 1
-    t, s = above[:, None], above[None, :]
-    found = crisp.first_class_hit(
-        (np.maximum(t, s) < end) & (np.minimum(t, s) <= prod), reps)
-    if found is None:
-        return None
-    (a, b), (x, y) = found
+    below = ranks < len(ctx.scale) - 1
+    a = int(below.argmax())
+    hit = crisp.first_hit(below & (prod_row(a) > np.minimum(ranks[a], ranks)))
+    if hit is not None:
+        x, y = int(reps[a]), int(reps[hit[0]])
+    else:
+        w = top_cut_witness()
+        if w is None:
+            return None
+        x, y = w
+    t, s = (ctx.pk[ctx.cls[e]] + 1 for e in (x, y))
     return {"x": ctx.elem(x), "y": ctx.elem(y),
-            "t": str(ctx.value(above[a])), "s": str(ctx.value(above[b]))}
+            "t": str(ctx.value(t)), "s": str(ctx.value(s))}
 
 
 def D0_witness(P: FuzzyIdeal):
@@ -237,7 +253,9 @@ def D0_witness(P: FuzzyIdeal):
         raise BackendError("D0 requires a table ring")
     ctx = _ctx(P)
     pv = ctx.pk[ctx.cls]
-    return _grid_product_witness(ctx, pv, pv[R.tables.mul], range(R.size))
+    return _product_witness(
+        ctx, pv, lambda a: pv[R.tables.mul[a]], range(R.size),
+        lambda: completely_prime_witness(R, star_ideal(P)))
 
 
 def is_D0(P: FuzzyIdeal) -> bool:
@@ -250,7 +268,8 @@ def D0prime_witness(P: FuzzyIdeal):
     if not P.ring.is_table:
         raise BackendError("D0' requires a table ring")
     ctx = _ctx(P)
-    return _grid_product_witness(ctx, ctx.pk, ctx.mk, ctx.reps)
+    return _product_witness(ctx, ctx.pk, lambda a: ctx.mk[a], ctx.reps,
+                            lambda: prime_witness(P.ring, star_ideal(P)))
 
 
 def is_D0prime(P: FuzzyIdeal) -> bool:
@@ -622,6 +641,8 @@ def classify(P: FuzzyIdeal):
 
     d1_w = D1_witness(P)
     record("D1", d1_w)
+    # D1's characterization (two-valued, top 1, prime top cut) decides
+    # the left and right versions too, so they copy its answer
     record("D1L", d1_w)
     record("D1R", d1_w)
     record("D2", D2_witness(P))
@@ -694,9 +715,9 @@ def diagram_check(corpus, notions_list=None) -> dict:
     For the probed reverse directions a counterexample (if any exists in
     the corpus) is reported.  The D0 arrows that the source material
     leaves ambiguous on commutative rings are reported, never asserted.
-    ``notions_list`` can supply precomputed classify() outputs (e.g. from
-    a worker pool); order must match the corpus.  A notion absent from
-    an item (D0 and SD0' over ℤ) neither proves nor refutes an edge.
+    ``notions_list`` can supply precomputed classify() outputs in corpus
+    order.  A notion absent from an item (D0 and SD0' over ℤ) neither
+    proves nor refutes an edge.
     """
     if not corpus:
         raise ValueError("empty corpus")

@@ -122,13 +122,6 @@ def test_diagram_reports_sd1_sd2_equivalence(capsys, ring):
     assert "SD2=>SD1" not in edges
 
 
-def test_diagram_jobs_deterministic(capsys):
-    base = ("diagram", "--ring", "Mat(2,Zn(2))")
-    _, out1, _ = run(capsys, *base, "--jobs", "1")
-    _, out2, _ = run(capsys, *base, "--jobs", "2")
-    assert out1 == out2
-
-
 def test_check_commands(capsys):
     code, _, err = run(capsys, "check-charprime", "--ring", "Zn(6)")
     assert code == 0, err
@@ -189,7 +182,7 @@ def test_random_corpus_requires_seed_and_is_reproducible(capsys):
 
 
 @pytest.mark.parametrize("extra", [
-    ("--cap", "0"), ("--cap", "-1"), ("--jobs", "0"),
+    ("--cap", "0"), ("--cap", "-1"),
     ("--corpus", "random", "--seed", "1", "--cap", "0"),
 ])
 def test_bad_counts_exit_2(capsys, extra):
@@ -209,6 +202,17 @@ def test_grid_option_is_gone(capsys, command):
             "--fuzzy", "{1:<0>, 1/2:<2>, 0:<*>}", "--grid", "1/2,1/2")
     assert exc.value.code == 2
     assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diagram", "check-charprime",
+                                     "check-inter", "check-frad"])
+def test_jobs_option_is_gone(capsys, command):
+    """Corpus commands run in one process, so --jobs is an unknown
+    argument."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, "--ring", "Zn(6)", "--jobs", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_env_cap_read_on_every_call(capsys, monkeypatch):

@@ -7,7 +7,8 @@ from fuzzideal import (InvalidFuzzyIdealError, ParseError, format,
                        format_element, format_fuzzy, format_ring_spec,
                        parse_element, parse_fuzzy_spec, parse_ring,
                        parse_ring_spec)
-from fuzzideal.dsl import parse_value, to_json
+from fuzzideal.dsl import _literal_text, parse_value, to_json
+from fuzzideal.rings import _elem_literal
 
 F = Fraction
 
@@ -76,12 +77,18 @@ def test_parse_element_shape_errors(rings):
     assert rings["Tri(2, Zn(2))"].label(t) == "[[1,1],[0,1]]"
 
 
-def test_element_round_trip(rings):
+def test_element_round_trip():
+    """Every element's text parses back to it and is the literal built
+    from the ring's structure, quotients by their parents' literals."""
     for spec in ("Zn(12)", "Mat(2, Zn(2))", "Tri(2, Zn(2))",
-                 "Prod(Zn(2), Zn(3))"):
-        R = rings[spec]
+                 "Prod(Zn(2), Zn(3))", "Quot(Zn(12), <4>)", "Quot(Z, <6>)",
+                 "Quot(Quot(Zn(24), <8>), <4>)",
+                 "Quot(Mat(2, Zn(4)), <[[2,0],[0,0]]>)"):
+        R = parse_ring(spec)
         for x in range(R.size):
-            assert parse_element(R, format_element(R, x)) == x
+            text = format_element(R, x)
+            assert parse_element(R, text) == x
+            assert text == _literal_text(R.spec, _elem_literal(R, x))
 
 
 # -- values -----------------------------------------------------------------
