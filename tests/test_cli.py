@@ -182,7 +182,7 @@ def test_random_corpus_requires_seed_and_is_reproducible(capsys):
 
 
 @pytest.mark.parametrize("extra", [
-    ("--cap", "0"), ("--cap", "-1"),
+    ("--cap", "0"), ("--cap", "-1"), ("--bound", "0"),
     ("--corpus", "random", "--seed", "1", "--cap", "0"),
 ])
 def test_bad_counts_exit_2(capsys, extra):
