@@ -2,10 +2,10 @@
 
 Commands: ideals, primes, classify, radical, diagram, check-charprime,
 check-inter, check-frad.  Exit codes: 0 ok, 2 parse error or bad
-arguments (--bound or --cap below 1, --corpus random without --seed),
-3 resource limit, 4 invalid fuzzy ideal, 5 constant ideal, 6
-theorem-assertion failure.  Reports are byte-identical for identical
-inputs, seeds included.
+arguments (--bound or --cap below 1, --corpus random without --seed,
+a --palette with fewer than two distinct values), 3 resource limit, 4
+invalid fuzzy ideal, 5 constant ideal, 6 theorem-assertion failure.
+Reports are byte-identical for identical inputs, seeds included.
 """
 from __future__ import annotations
 
@@ -207,7 +207,12 @@ def cmd_radical(args):
 
 
 def _parse_values(text):
-    return tuple(parse_value(part.strip()) for part in text.split(","))
+    """The palette's values; a non-constant fuzzy ideal needs two."""
+    values = tuple(parse_value(part.strip()) for part in text.split(","))
+    if len(set(values)) < 2:
+        raise ParseError("a palette needs at least two distinct values",
+                         (0, len(text)), {"a second distinct value"})
+    return values
 
 
 def _make_corpus(args, R):

@@ -23,16 +23,26 @@ DEFAULT_PALETTE = (Fraction(1), Fraction(3, 4), Fraction(1, 2),
 DEFAULT_CAP = 100_000
 
 
-def ideal_chains(R: Ring, max_len: int, bound: int | None = None):
+def ideal_chains(R: Ring, max_len: int, bound: int | None = None,
+                 among=None):
     """All strict chains C1 < ... < Cm = R, ordered by length then lattice
-    position; includes the length-1 chain (R,)."""
+    position; includes the length-1 chain (R,).
+
+    ``among``, a collection of ideals of the lattice, keeps only the chains
+    whose C1, ..., C(m-1) all lie in it.  Every suffix of such a chain is
+    one too, so the walk yields exactly those chains of the full walk, in
+    its order."""
     lattice = enumerate_ideals(R, bound)
     whole = next((i for i in reversed(lattice) if i.is_whole), None)
     if whole is None:
         raise TheoremViolationError(
             "the ideal lattice lacks the whole ring",
             details={"ring": repr(R), "bound": bound})
-    below = {i: [j for j in lattice if j != i and j.subset(i)] for i in lattice}
+    if among is not None:
+        among = set(among)
+        lattice = [i for i in lattice if i in among]
+    below = {i: [j for j in lattice if j != i and j.subset(i)]
+             for i in (*lattice, whole)}
 
     chains = [[whole]]
     frontier = [[whole]]

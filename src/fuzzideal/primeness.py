@@ -394,22 +394,40 @@ def _semiprime_chains(R: Ring, max_len: int, bound: int | None = None):
     ``enumerate_ideals(R, bound)``, in order, and whether they also
     carry primes.
 
-    Both flags come from ``is_semiprime_new``/``is_prime_new`` on one
-    value assignment per chain, which decides every assignment (L2 in
-    :func:`semiprime_family`).
+    Take a fuzzy ideal Q with chain C1 < ... < Cm = R and values
+    c1 > ... > cm.  Q is semiprime (Inf Q(xRx) = Q(x) for every x) iff
+    C1, ..., C(m-1) are semiprime, and prime (Inf Q(xRy) = Q(x) v Q(y))
+    iff they are prime, whatever the values, on both backends.  Q(xry) >=
+    Q(x) v Q(y) for every r, so Inf Q(xRy) >= Q(x) v Q(y), the infimum
+    being a least value as Q takes finitely many.  If Inf Q(xRy) = t >
+    Q(x) v Q(y), then t > cm, and the level set of t is a cut Ck, k < m,
+    that holds xRy but neither x nor y: Ck is not prime.  Conversely, x
+    and y outside Ck with xRy inside it give Inf Q(xRy) >= ck >
+    Q(x) v Q(y).  The semiprime case is x = y.
+
+    So the walk lists only the chains of semiprime proper ideals, with R
+    on top, and reads both flags from the memoized crisp witnesses.  Each
+    kept chain is decided once more by the Inf-forms, on the values
+    (m-1-k)/(m-1), and any disagreement raises TheoremViolationError.
     """
     def build():
+        lattice = crisp.enumerate_ideals(R, bound)
+        semiprimes = [J for J in lattice
+                      if not J.is_whole and semiprime_witness(R, J) is None]
+        primes = {J for J in semiprimes if prime_witness(R, J) is None}
         pos = crisp.lattice_positions(R, bound)
         by_len = {}
-        for chain in ideal_chains(R, max_len, bound):
-            if len(chain) < 2:
-                continue
+        for chain in ideal_chains(R, max_len, bound, among=semiprimes)[1:]:
             m = len(chain)
+            prime = primes.issuperset(chain[:-1])
             Q = FuzzyIdeal(R, tuple(
                 zip(chain, (Fraction(m - 1 - k, m - 1) for k in range(m)))))
-            if is_semiprime_new(Q):
-                by_len.setdefault(m, []).append(
-                    ([pos[J] for J in chain], is_prime_new(Q)))
+            if not is_semiprime_new(Q) or is_prime_new(Q) != prime:
+                from .dsl import format_fuzzy
+                raise TheoremViolationError(
+                    "the Inf-forms disagree with the crisp cut flags",
+                    details={"fuzzy": format_fuzzy(Q), "prime_cuts": prime})
+            by_len.setdefault(m, []).append(([pos[J] for J in chain], prime))
         return {m: (np.array([c for c, _ in rows], dtype=np.int64),
                     np.array([p for _, p in rows], dtype=bool))
                 for m, rows in by_len.items()}
@@ -445,12 +463,10 @@ def semiprime_family(I: FuzzyIdeal, grid, bound: int | None = None):
          Ck minus C(k-1) and its values decrease, so Q >= I iff ck bounds
          I on the complement of C(k-1); there I's largest value is its
          value at the least chain ideal of I not inside C(k-1).
-    (L2) Whether Q is semiprime, and whether it is prime, depends on the
-         chain alone, not on its values.  On table rings the Inf-forms
-         compare Q's values only by order (min, max and equality), and
-         those values are a strictly decreasing image of the level
-         index.  Over Z both are decided by the cuts above the bottom,
-         which are C1, ..., C(m-1).
+    (L2) Q is semiprime iff C1, ..., C(m-1) are semiprime, and prime iff
+         they are prime, on both backends: the cut theorems, proved in
+         :func:`_semiprime_chains`.  So both depend on the chain alone,
+         not on its values.
 
     By L2 the chains and their flags are taken once per ring from
     :func:`_semiprime_chains`.  By L1 each lattice ideal gets one
@@ -765,14 +781,15 @@ def diagram_check(corpus, notions_list=None) -> dict:
 
     # reported-only D0 arrow on commutative rings (convention-dependent)
     if commutative:
-        flagged = []
-        for idx, P, notions in rows:
-            if "D0" in notions and notions["D0'"] and not notions["D0"]:
-                from .dsl import format_fuzzy
-                flagged.append({"fuzzy": format_fuzzy(P), "index": idx})
-        edges.append({"edge": "D0'=>D0 (commutative, reported only)",
-                      "status": "counterexample" if flagged else "implied",
-                      **({"witness": flagged[0]} if flagged else {})})
+        first = next((idx for idx, P, notions in rows if "D0" in notions
+                      and notions["D0'"] and not notions["D0"]), None)
+        edge = {"edge": "D0'=>D0 (commutative, reported only)",
+                "status": "implied"}
+        if first is not None:
+            from .dsl import format_fuzzy
+            edge.update(status="counterexample", witness={
+                "fuzzy": format_fuzzy(corpus[first]), "index": first})
+        edges.append(edge)
 
     return {"corpus_size": len(rows), "diagram": edges}
 

@@ -298,9 +298,10 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
     explicit prime-avoiding lower-bound witnesses per element.
 
     The families are generated, not filtered: :func:`semiprime_family`
-    gives exactly the grid-valued semiprimes above I as integer arrays,
-    deciding primeness with the Inf-forms once per ideal chain, so the
-    check does not rest on the cut radicals that :func:`frad` uses.
+    gives exactly the grid-valued semiprimes above I as integer arrays.
+    Their semiprime and prime flags come from the crisp cut witnesses,
+    and the Inf-forms confirm every kept chain once, so the check does
+    not rest on the cut radicals that :func:`frad` uses.
     Each intersection is one lattice meet per value
     (:func:`family_meet`).
 

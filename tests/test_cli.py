@@ -192,6 +192,18 @@ def test_bad_counts_exit_2(capsys, extra):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("palette", ["1", "1/2,1/2", "1,1.0"])
+@pytest.mark.parametrize("command", ["diagram", "check-charprime",
+                                     "check-inter", "check-frad"])
+def test_palette_needs_two_distinct_values(capsys, command, palette):
+    """No non-constant fuzzy ideal takes one value, so such a palette is
+    a bad argument, not an empty or vacuous corpus."""
+    code, out, err = run(capsys, command, "--ring", "Zn(4)",
+                         "--palette", palette)
+    assert (code, out) == (2, "")
+    assert "a palette needs at least two distinct values" in err
+
+
 @pytest.mark.parametrize("command", ["classify", "radical"])
 def test_grid_option_is_gone(capsys, command):
     """Quantifiers always range over value_grid(P): a grid that lacks P's

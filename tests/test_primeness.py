@@ -19,7 +19,7 @@ from fuzzideal import (ConstantIdealError, CrispIdeal,
                        minimal_primes, parse_element, parse_fuzzy_spec,
                        parse_ring, principal_ideal, to_set, value_equivalent,
                        value_grid, zero_type)
-from fuzzideal import primeness, radical
+from fuzzideal import dsl, primeness, radical
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import zero_ideal
 from fuzzideal.fuzzy import (fuzzy_from_chain, probe_elements, star_ideal,
@@ -586,3 +586,27 @@ def test_classify_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
+
+
+def test_reported_d0_arrow_formats_only_its_first_hit(monkeypatch):
+    """D0' implies D0 on a commutative ring, so the reported-only arrow is
+    fed notions with D0 cleared on every D0' item of Zn(6).  It reports
+    the first of them, and format_fuzzy runs once per reported witness,
+    not once per flagged item."""
+    corpus = build_corpus(parse_ring("Zn(6)"))
+    notions_list = [dict(classify(P)[0]) for P in corpus]
+    flagged = [i for i, notions in enumerate(notions_list) if notions["D0'"]]
+    assert len(flagged) > 1
+    for i in flagged:
+        notions_list[i]["D0"] = False
+    calls = []
+    monkeypatch.setattr(dsl, "format_fuzzy",
+                        lambda P: calls.append(P) or format_fuzzy(P))
+    report = primeness.diagram_check(corpus, notions_list)
+    edge = report["diagram"][-1]
+    assert list(edge.items()) == [
+        ("edge", "D0'=>D0 (commutative, reported only)"),
+        ("status", "counterexample"),
+        ("witness", {"fuzzy": format_fuzzy(corpus[flagged[0]]),
+                     "index": flagged[0]})]
+    assert len(calls) == sum("witness" in e for e in report["diagram"])

@@ -10,21 +10,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzideal import (FuzzyIdeal, TheoremViolationError, build_corpus,
+from fuzzideal import (FuzzyIdeal, RingConstructionError,
+                       TheoremViolationError, build_corpus,
                        characteristic, classify, enumerate_fuzzy_ideals,
                        frad, frad_intersection_check, intersect,
                        parse_fuzzy_spec, parse_ring, radical_properties_check,
                        radical_report, semiprime_intersection_check,
                        value_equivalent, value_grid, witness_prime_excluding,
                        zero_type)
-from conftest import TABLE_SPECS, Z_BOUND
-from fuzzideal import radical
+from conftest import SMALL_RING, TABLE_SPECS, Z_BOUND
+from fuzzideal import primeness, radical
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import (crisp_radical, enumerate_ideals, ideal_generate,
-                             prime_avoiding, zero_ideal)
+                             lattice_positions, prime_avoiding, zero_ideal)
 from fuzzideal.fuzzy import cut, probe_elements
-from fuzzideal.primeness import (family_meet, is_prime_new, is_semiprime_new,
-                                 semiprime_family)
+from fuzzideal.primeness import (_semiprime_chains, family_meet, is_prime_new,
+                                 is_semiprime_new, semiprime_family)
 from fuzzideal.radical import (_cut_radicals, _first_difference,
                                _witness_pairs, ring_radical_experimental,
                                ring_radical_value_equivalence)
@@ -253,6 +254,90 @@ def test_primeness_depends_on_the_chain_alone(spec, data):
                                           for k in range(m)))))
     assert is_prime_new(Q) == is_prime_new(rep)
     assert is_semiprime_new(Q) == is_semiprime_new(rep)
+
+
+def _semiprime_chains_reference(R, max_len, bound=None):
+    """Every chain of the lattice, kept when the Inf-forms call its
+    representative semiprime: {m: [(positions, prime), ...]}."""
+    pos = lattice_positions(R, bound)
+    by_len = {}
+    for chain in ideal_chains(R, max_len, bound):
+        m = len(chain)
+        if m < 2:
+            continue
+        Q = FuzzyIdeal(R, tuple(zip(chain, (F(m - 1 - k, m - 1)
+                                            for k in range(m)))))
+        if is_semiprime_new(Q):
+            by_len.setdefault(m, []).append(
+                ([pos[J] for J in chain], is_prime_new(Q)))
+    return by_len
+
+
+def _assert_chains_match_reference(R, max_len, bound=None):
+    got = _semiprime_chains(R, max_len, bound)
+    want = _semiprime_chains_reference(R, max_len, bound)
+    assert sorted(got) == sorted(want), (R, max_len, bound)
+    for m, rows in want.items():
+        positions, prime = got[m]
+        assert positions.tolist() == [c for c, _ in rows], (R, max_len, m)
+        assert prime.tolist() == [p for _, p in rows], (R, max_len, m)
+
+
+@pytest.mark.parametrize("spec", [*TABLE_SPECS, "Z@8", "Z@12"])
+def test_semiprime_chains_match_the_per_chain_walk(rings, spec):
+    """The chains of semiprime ideals with their crisp flags are the
+    chains, order and flags of the Inf-form walk over every chain."""
+    R, bound = ((rings["Z"], int(spec[2:])) if spec.startswith("Z@")
+                else (rings[spec], None))
+    for max_len in range(3, 10):
+        _assert_chains_match_reference(R, max_len, bound)
+
+
+@given(text=SMALL_RING, max_len=st.integers(2, 6))
+def test_semiprime_chains_match_the_walk_on_random_rings(text, max_len):
+    try:
+        R = parse_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    _assert_chains_match_reference(R, max_len)
+
+
+@pytest.mark.parametrize("lie", ["prime", "semiprime"])
+def test_semiprime_chains_catch_a_lying_crisp_witness(monkeypatch, lie):
+    """A crisp witness that calls <6> prime, or <4> semiprime, in Zn(12)
+    keeps a chain whose Inf-form answers disagree with its flags."""
+    R = parse_ring("Zn(12)")
+    name, liar = {"prime": ("prime_witness", ideal_generate(R, {6})),
+                  "semiprime": ("semiprime_witness",
+                                ideal_generate(R, {4}))}[lie]
+    honest = getattr(primeness, name)
+    monkeypatch.setattr(primeness, name, lambda R, J: (
+        None if J == liar else honest(R, J)))
+    with pytest.raises(TheoremViolationError,
+                       match="Inf-forms disagree with the crisp cut flags"):
+        _semiprime_chains(R, 5)
+
+
+def test_semiprime_chains_decide_only_the_kept_chains(monkeypatch):
+    """On Prod(Zn(16), Zn(16)) the walk over every chain up to length 9
+    builds and decides 5,135 fuzzy ideals; the chains of semiprime ideals
+    number 5, and each is built and decided once."""
+    calls = {"built": 0, "decided": 0}
+
+    def counting(key, f):
+        def wrapped(*args):
+            calls[key] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(primeness, "FuzzyIdeal",
+                        counting("built", primeness.FuzzyIdeal))
+    monkeypatch.setattr(primeness, "is_semiprime_new",
+                        counting("decided", primeness.is_semiprime_new))
+    chains = _semiprime_chains(parse_ring("Prod(Zn(16), Zn(16))"), 9)
+    kept = sum(len(prime) for _, prime in chains.values())
+    assert kept == 5
+    assert calls == {"built": kept, "decided": kept}
 
 
 def _excluding_value(radicals, x, w):
