@@ -3,8 +3,9 @@
 Commands: ideals, primes, classify, radical, diagram, check-charprime,
 check-inter, check-frad.  Exit codes: 0 ok, 2 parse error or bad
 arguments (--bound or --cap below 1, --corpus random without --seed,
-a --palette with fewer than two distinct values), 3 resource limit, 4
-invalid fuzzy ideal, 5 constant ideal, 6 theorem-assertion failure.
+a --palette with fewer than two distinct values) or a ring the command
+does not support (check-charprime on Z), 3 resource limit, 4 invalid
+fuzzy ideal, 5 constant ideal, 6 theorem-assertion failure.
 Reports are byte-identical for identical inputs, seeds included.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import corpus as corpus_mod
 from . import crisp, primeness, radical as radical_mod
 from .dsl import (ParseError, format_element, format_fuzzy, format_ring_spec,
                   parse_fuzzy_spec, parse_ring, parse_value, to_json)
-from .errors import (ConstantIdealError, InvalidFuzzyIdealError,
+from .errors import (BackendError, ConstantIdealError, InvalidFuzzyIdealError,
                      NotProperIdealError, ResourceLimitError,
                      RingConstructionError, TheoremViolationError)
 
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except RingConstructionError as exc:
         print(f"invalid ring: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except BackendError as exc:
+        print(f"unsupported ring: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

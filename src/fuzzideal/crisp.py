@@ -7,7 +7,7 @@ prime, completely prime and semiprime witnesses of each ideal on the
 ring object (single-writer init, safe for concurrent readers); every
 ring memoizes the radical of each ideal and its prime-avoiding ideals.
 Over Z an ideal is just its nonnegative generator: 0 for {0}, 1 for Z,
-and sympy is imported only by the Z branches that factor it.
+and the Z branches read its primes from :func:`factorize`.
 
 On table rings, generation, joins and the witness searches index the
 ring's integer-array tables (``Ring.tables``) with boolean membership
@@ -20,6 +20,7 @@ fuzzideal`` by about 1.8 MB.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -412,13 +413,11 @@ def prime_witness(R: Ring, P: CrispIdeal):
     """
     _require_proper(P)
     if not R.is_table:
-        import sympy
         n = P.gen
-        if n == 0 or sympy.isprime(n):
+        if n == 0 or _is_prime(n):
             return None
         # some factorization n = a*b certifies failure
-        p = sympy.factorint(n)
-        a = min(p)
+        a = factorize(n)[0][0]
         return (a, n // a)
 
     def search():
@@ -484,11 +483,10 @@ def semiprime_witness(R: Ring, P: CrispIdeal):
     """
     _require_proper(P)
     if not R.is_table:
-        import sympy
         n = P.gen
         if n == 0:
             return None
-        for p, e in sympy.factorint(n).items():
+        for p, e in factorize(n):
             if e >= 2:
                 return n // p  # n | (n/p)^2 but n does not divide n/p
         return None
@@ -504,12 +502,51 @@ def is_semiprime_ideal(R: Ring, P: CrispIdeal) -> bool:
     return semiprime_witness(R, P) is None
 
 
+_TRIAL_LIMIT = 10 ** 6  # the largest divisor factorize tries
+
+
+@functools.lru_cache(maxsize=4096)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of an integer n >= 1 as (prime, exponent)
+    pairs, ascending; () for 1.  Memoized per n.
+
+    Trial division by 2 and the odd numbers up to min(sqrt(n), 10**6).
+    A cofactor left above 1 has no divisor up to that point, so it is
+    prime when it is below 10**12, the square of the last divisor tried.
+    A larger cofactor is beyond this helper: it raises
+    ResourceLimitError.  Z's generators, their lcms and the probe
+    lcms of check-frad have small prime factors, far inside the limit.
+    """
+    if n < 1:
+        raise ValueError("factorize needs a positive integer")
+    out = []
+    d = 2
+    while d * d <= n and d <= _TRIAL_LIMIT:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if d * d <= n:
+            raise ResourceLimitError(
+                f"a cofactor {n} has no divisor up to {_TRIAL_LIMIT} and "
+                f"exceeds {_TRIAL_LIMIT ** 2}; factoring it is out of range")
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and factorize(n) == ((n, 1),)
+
+
 def _int_radical(n: int) -> int:
     if n in (0, 1):
         return n
-    import sympy
     out = 1
-    for p in sympy.primefactors(n):
+    for p, _ in factorize(n):
         out *= p
     return out
 
@@ -569,14 +606,15 @@ def _prime_avoiding(R: Ring, P: CrispIdeal, x) -> CrispIdeal:
         raise ValueError("P must be semiprime")
 
     if not R.is_table:
-        import sympy
         n = P.gen
         if n == 0:
             p = 2
             while x % p == 0:
-                p = sympy.nextprime(p)
+                p += 1
+                while not _is_prime(p):
+                    p += 1
             return CrispIdeal(R, gen=p)
-        for p in sorted(sympy.primefactors(n)):
+        for p, _ in factorize(n):
             if x % p != 0:
                 return CrispIdeal(R, gen=p)
         raise ValueError("no prime divisor of gen(P) avoids x")

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .crisp import CrispIdeal, ideal_generate, is_ideal, whole_ideal, zero_ideal
+from .crisp import (CrispIdeal, factorize, ideal_generate, is_ideal,
+                    whole_ideal, zero_ideal)
 from .errors import (BackendError, ConstantIdealError, InvalidFuzzyIdealError,
                      TheoremViolationError)
 from .rings import Ring, row_blocks
@@ -114,18 +115,26 @@ def probe_elements(*fuzzies):
     For a table ring this is every element.  Over Z the value of x only
     depends on which chain ideals nZ contain it, i.e. on gcd(x, L) with
     L the lcm of the nonzero generators, so 0 plus the divisors of L
-    realize every membership profile.
+    realize every membership profile: a tuple memoized per L.
     """
     ring = fuzzies[0].ring
     if ring.is_table:
         return range(ring.size)
-    import sympy
     L = 1
     for f in fuzzies:
         for ideal, _ in f.chain:
             if ideal.gen:
                 L = L * ideal.gen // gcd(L, ideal.gen)
-    return [0] + [int(d) for d in sympy.divisors(L)]
+    return _z_probes(L)
+
+
+@functools.lru_cache(maxsize=1024)
+def _z_probes(L: int) -> tuple[int, ...]:
+    """0 and the divisors of L, ascending, from ``crisp.factorize``."""
+    divisors = [1]
+    for p, e in factorize(L):
+        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    return (0, *sorted(divisors))
 
 
 # --------------------------------------------------------------------------

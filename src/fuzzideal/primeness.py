@@ -34,18 +34,44 @@ from .rings import Ring, quotient_ring
 # Value grid
 # --------------------------------------------------------------------------
 
-def value_grid(P: FuzzyIdeal) -> tuple[Fraction, ...]:
-    """image(P) + {0, 1} + midpoints of consecutive members, ascending."""
+class ValueGrid(tuple):
+    """An ascending value grid, as a tuple, in rank form for the image it
+    was ranked with: ``rank`` maps each value of grid + image to its rank
+    there, ``ranks`` holds the grid values' ranks (an int64 array,
+    ascending) and ``levels`` the ranks of the image's values, in level
+    order (descending)."""
+
+
+def value_grid(P: FuzzyIdeal) -> ValueGrid:
+    """image(P) + {0, 1} + midpoints of consecutive members, ascending.
+
+    The grid is memoized per image in rank form (:class:`ValueGrid`); it
+    holds image(P), so a rank is a grid position.  This is where the
+    rank paths take P's Fractions: the rank context and check-frad's
+    per-item path compare grid ranks from here on, and turn a rank back
+    into a Fraction only to build a witness or write a report.
+    """
     return _value_grid(P.values)
 
 
 @functools.lru_cache(maxsize=1024)
-def _value_grid(image) -> tuple[Fraction, ...]:
+def _value_grid(image) -> ValueGrid:
     """The grid of :func:`value_grid`, memoized per image: a check calls
     it once per item, and corpora draw their images from a few values."""
     base = sorted(set(image) | {ZERO, ONE})
     mids = [(a + b) / 2 for a, b in zip(base, base[1:])]
-    return tuple(sorted(set(base) | set(mids)))
+    return _ranked_grid(sorted(base + mids), image)
+
+
+def _ranked_grid(values, image) -> ValueGrid:
+    """The ascending ``values`` as a :class:`ValueGrid` ranked with
+    ``image``."""
+    grid = ValueGrid(values)
+    grid.rank = {v: i for i, v in enumerate(sorted(set(values) | set(image)))}
+    grid.ranks = np.array([grid.rank[v] for v in grid], dtype=np.int64)
+    grid.ranks.flags.writeable = False
+    grid.levels = tuple(grid.rank[v] for v in image)
+    return grid
 
 
 # --------------------------------------------------------------------------
@@ -77,11 +103,10 @@ class _Ctx:
         classes = crisp.principal_classes(R)
         self.ring, self.cls, self.reps = R, classes.cls, classes.reps
         self.scale = value_grid(P)
-        rank = {v: i for i, v in enumerate(self.scale)}
         pos = crisp.lattice_positions(R)
         self.pk = np.empty(len(self.reps), dtype=np.int64)
-        for C, v in reversed(P.chain):
-            self.pk[classes.members[pos[C]]] = rank[v]
+        for C, r in zip(reversed(P.ideals), reversed(self.scale.levels)):
+            self.pk[classes.members[pos[C]]] = r
         self.floor = np.where(classes.members, self.pk,
                               len(self.scale)).min(axis=1)
         self.mk = self.floor[classes.product]
@@ -93,8 +118,20 @@ class _Ctx:
         return self.ring.label(int(i))
 
 
-# One slot: classify and the checks ask every decider about one P in turn.
-_ctx = functools.lru_cache(maxsize=1)(_Ctx)
+_held = (None, None)  # the P of the last _ctx call, and its context
+
+
+def _ctx(P: FuzzyIdeal) -> _Ctx:
+    """P's rank context, kept in one slot: classify and the checks ask
+    every decider about one P in turn.  The slot is found by identity,
+    so no lookup hashes P's chain; it holds P, whose id therefore stays
+    unused by any other object while the slot answers for it."""
+    global _held
+    held, ctx = _held
+    if held is not P:
+        ctx = _Ctx(P)
+        _held = (P, ctx)
+    return ctx
 
 
 # --------------------------------------------------------------------------
@@ -473,16 +510,18 @@ def semiprime_family(I: FuzzyIdeal, grid, bound: int | None = None):
     threshold per call, read with one ``argmax`` from the rows of I's
     chain ideals in ``crisp.subset_rows``, and every chain is tested
     against all value combinations at once, in integer ranks on
-    grid + image(I).
+    grid + image(I).  ``grid`` is ``value_grid(I)``, whose ranks are read
+    from its memo, or any other ascending grid, which is ranked with
+    image(I) first.
     """
     R = I.ring
-    values = sorted((Fraction(v) for v in set(grid)), reverse=True)
-    rank = {v: i for i, v in enumerate(sorted(set(values) | set(I.values)))}
-    value_ranks = np.array([rank[v] for v in values], dtype=np.int64)
+    if not isinstance(grid, ValueGrid):
+        grid = _ranked_grid(sorted(Fraction(v) for v in set(grid)), I.values)
+    values, value_ranks = grid[::-1], grid.ranks[::-1]
+    level_rank = np.array(grid.levels, dtype=np.int64)
     # the L1 threshold above each lattice ideal C, when C is C(k-1): the
     # rank of I's first level D not inside C; -1 (no bound) for the whole
     # ring, which every chain ideal is inside
-    level_rank = np.array([rank[v] for v in I.values], dtype=np.int64)
     outside = ~crisp.subset_rows(R, [D for D, _ in I.chain], bound)
     threshold = np.where(outside.any(axis=0),
                          level_rank[outside.argmax(axis=0)], -1)

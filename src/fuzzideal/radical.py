@@ -100,14 +100,16 @@ _WITNESS_FAILED = "prime-avoiding witness is not a prime above I with P(x) = s"
 def _prime_above(I: FuzzyIdeal, M, s) -> FuzzyIdeal:
     """P = {(M, I(0)), (R, s)}, checked to be a prime fuzzy ideal above I.
 
-    P's primeness is memoized per ring and distinct P (its chain is the
-    key): the same few witnesses recur across the items of a check.
+    P's primeness is memoized per ring and distinct P, which M and its
+    two values determine: the same few witnesses recur across the items
+    of a check.  The key holds the values as integer ratios, which hash
+    as ints.
     """
     R = I.ring
     P = FuzzyIdeal(R, ((M, I.top), (whole_ideal(R), s)))
-    if not (s < I.top
-            and R.cached(("witness_is_prime_new", P.chain),
-                         lambda: is_prime_new(P))
+    key = ("witness_is_prime_new", M, I.top.as_integer_ratio(),
+           s.as_integer_ratio())
+    if not (s < I.top and R.cached(key, lambda: is_prime_new(P))
             and I.le(P)):
         raise TheoremViolationError(_WITNESS_FAILED)
     return P
@@ -118,23 +120,22 @@ def _first_difference(F: FuzzyIdeal, G: FuzzyIdeal):
     return next((x for x in probe_elements(F, G) if F(x) != G(x)), None)
 
 
-def _cut_radicals(I: FuzzyIdeal, grid) -> list:
-    """(s, Rad(I_s)) for every grid value s up to I(0), ascending.
+def _cut_radicals(I: FuzzyIdeal, levels) -> list:
+    """Rad(I_s) for every grid rank s from 0 up to I(0)'s, ``levels[0]``,
+    indexed by s; ``levels`` holds the grid ranks of I's level values.
 
-    I_s is I's ideal at its last level valued at least s, so walking the
-    ascending grid moves that level up the chain, and the radicals are
+    I_s is I's ideal at its last level of rank at least s, so walking the
+    ranks upward moves that level up the chain, and the radicals are
     taken once per level.
     """
     R = I.ring
-    radicals = [crisp_radical(R, C) for C, _ in I.chain]
-    level = len(I.chain) - 1
+    radicals = [crisp_radical(R, C) for C in I.ideals]
+    level = len(levels) - 1
     out = []
-    for s in sorted(grid):
-        if s > I.top:
-            break
-        while I.chain[level][1] < s:
+    for s in range(levels[0] + 1):
+        while levels[level] < s:
             level -= 1
-        out.append((s, radicals[level]))
+        out.append(radicals[level])
     return out
 
 
@@ -163,54 +164,55 @@ def _avoiding_positions(R: Ring, rad):
     return R.cached(("avoiding_positions", rad), build)
 
 
-def _witness_pairs(I: FuzzyIdeal, F: FuzzyIdeal, grid) -> tuple:
+def _witness_pairs(I: FuzzyIdeal, F: FuzzyIdeal, grid, flevels) -> tuple:
     """The lower-bound witness pair (M, s) of every element x with
     F(x) = FRad(I)(x) below the top, in a few array steps over the
-    probe elements: ``(below, pairs, group)``, the positions of those x
-    in ``probe_elements(I, F)``, the distinct pairs in order of first
-    use, and ``pairs[group[i]]`` the pair of the element at ``below[i]``.
+    probe elements: ``(below, keys, pairs)``, the positions of those x
+    in ``probe_elements(I, F)``, a key for each, and a dict from each
+    distinct key, in order of first use, to its pair: the element at
+    ``below[i]`` has the pair ``pairs[keys[i]]``.
 
-    ``grid`` is ascending and holds I's image, as ``value_grid(I)`` does.
-    s is the least grid value above F(x) with x outside Rad(I_s).  With
-    F(x) below the top, the next image value v of I above F(x) has x
-    outside Rad(I_v), and so does the midpoint of F(x) and v, which has
-    the same cut; on ``value_grid(I)`` s is therefore below I(0).  The ranks come from two masks over the probes: the
-    radicals of I's cuts at the grid values up to I(0), and F's chain,
-    one rank assignment per level.  M is ``prime_avoiding(R, Rad(I_s),
-    x)``, read on table rings from :func:`_avoiding_positions`.
+    ``grid`` is ``value_grid(I)``, whose ``levels`` are the grid ranks
+    of I's level values, and ``flevels`` holds those of F's.  Everything
+    up to the pairs compares ranks; s leaves as the Fraction
+    ``grid[s]``.  s is the least grid value above F(x) with x
+    outside Rad(I_s).  With F(x) below the top, the next image value v
+    of I above F(x) has x outside Rad(I_v), and so does the midpoint of
+    F(x) and v, which has the same cut; on ``value_grid(I)`` s is
+    therefore below I(0).  The ranks come from one mask over the probes
+    of F's chain ideals, the first of which holding x gives F(x), and of
+    the radicals of I's cuts at the grid ranks up to I(0)'s
+    (:func:`_cut_radicals`).  M is ``prime_avoiding(R, Rad(I_s), x)``,
+    read on table rings from :func:`_avoiding_positions`.
 
     P = {(M, I(0)), (R, s)} takes the value s < I(0) exactly outside M,
     so P(x) = s for every element is one mask test, x outside its M.
     """
     R = I.ring
-    radicals = _cut_radicals(I, grid)
-    levels = len(radicals)  # levels - 1 is the rank of I(0) = F(0)
+    radicals = _cut_radicals(I, grid.levels)
+    width = len(radicals)  # ranks 0, ..., width - 1, that of I(0) = F(0)
     probes = probe_elements(I, F)
-    rank = {v: r for r, v in enumerate(grid)}
-    frank = np.empty(len(probes), dtype=np.intp)
-    for row, (_, v) in zip(_probe_masks(R, F.ideals, probes)[::-1],
-                           reversed(F.chain)):
-        frank[row] = rank[v]
-    below = np.flatnonzero(frank < levels - 1)
-    member = _probe_masks(R, [rad for _, rad in radicals], probes)
-    outside = ~member[:, below] & (np.arange(levels)[:, None]
-                                   > frank[below])
-    level = outside.argmax(axis=0)
-    found = outside[level, np.arange(len(below))]
+    member = _probe_masks(R, [*F.ideals, *radicals], probes)
+    frank = np.array(flevels)[member[:len(flevels)].argmax(axis=0)]
+    below = np.flatnonzero(frank < width - 1)
+    outside = ~member[len(flevels):, below] & (np.arange(width)[:, None]
+                                               > frank[below])
+    found = outside.any(axis=0)
     if not found.all():
         p = int(below[found.argmin()])
         raise TheoremViolationError(
             "no grid value above FRad(I)(x) leaves x outside the cut radical",
             details={"x": R.label(probes[p]), "frad": str(grid[frank[p]]),
-                     "grid": [str(v) for v, _ in radicals]})
+                     "grid": [str(v) for v in grid[:width]]})
+    level = outside.argmax(axis=0)
 
     if R.is_table:
         ideals, masks = enumerate_ideals(R), lattice_members(R)
         avoiding = np.array([_avoiding_positions(R, rad)
-                             for _, rad in radicals])
+                             for rad in radicals])
         index = avoiding[level, below]
     else:
-        avoid = [prime_avoiding(R, radicals[j][1], probes[p])
+        avoid = [prime_avoiding(R, radicals[j], probes[p])
                  for p, j in zip(below.tolist(), level.tolist())]
         ideals = list(dict.fromkeys(avoid))
         pos = {M: i for i, M in enumerate(ideals)}
@@ -221,45 +223,41 @@ def _witness_pairs(I: FuzzyIdeal, F: FuzzyIdeal, grid) -> tuple:
         p = int(below[inside.argmax()])
         raise TheoremViolationError(_WITNESS_FAILED,
                                     details={"x": R.label(probes[p])})
-    keys = index * levels + level
-    distinct = list(dict.fromkeys(keys.tolist()))
-    group = np.empty(len(ideals) * levels, dtype=np.intp)
-    group[distinct] = np.arange(len(distinct))
-    pairs = [(ideals[k // levels], radicals[k % levels][0])
-             for k in distinct]
-    return below, pairs, group[keys]
+    keys = (index * width + level).tolist()
+    pairs = {k: (ideals[k // width], grid[k % width])
+             for k in dict.fromkeys(keys)}
+    return below, keys, pairs
 
 
-def _ranked(F: FuzzyIdeal, rank) -> tuple:
-    """F's cut chain with each value replaced by its rank (None off the
-    grid)."""
-    return tuple((C, rank.get(v)) for C, v in F.chain)
+def _ranked(F: FuzzyIdeal, levels) -> tuple:
+    """F's cut chain with each value replaced by its rank, ``levels``
+    holding the ranks of F's level values."""
+    return tuple(zip(F.ideals, levels))
 
 
-def _family_meets(I: FuzzyIdeal, rank, bound, family=None) -> tuple:
+def _family_meets(I: FuzzyIdeal, grid, bound, family=None) -> tuple:
     """``(prime_count, semiprime_count, F2, F1)`` for the family
-    ``semiprime_family(I, grid, bound)``, where ``grid = value_grid(I)``
-    and ``rank`` maps each grid value, ascending, to its position: the
-    family's sizes, and the meets of its primes (F2) and of all its
+    ``semiprime_family(I, grid, bound)``, where ``grid = value_grid(I)``:
+    the family's sizes, and the meets of its primes (F2) and of all its
     members (F1) as cut chains of ranks (None for an empty family).
     ``family``, when given, returns that family; it is called only on a
     memo miss.
 
     Memoized per ring and rank pattern K = (I's chain ideals, the ranks
-    of I's level values, the grid's length, ``bound``).  K determines all
-    four.  ``semiprime_family`` reads I only through its L1 thresholds,
-    which depend on the chain ideals and the ranks of their values, and
-    through its L2 chain flags, which depend on the ring, the grid's
-    length and ``bound``; every value it compares is a rank.
-    ``family_meet`` reads value indices only and attaches the labels at
-    the end, so with the ranks as labels it returns the meet in rank
-    form.  The memo holds these tuples, not the family arrays.
+    ``grid.levels`` of I's level values, the grid's length, ``bound``).
+    K determines all four.  ``semiprime_family`` reads I only through its
+    L1 thresholds, which depend on the chain ideals and the ranks of
+    their values, and through its L2 chain flags, which depend on the
+    ring, the grid's length and ``bound``; every value it compares is a
+    rank.  ``family_meet`` reads value indices only and attaches the
+    labels at the end, so with the ranks as labels it returns the meet in
+    rank form.  The memo holds these tuples, not the family arrays.
     """
     R = I.ring
 
     def build():
         values, rows = (family() if family is not None
-                        else semiprime_family(I, tuple(rank), bound))
+                        else semiprime_family(I, grid, bound))
         semiprimes = [(positions, index) for positions, index, _ in rows]
         primes = [(positions[prime], index[prime])
                   for positions, index, prime in rows]
@@ -277,17 +275,16 @@ def _family_meets(I: FuzzyIdeal, rank, bound, family=None) -> tuple:
         meets = [shared(family_meet(lattice, ranks, f)) if n else None
                  for n, f in zip(counts, (primes, semiprimes))]
         return (*counts, *meets)
-    return R.cached(("frad_family", _ranked(I, rank), len(rank), bound),
+    return R.cached(("frad_family", _ranked(I, grid.levels), len(grid), bound),
                     build)
 
 
-def _meet_difference(F: FuzzyIdeal, meet, rank):
+def _meet_difference(F: FuzzyIdeal, ranked, meet, grid):
     """The rank-form meet ``meet`` of :func:`_family_meets` as a fuzzy
-    ideal G, and an element where F and G differ; (None, None) when F is
-    the meet."""
-    if _ranked(F, rank) == meet:
+    ideal G, and an element where F and G differ; (None, None) when F,
+    whose chain in rank form is ``ranked``, is the meet."""
+    if ranked == meet:
         return None, None
-    grid = tuple(rank)
     G = FuzzyIdeal(F.ring, tuple((C, grid[r]) for C, r in meet))
     return G, _first_difference(F, G)
 
@@ -307,21 +304,23 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
 
     The work is split by what it depends on:
 
+    - per image of I: the grid and the ranks of its values and of I's
+      level values (``value_grid``), where Fractions enter;
     - per rank pattern of I (see :func:`_family_meets`, which gives the
       argument that the pattern determines the family): the family, its
       sizes and both meets, memoized per ring;
     - per ring and semiprime ideal: the prime-avoiding ideal M of every
       element outside it (:func:`_avoiding_positions`, table rings);
-    - per item: FRad(I), compared with both meets in rank form, and
-      :func:`_witness_pairs`, a few array steps over masks and grid ranks
-      of the probe elements: each element's witness value s and M, the
-      distinct pairs (M, s), and P(x) = s for every element as one mask
-      test;
+    - per item: FRad(I), its level ranks, looked up once, compared with
+      both meets in rank form, and :func:`_witness_pairs`, a few array
+      steps over masks and grid ranks of the probe elements: each
+      element's witness value s and M, the distinct pairs (M, s), and
+      P(x) = s for every element as one mask test;
     - per distinct (M, s) of the item: P = {(M, I(0)), (R, s)} is prime
       (memoized per ring) and above I.
 
     Fuzzy ideals are built only for the witnesses and to report a
-    difference.
+    difference, and Fractions leave only there and in the reports.
     """
     I.require_non_constant()
     R = I.ring
@@ -329,13 +328,15 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
     if bound is None and not R.is_table:
         bound = max(64, *(c.gen for c, _ in I.chain))
     F3 = frad(I)
+    # FRad keeps some of I's levels; a value off the grid ranks None
+    flevels = tuple(map(grid.rank.get, F3.values))
+    ranked = _ranked(F3, flevels)
 
-    rank = {v: r for r, v in enumerate(grid)}
-    prime_count, semiprime_count, *meets = _family_meets(I, rank, bound)
+    prime_count, semiprime_count, *meets = _family_meets(I, grid, bound)
     if not prime_count:
         raise TheoremViolationError("no grid-valued prime above I")
     for name, meet in zip(("F2", "F1"), meets):
-        F, bad = _meet_difference(F3, meet, rank)
+        F, bad = _meet_difference(F3, ranked, meet, grid)
         if bad is not None:
             raise TheoremViolationError(
                 f"FRad != {name}",
@@ -343,8 +344,8 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
                          name: str(F(bad))})
 
     # lower-bound direction: explicit prime witnesses excluding each element
-    below, pairs, _ = _witness_pairs(I, F3, grid)
-    for M, s in pairs:
+    below, _, pairs = _witness_pairs(I, F3, grid, flevels)
+    for M, s in pairs.values():
         _prime_above(I, M, s)
     return {"frad_equals_prime_intersection": True,
             "frad_equals_semiprime_intersection": True,
@@ -377,17 +378,17 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
     grid = value_grid(P)
     # every prime fuzzy ideal is semiprime, so no prime above P is missed
     family = functools.cache(lambda: semiprime_family(P, grid, bound))
-    rank = {v: r for r, v in enumerate(grid)}
-    prime_count, _, prime_meet, _ = _family_meets(P, rank, bound, family)
+    prime_count, _, prime_meet, _ = _family_meets(P, grid, bound, family)
     if not prime_count:
         raise TheoremViolationError("no grid-valued prime above P")
-    _, bad = _meet_difference(P, prime_meet, rank)
+    ranked = _ranked(P, grid.levels)
+    _, bad = _meet_difference(P, ranked, prime_meet, grid)
     if bad is not None:
         raise TheoremViolationError(
             "semiprime ideal differs from its prime intersection",
             details={"x": str(bad)})
     checked = R.cached(
-        ("inter_pairs", _ranked(P, rank), len(rank), bound, pair_cap),
+        ("inter_pairs", ranked, len(grid), bound, pair_cap),
         lambda: _prime_pairs_checked(R, bound, pair_cap, *family()))
     return {"prime_count": prime_count, "pairs_checked": checked,
             "equals_intersection": True}

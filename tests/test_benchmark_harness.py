@@ -32,6 +32,15 @@ def test_traced_diagram_round(tmp_path):
     assert result["layer"]["primeness.SD1_witness.calls"] > 0
 
 
+def test_traced_frad_z_round(tmp_path):
+    """One traced ``frad_z`` round: the tracer finds check-frad's grid,
+    probes, order and radical by name, and every item passes."""
+    result = _round("frad_z", "--trace", str(tmp_path / "t.npz"))
+    for name in ("primeness.value_grid", "fuzzy.probe_elements",
+                 "fuzzy.FuzzyIdeal.le", "radical.frad"):
+        assert result["layer"][f"{name}.calls"] > 0, name
+
+
 def test_lattice_round():
     """One untraced ``lattice`` round: the checks rebuild every ring's
     tables through the checked ``Ring.add``/``mul``/``neg``."""

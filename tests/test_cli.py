@@ -141,6 +141,16 @@ def test_exit_codes(capsys, tmp_path):
     assert run(capsys, "diagram", "--ring", "Zn(12)", "--cap", "10")[0] == 3
 
 
+def test_unsupported_ring_exits_2(capsys):
+    """The four-way equivalence of check-charprime needs a table ring: on
+    Z it ends in one line on stderr and exit 2, not a traceback."""
+    code, out, err = run(capsys, "check-charprime", "--ring", "Z",
+                         "--bound", "4")
+    assert (code, out) == (2, "")
+    assert err == ("unsupported ring: the equivalence check requires a "
+                   "table ring\n")
+
+
 def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("FUZZIDEAL_CAP", "5")
     assert run(capsys, "diagram", "--ring", "Zn(6)")[0] == 3
@@ -306,14 +316,22 @@ def _run_fresh(code):
 
 
 def test_table_ring_commands_never_import_sympy():
-    """sympy serves only the Z branches: ``ideals`` and ``classify`` on a
-    table ring leave it unimported."""
+    """sympy is a test dependency only: ``ideals`` and ``classify`` on a
+    table ring, and the Z commands, which factor with
+    ``crisp.factorize``, leave it unimported."""
     proc = _run_fresh(
         "import sys\n"
         "from fuzzideal.cli import main\n"
         "assert main(['ideals', '--ring', 'Zn(6)']) == 0\n"
         "assert main(['classify', '--ring', 'Zn(6)',\n"
         "             '--fuzzy', '{1: <2>, 1/2: <*>}']) == 0\n"
+        "z = ['--ring', 'Z', '--bound', '8']\n"
+        "for cmd in ('ideals', 'primes', 'diagram', 'check-inter',\n"
+        "            'check-frad'):\n"
+        "    assert main([cmd, *z]) == 0, cmd\n"
+        "for cmd in ('classify', 'radical'):\n"
+        "    assert main([cmd, *z, '--fuzzy', '{1: <12>, 1/2: <2>, 0: <*>}'])"
+        " == 0, cmd\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
     assert proc.returncode == 0, proc.stderr
 

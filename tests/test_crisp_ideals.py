@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from conftest import SMALL_RING, Z_BOUND, small_ring
+from fuzzideal import crisp
 from fuzzideal import (CrispIdeal, RingConstructionError, crisp_radical,
                        enumerate_ideals, ideal_generate,
                        is_completely_prime_ideal, is_prime_ideal,
@@ -282,6 +283,58 @@ def test_z_primeness_oracles(rings, n):
     assert crisp_radical(Z, I).gen == sympy.prod(sympy.primefactors(n))
 
 
+def _sympy_factorization(n):
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+def test_factorize_matches_sympy():
+    """The trial-division helper against sympy: every n up to 5,000,
+    lcm(1, ..., 64), and large values with a prime cofactor inside the
+    limit."""
+    lcm64 = 1
+    for k in range(1, 65):
+        lcm64 = lcm64 * k // sympy.gcd(lcm64, k)
+    large = [lcm64, 2 ** 40, 3 ** 25 * 7, 999_999_999_989,
+             2 * 999_983 * 999_979, 10 ** 12 + 39, 97 * (10 ** 12 + 39)]
+    for n in [*range(1, 5001), *large]:
+        assert crisp.factorize(n) == _sympy_factorization(n), n
+
+
+@pytest.mark.parametrize("n", [1_000_003 * 1_000_033, 2 ** 61 - 1])
+def test_factorize_past_its_limit_raises(n):
+    """A cofactor above 10**12 with no divisor up to 10**6 is out of
+    range, prime or not."""
+    with pytest.raises(ResourceLimitError, match="out of range"):
+        crisp.factorize(n)
+
+
+def test_z_witnesses_match_the_sympy_formulas():
+    """The Z witnesses read from the helper are those of the sympy
+    formulas they replace."""
+    Z = parse_ring("Z")  # its own memo, not the session ring's
+    for n in range(2, 2000):
+        I = CrispIdeal(Z, gen=n)
+        factors = sympy.factorint(n)
+        p = min(factors)
+        assert prime_witness(Z, I) == (None if sympy.isprime(n)
+                                       else (p, n // p)), n
+        square = next((q for q, e in factors.items() if e >= 2), None)
+        assert semiprime_witness(Z, I) == (
+            None if square is None else n // square), n
+        if square is None:
+            for x in range(1, 25):
+                if x % n:
+                    avoid = next(q for q in sorted(sympy.primefactors(n))
+                                 if x % q)
+                    assert prime_avoiding(Z, I, x).gen == avoid, (n, x)
+    zero = zero_ideal(Z)
+    for x in range(1, 3000):
+        q = 2
+        while x % q == 0:
+            q = sympy.nextprime(q)
+        assert prime_avoiding(Z, zero, x).gen == q, x
+
+
 def test_zero_ideal_of_z_is_prime(rings):
     Z = rings["Z"]
     assert is_prime_ideal(Z, zero_ideal(Z))
@@ -396,13 +449,13 @@ def test_z_radical_factors_each_generator_once(monkeypatch):
     factored once however often its radical is asked for."""
     Z = parse_ring("Z")  # fresh caches
     calls = []
-    primefactors = sympy.primefactors
-    monkeypatch.setattr(sympy, "primefactors",
-                        lambda n: calls.append(n) or primefactors(n))
+    factorize = crisp.factorize
+    monkeypatch.setattr(crisp, "factorize",
+                        lambda n: calls.append(n) or factorize(n))
     for _ in range(3):
         for n in range(64):
             assert crisp_radical(Z, CrispIdeal(Z, gen=n)).gen == \
-                (sympy.prod(primefactors(n)) if n else 0)
+                (sympy.prod(sympy.primefactors(n)) if n else 0)
     assert calls == list(range(2, 64))
 
 

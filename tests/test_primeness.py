@@ -94,6 +94,40 @@ TAKE_GRID = ("D0_witness", "is_D0", "D0prime_witness", "is_D0prime",
              "radical.semiprime_intersection_check")
 
 
+def test_value_grid_carries_its_ranks():
+    """The memoized grid holds the ranks of its values and of P's levels,
+    and is the same object for every P with P's image."""
+    Z = parse_ring("Z")
+    P = parse_fuzzy_spec(Z, "{1: <0>, 4/5: <2>, 3/5: <*>}")
+    grid = value_grid(P)
+    assert grid.rank == {v: i for i, v in enumerate(grid)}
+    assert grid.levels == (6, 4, 2)
+    assert grid.ranks.tolist() == list(range(len(grid)))
+    Q = parse_fuzzy_spec(Z, "{1: <0>, 4/5: <3>, 3/5: <*>}")
+    assert value_grid(Q) is grid
+
+
+def test_one_rank_context_per_classify(rings, monkeypatch):
+    """The rank context is kept for P by identity: one ``classify`` builds
+    one ``_Ctx``, and an equal but distinct P builds its own and gets the
+    same report."""
+    R = rings["Zn(12)"]
+    built = []
+
+    class Counted(_Ctx):
+        def __init__(self, P):
+            built.append(P)
+            super().__init__(P)
+    monkeypatch.setattr(primeness, "_Ctx", Counted)
+    P = parse_fuzzy_spec(R, "{1: <0>, 1/2: <6>, 1/4: <2>, 0: <*>}")
+    Q = parse_fuzzy_spec(R, "{1: <0>, 1/2: <6>, 1/4: <2>, 0: <*>}")
+    assert P == Q and P is not Q
+    expected = classify(P)
+    assert [b is P for b in built] == [True]
+    assert classify(Q) == expected
+    assert [b is Q for b in built] == [False, True]
+
+
 def test_deciders_take_p_alone(rings):
     """No decider takes a grid or a rank context: a coarse grid gave false
     answers (D0 and D0' held on the Zn(6) item below, whose D1 fails)."""

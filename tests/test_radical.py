@@ -24,8 +24,9 @@ from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import (crisp_radical, enumerate_ideals, ideal_generate,
                              lattice_positions, prime_avoiding, zero_ideal)
 from fuzzideal.fuzzy import cut, probe_elements
-from fuzzideal.primeness import (_semiprime_chains, family_meet, is_prime_new,
-                                 is_semiprime_new, semiprime_family)
+from fuzzideal.primeness import (_semiprime_chains, family_meet,
+                                 is_prime_new, is_semiprime_new,
+                                 semiprime_family)
 from fuzzideal.radical import (_cut_radicals, _first_difference,
                                _witness_pairs, ring_radical_experimental,
                                ring_radical_value_equivalence)
@@ -340,10 +341,41 @@ def test_semiprime_chains_decide_only_the_kept_chains(monkeypatch):
     assert calls == {"built": kept, "decided": kept}
 
 
+def _cut_radicals_reference(I, grid) -> list:
+    """(s, Rad(I_s)) for every grid value s up to I(0), ascending, walked
+    on the Fractions: the reference for the rank walk of
+    ``_cut_radicals``."""
+    R = I.ring
+    radicals = [crisp_radical(R, C) for C, _ in I.chain]
+    level = len(I.chain) - 1
+    out = []
+    for s in sorted(grid):
+        if s > I.top:
+            break
+        while I.chain[level][1] < s:
+            level -= 1
+        out.append((s, radicals[level]))
+    return out
+
+
+def _family_ranks_reference(I, grid):
+    """The Fraction-keyed rank set-up of ``semiprime_family``: ``grid``
+    descending, and the ranks on grid + image(I) of its values and of
+    I's level values."""
+    values = sorted((Fraction(v) for v in set(grid)), reverse=True)
+    rank = {v: i for i, v in enumerate(sorted(set(values) | set(I.values)))}
+    return (values, [rank[v] for v in values], [rank[v] for v in I.values])
+
+
+def _flevels(I, F):
+    """The ranks of F's level values in ``value_grid(I)``."""
+    return tuple(map(value_grid(I).rank.get, F.values))
+
+
 def _excluding_value(radicals, x, w):
     """The least grid value s > w with x outside Rad(I_s), from the
-    ``_cut_radicals`` of I: the per-element reference for the witness
-    values of ``_witness_pairs``."""
+    ``_cut_radicals_reference`` of I: the per-element reference for the
+    witness values of ``_witness_pairs``."""
     start = bisect.bisect_right(radicals, w, key=itemgetter(0))
     s = next((v for v, rad in radicals[start:] if not rad.contains(x)),
              None)
@@ -359,7 +391,7 @@ def _witness_pairs_reference(I, F, grid):
     """(x, M, s) for every probe element x with F(x) below the top, one
     element at a time."""
     R = I.ring
-    radicals = _cut_radicals(I, grid)
+    radicals = _cut_radicals_reference(I, grid)
     radical_at = dict(radicals)
     out = []
     for x in probe_elements(I, F):
@@ -377,10 +409,12 @@ def test_lower_bound_search_without_a_value_raises(rings):
     per-element reference say so with the same details."""
     R = rings["Zn(12)"]
     I = characteristic(ideal_generate(R, {4}))
-    grid = (F(0), F(1, 2), F(1))
+    grid = value_grid(I)
+    assert grid == (F(0), F(1, 2), F(1))
     with pytest.raises(TheoremViolationError) as exc:
-        _witness_pairs(I, I, grid)  # I in place of FRad(I): I(2) = 0
-    radicals = _cut_radicals(I, grid)
+        # I in place of FRad(I): I(2) = 0
+        _witness_pairs(I, I, grid, grid.levels)
+    radicals = _cut_radicals_reference(I, grid)
     with pytest.raises(TheoremViolationError) as ref:
         _excluding_value(radicals, 2, F(0))
     assert exc.value.details == ref.value.details == {
@@ -396,22 +430,49 @@ def test_witness_pairs_match_the_per_element_reference(rings, corpora,
     for I in items + z_corpus[:40]:
         F3, grid = frad(I), value_grid(I)
         probes = probe_elements(I, F3)
-        below, pairs, group = _witness_pairs(I, F3, grid)
-        got = [(probes[p], *pairs[g])
-               for p, g in zip(below.tolist(), group.tolist())]
+        below, keys, pairs = _witness_pairs(I, F3, grid, _flevels(I, F3))
+        got = [(probes[p], *pairs[k]) for p, k in zip(below.tolist(), keys)]
         assert got == _witness_pairs_reference(I, F3, grid), I
-        assert len(set(pairs)) == len(pairs), I
+        assert len(set(pairs.values())) == len(pairs), I
         bound = None if I.ring.is_table else Z_BOUND
         assert (frad_intersection_check(I, bound=bound)
                 ["lower_bound_witnesses"] == len(got)), I
 
 
-def test_cut_radicals_walk_the_chain(rings, corpora, z_corpus):
-    """One radical per grid value up to I(0), each that of I's cut."""
-    for P in corpora["Zn(12)"] + corpora["Tri(2, Zn(2))"] + z_corpus[:40]:
+def _rank_path_items(rings, corpora, spec):
+    """The items of a ``TABLE_SPECS`` corpus, or of Z at bound 8 or 12
+    (``Z@8``, ``Z@12``)."""
+    if spec.startswith("Z@"):
+        return build_corpus(rings["Z"], bound=int(spec[2:]))
+    return corpora[spec]
+
+
+RANK_PATH_SPECS = (*TABLE_SPECS, "Z@8", "Z@12")
+
+
+def test_cut_radicals_walk_the_chain(rings, corpora):
+    """One radical per grid rank up to I(0)'s, each that of I's cut, as
+    the Fraction walk of the reference finds them, on every corpus."""
+    for P in (P for spec in RANK_PATH_SPECS
+              for P in _rank_path_items(rings, corpora, spec)):
         grid = value_grid(P)
-        assert _cut_radicals(P, grid) == [
-            (s, crisp_radical(P.ring, cut(P, s))) for s in grid if s <= P.top]
+        radicals = _cut_radicals(P, grid.levels)
+        assert list(zip(grid, radicals)) == _cut_radicals_reference(P, grid)
+        assert radicals == [crisp_radical(P.ring, cut(P, s))
+                            for s in grid if s <= P.top], P
+
+
+@pytest.mark.parametrize("spec", RANK_PATH_SPECS)
+def test_family_ranks_match_the_fraction_set_up(rings, corpora, spec):
+    """``semiprime_family`` reads its ranks from ``value_grid(I)``'s memo:
+    the same values and ranks as ranking grid + image(I) afresh."""
+    for P in _rank_path_items(rings, corpora, spec):
+        grid = value_grid(P)
+        ref_values, ref_value_ranks, ref_levels = \
+            _family_ranks_reference(P, grid)
+        assert list(grid[::-1]) == ref_values, P
+        assert grid.ranks[::-1].tolist() == ref_value_ranks, P
+        assert list(grid.levels) == ref_levels, P
 
 
 # -- the rank-space checks against their Fuzzy-ideal references ---------------
@@ -559,6 +620,67 @@ def test_frad_check_depends_on_the_rank_pattern(spec, data):
     size = _family_memo_size(R)
     assert frad_intersection_check(J) == expected
     assert _family_memo_size(R) == size
+
+
+@given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
+def test_rank_path_depends_on_the_value_order(spec, data):
+    """Random images: remapping I's values by an order-preserving
+    bijection of [0, 1] keeps the level ranks of ``value_grid`` and
+    every check dict, check-inter's included."""
+    R, chains = _small_ring_chains(spec)
+    chain = data.draw(st.sampled_from(chains))
+
+    def image():
+        return sorted(data.draw(st.lists(
+            st.fractions(0, 1), min_size=len(chain), max_size=len(chain),
+            unique=True)), reverse=True)
+    values = image()
+    inner = [v for v in values if 0 < v < 1]
+    moved = sorted(data.draw(st.lists(
+        st.fractions(0, 1).filter(lambda v: 0 < v < 1),
+        min_size=len(inner), max_size=len(inner), unique=True)),
+        reverse=True)
+    remap = dict(zip(inner, moved))
+    I = FuzzyIdeal(R, tuple(zip(chain, values)))
+    J = FuzzyIdeal(R, tuple((C, remap.get(v, v))
+                            for C, v in zip(chain, values)))
+    assert value_grid(J).levels == value_grid(I).levels
+    assert len(value_grid(J)) == len(value_grid(I))
+    assert frad_intersection_check(J) == frad_intersection_check(I)
+    if is_semiprime_new(I):
+        assert (semiprime_intersection_check(J, pair_cap=20)
+                == semiprime_intersection_check(I, pair_cap=20))
+
+
+def test_warm_frad_pass_halves_the_fraction_work(monkeypatch):
+    """check-frad's item path reads ranks: a warm second pass over Z at
+    bound 8 (231 items, both calls of ``check-frad``) hashes and orders
+    Fractions less than half as often as the Fraction-keyed path, which
+    made 6,742 ``__hash__`` and 5,989 ``_richcmp`` calls."""
+    R = parse_ring("Z")
+    items = build_corpus(R, bound=8)
+    assert len(items) == 231
+
+    def check_frad():
+        for P in items:
+            frad_intersection_check(P, bound=8)
+            radical_properties_check(P, P)
+    check_frad()
+    counts = {"__hash__": 0, "_richcmp": 0}
+
+    def counting(name):
+        original = getattr(Fraction, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+    for name in counts:
+        monkeypatch.setattr(Fraction, name, counting(name))
+    check_frad()
+    monkeypatch.undo()
+    assert counts["__hash__"] < 6742 // 2, counts
+    assert counts["_richcmp"] < 5989 // 2, counts
 
 
 def _memo_size(R, name):
