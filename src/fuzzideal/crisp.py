@@ -1,11 +1,14 @@
 """Crisp two-sided ideals: generation, the lattice, primeness oracles,
-the radical and the prime-avoiding construction.
+the radical and the prime-avoiding ideals.
 
 Table rings memoize their principal ideals (one generation per unit
-orbit), principal classes, full ideal lattice, its subset matrix and the
-prime, completely prime and semiprime witnesses of each ideal on the
-ring object (single-writer init, safe for concurrent readers); every
-ring memoizes the radical of each ideal and its prime-avoiding ideals.
+orbit), principal classes, full ideal lattice, its subset matrix, the
+prime, completely prime and semiprime witnesses of each ideal and one
+mask of the lattice's primes on the ring object (single-writer init,
+safe for concurrent readers).  The radical, the minimal primes and the
+prime-avoiding ideals are read off that mask: a semiprime ideal is the
+intersection of the primes above it.  Every ring memoizes the radical
+of each ideal and its prime-avoiding ideals.
 Over Z an ideal is just its nonnegative generator: 0 for {0}, 1 for Z,
 and the Z branches read its primes from :func:`factorize`.
 
@@ -21,7 +24,6 @@ fuzzideal`` by about 1.8 MB.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
@@ -503,6 +505,11 @@ def is_semiprime_ideal(R: Ring, P: CrispIdeal) -> bool:
 
 
 _TRIAL_LIMIT = 10 ** 6  # the largest divisor factorize tries
+# Miller-Rabin with the first 13 prime bases is exact below the least
+# strong pseudoprime to all of them (Sorenson and Webster, 2015); the
+# first 12, 2 to 37, stop at 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 @functools.lru_cache(maxsize=4096)
@@ -513,9 +520,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     Trial division by 2 and the odd numbers up to min(sqrt(n), 10**6).
     A cofactor left above 1 has no divisor up to that point, so it is
     prime when it is below 10**12, the square of the last divisor tried.
-    A larger cofactor is beyond this helper: it raises
-    ResourceLimitError.  Z's generators, their lcms and the probe
-    lcms of check-frad have small prime factors, far inside the limit.
+    A larger cofactor is prime when it is below 3.3 * 10**24 and passes
+    the deterministic Miller-Rabin test of :func:`_miller_rabin`.  Any
+    other cofactor (a product of primes above 10**6, or one past that
+    bound) is beyond this helper: it raises ResourceLimitError.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -530,12 +538,33 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             out.append((d, e))
         d += 1 if d == 2 else 2
     if n > 1:
-        if d * d <= n:
+        if d * d <= n and not (n < _MR_LIMIT and _miller_rabin(n)):
             raise ResourceLimitError(
                 f"a cofactor {n} has no divisor up to {_TRIAL_LIMIT} and "
-                f"exceeds {_TRIAL_LIMIT ** 2}; factoring it is out of range")
+                f"is not a prime below {_MR_LIMIT}; factoring it is out "
+                f"of range")
         out.append((n, 1))
     return tuple(out)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether odd n > 41 is a strong probable prime to every base of
+    ``_MR_BASES``; below ``_MR_LIMIT`` that is whether n is prime."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _is_prime(n: int) -> bool:
@@ -554,7 +583,11 @@ def _int_radical(n: int) -> int:
 def crisp_radical(R: Ring, I: CrispIdeal) -> CrispIdeal:
     """Intersection of all prime ideals containing I; Rad(R) = R.
 
-    Memoized per (ring, ideal).
+    On a table ring, the AND of the membership rows of the primes of
+    :func:`prime_mask` above I, handed out as the lattice's own ideal
+    object: a fresh set holds fresh ints above 256, which compare by
+    value where the lattice's compare by identity.  Memoized per (ring,
+    ideal).
     """
     if I.is_whole:
         return I
@@ -562,37 +595,74 @@ def crisp_radical(R: Ring, I: CrispIdeal) -> CrispIdeal:
     def build():
         if not R.is_table:
             return CrispIdeal(R, gen=_int_radical(I.gen))
-        out = whole_ideal(R)
-        for P in enumerate_ideals(R):
-            if P.is_whole or not I.subset(P):
-                continue
-            if is_prime_ideal(R, P):
-                out = out.intersect(P)
-        return out
+        pos = lattice_positions(R)
+        above = subset_matrix(R)[pos[I]] & prime_mask(R)
+        rad = _from_mask(R, lattice_members(R)[above].all(axis=0))
+        return enumerate_ideals(R)[pos[rad]]
     return R.cached(("radical", I), build)
 
 
+def prime_mask(R: Ring):
+    """The (L,) boolean mask of the proper prime ideals of
+    ``enumerate_ideals(R)`` on table ring R, memoized on the ring."""
+    def build():
+        import numpy as np
+        return np.array([not P.is_whole and is_prime_ideal(R, P)
+                         for P in enumerate_ideals(R)], dtype=bool)
+    return R.cached("prime_mask", build)
+
+
 def minimal_primes(R: Ring) -> list[CrispIdeal]:
-    """Minimal prime ideals; on finite rings each prime is minimal and maximal."""
-    primes = [P for P in enumerate_ideals(R)
-              if not P.is_whole and is_prime_ideal(R, P)]
-    minimal = []
-    for P in primes:
-        if not any(Q is not P and Q.subset(P) and Q != P for Q in primes):
-            minimal.append(P)
+    """Minimal prime ideals, the primes of :func:`prime_mask`: on finite
+    rings each prime is minimal and maximal."""
+    import numpy as np
+    primes = np.flatnonzero(prime_mask(R))
     # finite-ring structure: primes are pairwise incomparable
-    for P, Q in itertools.combinations(primes, 2):
-        if P.subset(Q) or Q.subset(P):
-            raise TheoremViolationError("comparable primes in a finite ring")
-    return minimal
+    if subset_matrix(R)[np.ix_(primes, primes)].sum() > len(primes):
+        raise TheoremViolationError("comparable primes in a finite ring")
+    lattice = enumerate_ideals(R)
+    return [lattice[i] for i in primes.tolist()]
+
+
+def avoiding_positions(R: Ring, P: CrispIdeal):
+    """For every element x of table ring R, the lattice position of the
+    first prime of :func:`prime_mask` that contains P and misses x; -1
+    for the x inside P (every x when P = R).  Memoized per (ring, ideal).
+
+    P must be semiprime.  A semiprime ideal is the intersection of the
+    primes above it, so for every x outside P one of them misses x; an
+    x that none misses raises TheoremViolationError.
+    """
+    def build():
+        import numpy as np
+        out = np.full(R.size, -1, dtype=np.intp)
+        if P.is_whole:
+            return out
+        if not is_semiprime_ideal(R, P):
+            raise ValueError("P must be semiprime")
+        members = lattice_members(R)
+        p = lattice_positions(R)[P]
+        above = np.flatnonzero(subset_matrix(R)[p] & prime_mask(R))
+        misses = ~members[above]
+        outside = ~members[p]
+        stray = outside & ~misses.any(axis=0)
+        if stray.any():
+            raise TheoremViolationError(
+                "no prime above a semiprime ideal avoids x",
+                details={"x": R.label(int(stray.argmax()))})
+        out[outside] = above[misses.argmax(axis=0)][outside]
+        return out
+    return R.cached(("avoiding_positions", P), build)
 
 
 def prime_avoiding(R: Ring, P: CrispIdeal, x) -> CrispIdeal:
-    """A prime ideal M with P <= M and x not in M (McCoy construction).
+    """A prime ideal M with P <= M and x not in M.
 
-    Requires P semiprime and x outside P.  Ties are broken by canonical
-    element order so witnesses are deterministic.  Memoized per (ring,
-    ideal, x).
+    Requires P semiprime and x outside P.  Table rings read M from
+    :func:`avoiding_positions`: the first prime of the lattice above P
+    that misses x.  Over Z, M is the least prime factor of gen(P) that
+    does not divide x, or the least prime not dividing x when P = 0.
+    Memoized per (ring, ideal, x).
     """
     return R.cached(("prime_avoiding", P, x),
                     lambda: _prime_avoiding(R, P, x))
@@ -620,45 +690,10 @@ def _prime_avoiding(R: Ring, P: CrispIdeal, x) -> CrispIdeal:
         raise ValueError("no prime divisor of gen(P) avoids x")
 
     R._check(x)
-    # McCoy sequence x0 = x, x_{i+1} = x_i r_i x_i outside P, r_i minimal;
-    # scalar table reads: a numpy row per step was slower on small rings
-    mul = R.tables.mul
-    seq = [x]
-    seen = {x}
-    while True:
-        cur = seq[-1]
-        nxt = None
-        for r in range(R.size):
-            cand = int(mul[mul[cur, r], cur])
-            if not P.contains(cand):
-                nxt = cand
-                break
-        if nxt is None:
-            raise TheoremViolationError(
-                "semiprimeness guarantees a continuation")
-        if nxt in seen:
-            break
-        seen.add(nxt)
-        seq.append(nxt)
-
-    avoid = frozenset(seen)
-    lattice = enumerate_ideals(R)
-    M = P
-    grown = True
-    while grown:
-        grown = False
-        for cand in lattice:
-            if cand is M or not M.subset(cand) or cand == M:
-                continue
-            if cand.elems & avoid:
-                continue
-            M = cand
-            grown = True
-            break
-
+    M = enumerate_ideals(R)[int(avoiding_positions(R, P)[x])]
     if not is_prime_ideal(R, M):
-        raise TheoremViolationError("maximal avoiding ideal must be prime")
+        raise TheoremViolationError("prime-avoiding ideal must be prime")
     if not (P.subset(M) and not M.contains(x)):
         raise TheoremViolationError(
-            "maximal avoiding ideal must contain P and avoid x")
+            "prime-avoiding ideal must contain P and avoid x")
     return M

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .crisp import (crisp_radical, enumerate_ideals, lattice_members,
-                    lattice_positions, prime_avoiding)
+from .crisp import (avoiding_positions, crisp_radical, enumerate_ideals,
+                    lattice_members, lattice_positions, prime_avoiding)
 from .errors import TheoremViolationError
 from .fuzzy import (FuzzyIdeal, cut, intersect, probe_elements, whole_ideal,
                     zero_type)
@@ -150,20 +150,6 @@ def _probe_masks(R: Ring, ideals, probes):
                      for C in ideals], dtype=bool)
 
 
-def _avoiding_positions(R: Ring, rad):
-    """The lattice position of ``prime_avoiding(R, rad, x)`` for every
-    element x outside the semiprime ideal ``rad`` of table ring R, -1 for
-    the elements inside; memoized per ring and ideal.  Each position
-    comes from one call to :func:`prime_avoiding`."""
-    def build():
-        pos = lattice_positions(R)
-        outside = np.flatnonzero(~lattice_members(R)[pos[rad]]).tolist()
-        out = np.full(R.size, -1, dtype=np.intp)
-        out[outside] = [pos[prime_avoiding(R, rad, x)] for x in outside]
-        return out
-    return R.cached(("avoiding_positions", rad), build)
-
-
 def _witness_pairs(I: FuzzyIdeal, F: FuzzyIdeal, grid, flevels) -> tuple:
     """The lower-bound witness pair (M, s) of every element x with
     F(x) = FRad(I)(x) below the top, in a few array steps over the
@@ -183,7 +169,8 @@ def _witness_pairs(I: FuzzyIdeal, F: FuzzyIdeal, grid, flevels) -> tuple:
     of F's chain ideals, the first of which holding x gives F(x), and of
     the radicals of I's cuts at the grid ranks up to I(0)'s
     (:func:`_cut_radicals`).  M is ``prime_avoiding(R, Rad(I_s), x)``,
-    read on table rings from :func:`_avoiding_positions`.
+    read on table rings from ``crisp.avoiding_positions``, one array per
+    cut radical.
 
     P = {(M, I(0)), (R, s)} takes the value s < I(0) exactly outside M,
     so P(x) = s for every element is one mask test, x outside its M.
@@ -208,7 +195,7 @@ def _witness_pairs(I: FuzzyIdeal, F: FuzzyIdeal, grid, flevels) -> tuple:
 
     if R.is_table:
         ideals, masks = enumerate_ideals(R), lattice_members(R)
-        avoiding = np.array([_avoiding_positions(R, rad)
+        avoiding = np.array([avoiding_positions(R, rad)
                              for rad in radicals])
         index = avoiding[level, below]
     else:
@@ -310,7 +297,8 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
       argument that the pattern determines the family): the family, its
       sizes and both meets, memoized per ring;
     - per ring and semiprime ideal: the prime-avoiding ideal M of every
-      element outside it (:func:`_avoiding_positions`, table rings);
+      element outside it, read off the ring's prime mask
+      (``crisp.avoiding_positions``, table rings);
     - per item: FRad(I), its level ranks, looked up once, compared with
       both meets in rank form, and :func:`_witness_pairs`, a few array
       steps over masks and grid ranks of the probe elements: each
@@ -482,19 +470,6 @@ def _radical_properties(P: FuzzyIdeal, Q: FuzzyIdeal) -> dict:
         if not ok:
             raise TheoremViolationError(f"radical property failed: {name}")
     return checks
-
-
-def ring_radical_value_equivalence(R: Ring, grid) -> bool:
-    """frad of every zero-type ideal is value-equivalent to frad of the
-    characteristic of {0} (the 'radical of the ring' reading)."""
-    from .fuzzy import value_equivalent
-    reference = frad(zero_type(R, 1, 0))
-    for t in grid:
-        for s in grid:
-            if s < t:
-                if not value_equivalent(frad(zero_type(R, t, s)), reference):
-                    return False
-    return True
 
 
 def ring_radical_experimental(R: Ring) -> dict:

@@ -596,22 +596,26 @@ def quotient_ring(R: Ring, ideal, max_size: int = DEFAULT_MAX_SIZE) -> Ring:
 
 
 def _canonical_generators(R, ideal):
-    """Greedy minimal generator list, in canonical element order.
+    """Greedy minimal generator list, in canonical element order,
+    memoized per (ring, ideal).
 
     Each new generator's cached principal ideal is joined onto the ideal
     generated so far: <g1, ..., gk, x> = <g1, ..., gk> + <x>.
     """
     from .crisp import principal_ideal, zero_ideal
-    gens = []
-    current = zero_ideal(R)
-    for x in sorted(ideal.elems):
-        if x in current.elems:
-            continue
-        gens.append(x)
-        current = current.join(principal_ideal(R, x))
-        if current == ideal:
-            break
-    return gens
+
+    def build():
+        gens = []
+        current = zero_ideal(R)
+        for x in sorted(ideal.elems):
+            if x in current.elems:
+                continue
+            gens.append(x)
+            current = current.join(principal_ideal(R, x))
+            if current == ideal:
+                break
+        return tuple(gens)
+    return list(R.cached(("canonical_generators", ideal), build))
 
 
 def _elem_literal(R, x):

@@ -41,6 +41,15 @@ def test_traced_frad_z_round(tmp_path):
         assert result["layer"][f"{name}.calls"] > 0, name
 
 
+def test_traced_frad_table_round(tmp_path):
+    """One traced ``frad_table`` round: the tracer finds check-frad's
+    table-ring radical and intersection check by name, and every item
+    passes."""
+    result = _round("frad_table", "--trace", str(tmp_path / "t.npz"))
+    for name in ("crisp.crisp_radical", "radical.frad_intersection_check"):
+        assert result["layer"][f"{name}.calls"] > 0, name
+
+
 def test_lattice_round():
     """One untraced ``lattice`` round: the checks rebuild every ring's
     tables through the checked ``Ring.add``/``mul``/``neg``."""

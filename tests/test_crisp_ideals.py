@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 
 from conftest import SMALL_RING, Z_BOUND, small_ring
 from fuzzideal import crisp
-from fuzzideal import (CrispIdeal, RingConstructionError, crisp_radical,
-                       enumerate_ideals, ideal_generate,
+from fuzzideal import (CrispIdeal, RingConstructionError, characteristic,
+                       crisp_radical, enumerate_ideals,
+                       frad_intersection_check, ideal_generate,
                        is_completely_prime_ideal, is_prime_ideal,
                        is_semiprime_ideal, minimal_primes, parse_element,
                        parse_ring, prime_avoiding, whole_ideal, zero_ideal)
@@ -116,6 +117,56 @@ def _table_semiprime_witness(R, P):
         if found.size:
             return int(xs[found[0]])
     return None
+
+
+def _mccoy_reference(R, P, x):
+    """The McCoy construction that ``prime_avoiding`` made on table rings
+    before it read the prime mask: the sequence x0 = x, x_{i+1} =
+    x_i r_i x_i outside P with r_i least, until it repeats; then P grown,
+    one step at a time to the first larger lattice ideal that holds no
+    member of the sequence, until none is left."""
+    seq, seen = [x], {x}
+    while True:
+        cur = seq[-1]
+        nxt = next((c for c in (R.mul(R.mul(cur, r), cur)
+                                for r in range(R.size))
+                    if not P.contains(c)), None)
+        assert nxt is not None, "semiprimeness guarantees a continuation"
+        if nxt in seen:
+            break
+        seen.add(nxt)
+        seq.append(nxt)
+    avoid = frozenset(seen)
+    M = P
+    grown = True
+    while grown:
+        grown = False
+        for cand in enumerate_ideals(R):
+            if cand == M or not M.subset(cand) or cand.elems & avoid:
+                continue
+            M = cand
+            grown = True
+            break
+    return M
+
+
+def _radical_loop(R, I):
+    """The intersection of the primes above I, one lattice ideal at a
+    time: ``crisp_radical`` on table rings before the prime mask."""
+    out = whole_ideal(R)
+    for P in enumerate_ideals(R):
+        if not P.is_whole and I.subset(P) and is_prime_ideal(R, P):
+            out = out.intersect(P)
+    return out
+
+
+def _minimal_primes_loop(R):
+    """The primes with no smaller prime below them: ``minimal_primes``
+    before the prime mask."""
+    primes = [P for P in enumerate_ideals(R)
+              if not P.is_whole and is_prime_ideal(R, P)]
+    return [P for P in primes
+            if not any(Q != P and Q.subset(P) for Q in primes)]
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
@@ -300,10 +351,24 @@ def test_factorize_matches_sympy():
         assert crisp.factorize(n) == _sympy_factorization(n), n
 
 
-@pytest.mark.parametrize("n", [1_000_003 * 1_000_033, 2 ** 61 - 1])
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+@pytest.mark.parametrize("n", [
+    1_000_003 * 1_000_033, 2 ** 61 - 1, 10 ** 13 + 37, 3 * (2 ** 61 - 1),
+    (2 ** 61 - 1) ** 2, PSI_12, PSI_13, 2 ** 89 - 1])
 def test_factorize_past_its_limit_raises(n):
-    """A cofactor above 10**12 with no divisor up to 10**6 is out of
-    range, prime or not."""
+    """A cofactor above 10**12 with no divisor up to 10**6 is factored
+    when the Miller-Rabin test proves it prime below its bound, checked
+    with sympy.isprime; a composite one (PSI_12 fools the bases up to 37,
+    not 41) or one past the bound (PSI_13, 2**89 - 1) is out of range."""
+    cofactor = sympy.prod(p ** e for p, e in _sympy_factorization(n)
+                          if p > 10 ** 6)
+    if sympy.isprime(cofactor) and cofactor < PSI_13:
+        assert crisp.factorize(n) == _sympy_factorization(n)
+        return
     with pytest.raises(ResourceLimitError, match="out of range"):
         crisp.factorize(n)
 
@@ -472,18 +537,62 @@ def test_minimal_primes_zn6(rings):
     assert gens == [2, 3]
 
 
-def test_prime_avoiding_postconditions(rings):
-    for spec in ("Zn(6)", "Zn(12)", "Mat(2, Zn(2))", "Tri(2, Zn(2))"):
-        R = rings[spec]
-        for P in enumerate_ideals(R):
-            if P.is_whole or not is_semiprime_ideal(R, P):
+def _check_prime_mask_readers(R):
+    """On every lattice ideal, ``crisp_radical`` is the parent loop's; on
+    every semiprime P and x outside P, ``prime_avoiding`` gives the first
+    prime of the lattice, found by the element search, that contains P
+    and misses x, and the McCoy reference gives a prime with the same
+    postconditions; ``minimal_primes`` is the parent loop's."""
+    lattice = enumerate_ideals(R)
+    primes = [Q for Q in lattice
+              if not Q.is_whole and _prime_witness_loop(R, Q) is None]
+    for P in lattice:
+        assert crisp_radical(R, P) == _radical_loop(R, P), P
+        if P.is_whole or _semiprime_witness_loop(R, P) is not None:
+            continue
+        for x in range(R.size):
+            if P.contains(x):
                 continue
-            for x in range(R.size):
-                if P.contains(x):
-                    continue
-                M = prime_avoiding(R, P, x)
-                assert is_prime_ideal(R, M)
-                assert P.subset(M) and not M.contains(x)
+            M = prime_avoiding(R, P, x)
+            assert M == next(Q for Q in primes
+                             if P.subset(Q) and not Q.contains(x)), (P, x)
+            ref = _mccoy_reference(R, P, x)
+            assert ref in primes and P.subset(ref) and not ref.contains(x)
+    assert minimal_primes(R) == _minimal_primes_loop(R)
+
+
+def test_prime_avoiding_postconditions(rings):
+    for spec in TABLE_SPECS:
+        _check_prime_mask_readers(rings[spec])
+
+
+@given(text=SMALL_RING)
+def test_prime_mask_readers_match_the_references(text):
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    _check_prime_mask_readers(R)
+
+
+@pytest.mark.parametrize("mask, x, match", [
+    ([True, True, True, False], 1, "must be prime"),   # {0} is not prime
+    ([False, True, False, False], 3, "no prime above")])  # <2> dropped
+def test_a_lying_prime_mask_raises(monkeypatch, mask, x, match):
+    """Zn(6) has the lattice {0}, <3>, <2>, R and the primes <3>, <2>.
+    Marking {0} prime makes it the prime-avoiding ideal of 1, which fails
+    the postcondition; dropping <2> leaves 3 with no prime above {0} that
+    misses it.  check-frad, reading the same mask, fails too."""
+    assert crisp.prime_mask(parse_ring("Zn(6)")).tolist() == \
+        [False, True, True, False]
+    lie = np.array(mask)
+    monkeypatch.setattr(crisp, "prime_mask", lambda R: lie)
+    R = parse_ring("Zn(6)")  # fresh caches
+    with pytest.raises(TheoremViolationError, match=match):
+        prime_avoiding(R, zero_ideal(R), x)
+    R = parse_ring("Zn(6)")
+    with pytest.raises(TheoremViolationError):
+        frad_intersection_check(characteristic(zero_ideal(R)))
 
 
 def test_prime_avoiding_over_z(rings):

@@ -28,8 +28,7 @@ from fuzzideal.primeness import (_semiprime_chains, family_meet,
                                  is_prime_new, is_semiprime_new,
                                  semiprime_family)
 from fuzzideal.radical import (_cut_radicals, _first_difference,
-                               _witness_pairs, ring_radical_experimental,
-                               ring_radical_value_equivalence)
+                               _witness_pairs, ring_radical_experimental)
 
 F = Fraction
 
@@ -151,6 +150,18 @@ def test_cut_equality_sup_property(rings, corpora):
                 if t == P.bottom:
                     continue
                 assert cut(FP, t) == crisp_radical(R, cut(P, t))
+
+
+def ring_radical_value_equivalence(R, grid) -> bool:
+    """frad of every zero-type ideal is value-equivalent to frad of the
+    characteristic of {0} (the 'radical of the ring' reading)."""
+    reference = frad(zero_type(R, 1, 0))
+    for t in grid:
+        for s in grid:
+            if s < t:
+                if not value_equivalent(frad(zero_type(R, t, s)), reference):
+                    return False
+    return True
 
 
 def test_ring_radical_remark(rings):
@@ -814,12 +825,17 @@ def test_witness_primes_are_built_once_per_prime(monkeypatch):
 
 def test_witness_group_rechecks_every_element(monkeypatch):
     """A prime-avoiding ideal that contains its element fails for that
-    element, though 3 built and passed the same witness prime."""
+    element, though 3 built and passed the same witness prime: element 4
+    takes element 3's prime in the per-ideal array."""
     R = parse_ring("Zn(6)")
     I = characteristic(zero_ideal(R))
-    avoiding = radical.prime_avoiding
-    monkeypatch.setattr(radical, "prime_avoiding",
-                        lambda R, P, x: avoiding(R, P, 3 if x == 4 else x))
+    positions = radical.avoiding_positions
+
+    def lying(R, P):
+        out = positions(R, P).copy()
+        out[4] = out[3]
+        return out
+    monkeypatch.setattr(radical, "avoiding_positions", lying)
     with pytest.raises(TheoremViolationError,
                        match="prime-avoiding witness is not a prime") as exc:
         frad_intersection_check(I)

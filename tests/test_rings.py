@@ -429,6 +429,9 @@ def test_canonical_generators_match_regeneration(spec):
             current = ideal_generate(R, set(gens))
             if current == ideal:
                 break
+        got = _canonical_generators(R, ideal)
+        assert got == gens
+        got.append(R.zero)  # the memoized list is not the caller's
         assert _canonical_generators(R, ideal) == gens
 
 
