@@ -3,8 +3,9 @@
 Commands: ideals, primes, classify, radical, diagram, check-charprime,
 check-inter, check-frad.  Exit codes: 0 ok, 2 parse error or bad
 arguments (--bound or --cap below 1, --corpus random without --seed,
-a --palette with fewer than two distinct values) or a ring the command
-does not support (check-charprime on Z), 3 resource limit, 4 invalid
+a --palette with fewer than two distinct values, an --out path that
+cannot be written) or a ring the command does not support
+(check-charprime on Z), 3 resource limit, 4 invalid
 fuzzy ideal, 5 constant ideal, 6 theorem-assertion failure.
 Reports are byte-identical for identical inputs, seeds included.
 """
@@ -22,6 +23,7 @@ from .dsl import (ParseError, format_element, format_fuzzy, format_ring_spec,
 from .errors import (BackendError, ConstantIdealError, InvalidFuzzyIdealError,
                      NotProperIdealError, ResourceLimitError,
                      RingConstructionError, TheoremViolationError)
+from .radical import DEFAULT_BOUND
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -29,8 +31,6 @@ EXIT_RESOURCES = 3
 EXIT_INVALID_FUZZY = 4
 EXIT_CONSTANT = 5
 EXIT_THEOREM = 6
-
-DEFAULT_BOUND = 64
 
 
 def _positive_int(text):
@@ -84,19 +84,25 @@ def _build_parser():
     return ap, caps
 
 
-def _emit(report: dict, args, dot_text=None):
-    """Write the report; ``dot_text`` is called for ``--format dot`` only."""
+def _emit(report: dict, args, dot_text=None) -> int:
+    """Write the report and return the exit code, EXIT_PARSE if ``--out``
+    cannot be written; ``dot_text`` is called for ``--format dot`` only."""
     if args.format == "dot" and dot_text is not None:
         payload = dot_text()
     elif args.format == "text":
         payload = _as_text(report)
     else:
         payload = to_json(report) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(payload)
+        return EXIT_OK
+    try:
         with open(args.out, "w") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def _as_text(report, indent=0):
@@ -154,24 +160,22 @@ def cmd_ideals(args, primes_only=False):
                      "size": len(I.elems) if R.is_table else None, **flags})
     report = {"ring": format_ring_spec(R.spec), "count": len(rows),
               "ideals": rows}
-    _emit(report, args, dot_text=(lambda: _lattice_dot(ideals, names))
-          if R.is_table else None)
-    return EXIT_OK
+    return _emit(report, args, dot_text=(
+        lambda: _lattice_dot(R, ideals, names)) if R.is_table else None)
 
 
-def _lattice_dot(ideals, names):
+def _lattice_dot(R, ideals, names):
+    """The Hasse diagram of ``ideals = enumerate_ideals(R)``: its cover
+    edges are the strict order minus its square, read in row-major order
+    from ``subset_matrix(R)``."""
+    import numpy as np
+    strict = crisp.subset_matrix(R) & ~np.eye(len(ideals), dtype=bool)
+    covers = strict & ~(strict @ strict)
     lines = ["digraph lattice {", '  rankdir="BT";']
     for I in ideals:
         lines.append(f'  "{names[I]}";')
-    for I in ideals:
-        for J in ideals:
-            if I == J or not I.subset(J):
-                continue
-            # cover edge: nothing strictly between
-            if any(K != I and K != J and I.subset(K) and K.subset(J)
-                   for K in ideals):
-                continue
-            lines.append(f'  "{names[I]}" -> "{names[J]}";')
+    for i, j in np.argwhere(covers).tolist():
+        lines.append(f'  "{names[ideals[i]]}" -> "{names[ideals[j]]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -184,8 +188,7 @@ def cmd_classify(args):
               "commutative": R.commutative,
               "notions": dict(sorted(notions.items())),
               "witnesses": dict(sorted(witnesses.items()))}
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def cmd_radical(args):
@@ -203,8 +206,7 @@ def cmd_radical(args):
                 radical_mod.ring_radical_experimental(R)
         else:
             report["experimental_ring_radical"] = "table rings only"
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def _parse_values(text):
@@ -227,8 +229,7 @@ def cmd_diagram(args):
     R = parse_ring(args.ring)
     report = primeness.diagram_check(_make_corpus(args, R))
     report["ring"] = format_ring_spec(R.spec)
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def cmd_check_charprime(args):
@@ -240,8 +241,7 @@ def cmd_check_charprime(args):
         checked += 1
     report = {"ring": format_ring_spec(R.spec), "checked": checked,
               "equivalences_hold": True}
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def cmd_check_inter(args):
@@ -256,8 +256,7 @@ def cmd_check_inter(args):
         checked += 1
     report = {"ring": format_ring_spec(R.spec), "semiprime_checked": checked,
               "intersections_hold": True}
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def cmd_check_frad(args):
@@ -271,8 +270,7 @@ def cmd_check_frad(args):
         checked += 1
     report = {"ring": format_ring_spec(R.spec), "checked": checked,
               "radical_corollary_holds": True}
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 COMMANDS = {

@@ -13,7 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .crisp import enumerate_ideals
+from .crisp import enumerate_ideals, lattice_positions, subset_rows
 from .errors import ResourceLimitError, TheoremViolationError
 from .fuzzy import FuzzyIdeal
 from .rings import Ring
@@ -41,8 +41,12 @@ def ideal_chains(R: Ring, max_len: int, bound: int | None = None,
     if among is not None:
         among = set(among)
         lattice = [i for i in lattice if i in among]
-    below = {i: [j for j in lattice if j != i and j.subset(i)]
-             for i in (*lattice, whole)}
+    # below[i]: the kept ideals strictly inside i, from their subset rows
+    heads = (*lattice, whole)
+    pos = lattice_positions(R, bound)
+    inside = subset_rows(R, lattice, bound)[:, [pos[i] for i in heads]]
+    below = {i: [j for j, le in zip(lattice, column) if le and j != i]
+             for i, column in zip(heads, inside.T.tolist())}
 
     chains = [[whole]]
     frontier = [[whole]]

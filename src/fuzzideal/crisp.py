@@ -127,22 +127,6 @@ def whole_ideal(R: Ring) -> CrispIdeal:
         else CrispIdeal(R, gen=1)))
 
 
-def is_ideal(R: Ring, subset: frozenset[int]) -> bool:
-    """Direct check of the two-sided ideal axioms on a table-ring subset."""
-    if R.zero not in subset:
-        return False
-    for a in subset:
-        if R.neg(a) not in subset:
-            return False
-        for b in subset:
-            if R.add(a, b) not in subset:
-                return False
-        for r in range(R.size):
-            if R.mul(r, a) not in subset or R.mul(a, r) not in subset:
-                return False
-    return True
-
-
 def ideal_generate(R: Ring, gens) -> CrispIdeal:
     """Least two-sided ideal containing ``gens``.
 
@@ -356,7 +340,8 @@ def subset_rows(R: Ring, ideals, bound: int | None = None):
     def row(d):
         return R.cached(("subset_row", d, bound), lambda: np.array(
             [d % j == 0 if j else d == 0 for j in range(size)]))
-    return np.array([row(D.gen) for D in ideals])
+    return np.array([row(D.gen) for D in ideals],
+                    dtype=bool).reshape(len(ideals), size)
 
 
 def enumerate_ideals(R: Ring, bound: int | None = None) -> list[CrispIdeal]:

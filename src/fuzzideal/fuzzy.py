@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .crisp import (CrispIdeal, factorize, ideal_generate, is_ideal,
-                    whole_ideal, zero_ideal)
+from .crisp import (CrispIdeal, enumerate_ideals, factorize, ideal_generate,
+                    lattice_positions, whole_ideal, zero_ideal)
 from .errors import (BackendError, ConstantIdealError, InvalidFuzzyIdealError,
                      TheoremViolationError)
 from .rings import Ring, row_blocks
@@ -218,14 +218,20 @@ def _axiom_witness(R, table):
 
 
 def _chain_from_table(R, table):
+    """The cut chain of ``table`` in the lattice's own ideal objects, or
+    None when a cut is not in ``enumerate_ideals(R)``: every ideal of a
+    finite ring is a join of principal ideals, and the lattice is closed
+    under joins, so it holds every ideal."""
+    lattice, positions = enumerate_ideals(R), lattice_positions(R)
     values = sorted(set(table), reverse=True)
     chain = []
     cut = set()
     for v in values:
         cut |= {x for x in range(R.size) if table[x] == v}
-        if not is_ideal(R, frozenset(cut)):
+        i = positions.get(CrispIdeal(R, elems=frozenset(cut)))
+        if i is None:
             return None
-        chain.append((CrispIdeal(R, elems=frozenset(cut)), v))
+        chain.append((lattice[i], v))
     return tuple(chain)
 
 

@@ -781,22 +781,30 @@ def diagram_check(corpus, notions_list=None) -> dict:
     rows = [(idx, P, notions)
             for idx, (P, notions) in enumerate(zip(corpus, notions_list))]
 
-    edges = []
     commutative = corpus[0].ring.commutative
 
-    def check_edge(src, dst, comm_only):
-        if comm_only and not commutative:
-            return
-        for idx, P, notions in rows:
-            if _refutes(notions, src, dst):
-                from .dsl import format_fuzzy
-                raise TheoremViolationError(
-                    f"implication {src} => {dst} violated",
-                    details={"fuzzy": format_fuzzy(P), "index": idx})
-        edges.append({"edge": f"{src}=>{dst}", "status": "implied"})
+    @functools.cache
+    def refutation(src, dst):
+        """The witness of the first item refuting src => dst, or None."""
+        from .dsl import format_fuzzy
+        return next(({"fuzzy": format_fuzzy(P), "index": idx}
+                     for idx, P, notions in rows
+                     if _refutes(notions, src, dst)), None)
 
+    def reported(edge, witness):
+        if witness is None:
+            return {"edge": edge, "status": "implied"}
+        return {"edge": edge, "status": "counterexample", "witness": witness}
+
+    edges = []
     for src, dst, comm_only in PRIME_EDGES + SEMIPRIME_EDGES:
-        check_edge(src, dst, comm_only)
+        if comm_only and not commutative:
+            continue
+        witness = refutation(src, dst)
+        if witness is not None:
+            raise TheoremViolationError(
+                f"implication {src} => {dst} violated", details=witness)
+        edges.append({"edge": f"{src}=>{dst}", "status": "implied"})
 
     # equivalences asserted per item inside classify(), or decided there
     # from the cuts (SD1<=>SD2, D4<=>completely-prime-cuts); record them
@@ -806,29 +814,11 @@ def diagram_check(corpus, notions_list=None) -> dict:
     edges.append({"edge": "D4<=>completely-prime-cuts", "status": "implied"})
 
     for src, dst in PROBED_NON_IMPLICATIONS:
-        witness = None
-        for idx, P, notions in rows:
-            if _refutes(notions, src, dst):
-                from .dsl import format_fuzzy
-                witness = {"fuzzy": format_fuzzy(P), "index": idx}
-                break
-        if witness is not None:
-            edges.append({"edge": f"{src}=>{dst}", "status": "counterexample",
-                          "witness": witness})
-        else:
-            edges.append({"edge": f"{src}=>{dst}", "status": "implied"})
-
-    # reported-only D0 arrow on commutative rings (convention-dependent)
+        edges.append(reported(f"{src}=>{dst}", refutation(src, dst)))
+    # reported-only D0 arrow on commutative rings, the D0' => D0 probe again
     if commutative:
-        first = next((idx for idx, P, notions in rows if "D0" in notions
-                      and notions["D0'"] and not notions["D0"]), None)
-        edge = {"edge": "D0'=>D0 (commutative, reported only)",
-                "status": "implied"}
-        if first is not None:
-            from .dsl import format_fuzzy
-            edge.update(status="counterexample", witness={
-                "fuzzy": format_fuzzy(corpus[first]), "index": first})
-        edges.append(edge)
+        edges.append(reported("D0'=>D0 (commutative, reported only)",
+                              refutation("D0'", "D0")))
 
     return {"corpus_size": len(rows), "diagram": edges}
 

@@ -18,13 +18,17 @@ from fractions import Fraction
 import numpy as np
 
 from .crisp import (avoiding_positions, crisp_radical, enumerate_ideals,
-                    lattice_members, lattice_positions, prime_avoiding)
+                    factorize, lattice_members, lattice_positions,
+                    prime_avoiding)
 from .errors import TheoremViolationError
 from .fuzzy import (FuzzyIdeal, cut, intersect, probe_elements, whole_ideal,
                     zero_type)
 from .primeness import (family_meet, is_prime_new, is_semiprime_new,
                         semiprime_family, value_grid)
 from .rings import Ring
+
+
+DEFAULT_BOUND = 64  # the least default generator bound over Z
 
 
 @dataclass(frozen=True)
@@ -276,6 +280,28 @@ def _meet_difference(F: FuzzyIdeal, ranked, meet, grid):
     return G, _first_difference(F, G)
 
 
+def _z_bound(I: FuzzyIdeal, bound):
+    """The generator bound of an intersection check on I over Z, by
+    default max(DEFAULT_BOUND, I's generators); table rings keep
+    ``bound``.  An explicit bound below a prime factor p of a nonzero
+    generator raises ValueError: the lattice {nZ : n <= bound} lacks
+    pZ, so its primes above I would meet in less than FRad(I).  The CLI
+    never raises it, as its corpora never exceed ``--bound``.
+    """
+    if I.ring.is_table:
+        return bound
+    gens = [C.gen for C in I.ideals]
+    if bound is None:
+        return max(DEFAULT_BOUND, *gens)
+    for g in gens:
+        p = factorize(g)[-1][0] if g > 1 else 0
+        if p > bound:
+            raise ValueError(
+                f"the generator {g} has the prime factor {p} above the "
+                f"bound {bound}; raise the bound to at least {p}")
+    return bound
+
+
 def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
     """Assert FRad(I) = intersection of the prime fuzzy ideals above I
     valued on ``value_grid(I)`` = same with semiprime witnesses; plus
@@ -311,10 +337,9 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
     difference, and Fractions leave only there and in the reports.
     """
     I.require_non_constant()
+    bound = _z_bound(I, bound)
     R = I.ring
     grid = value_grid(I)
-    if bound is None and not R.is_table:
-        bound = max(64, *(c.gen for c, _ in I.chain))
     F3 = frad(I)
     # FRad keeps some of I's levels; a value off the grid ranks None
     flevels = tuple(map(grid.rank.get, F3.values))
@@ -358,11 +383,10 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
     of a meet depends on that chain alone, its values only labelling the
     levels.  The family is built at most once, on a miss of either memo.
     """
+    bound = _z_bound(P, bound)
     if not is_semiprime_new(P):
         raise ValueError("input must be semiprime")
     R = P.ring
-    if bound is None and not R.is_table:
-        bound = max(64, *(c.gen for c, _ in P.chain))
     grid = value_grid(P)
     # every prime fuzzy ideal is semiprime, so no prime above P is missed
     family = functools.cache(lambda: semiprime_family(P, grid, bound))

@@ -156,11 +156,6 @@ class Ring:
     def is_table(self):
         return self.backend is Backend.TABLE
 
-    def elements(self):
-        if not self.is_table:
-            raise BackendErrorFor("element enumeration", self)
-        return range(self.size)
-
     def _check(self, x):
         if self.is_table:
             if not (isinstance(x, int) and 0 <= x < self.size):
@@ -221,11 +216,6 @@ class Ring:
     def __repr__(self):
         from .dsl import format_ring_spec
         return f"Ring({format_ring_spec(self.spec)})"
-
-
-def BackendErrorFor(what, ring):
-    from .errors import BackendError
-    return BackendError(f"{what} is not supported over {ring!r}")
 
 
 # --------------------------------------------------------------------------

@@ -35,6 +35,24 @@ def z_corpus(rings):
     return build_corpus(rings["Z"], bound=Z_BOUND)
 
 
+def is_ideal(R, subset) -> bool:
+    """Direct check of the two-sided ideal axioms on a table-ring subset,
+    through the checked ``Ring.neg``/``Ring.add``/``Ring.mul``: the
+    oracle of the 2^n subset scans and of the cut criterion."""
+    if R.zero not in subset:
+        return False
+    for a in subset:
+        if R.neg(a) not in subset:
+            return False
+        for b in subset:
+            if R.add(a, b) not in subset:
+                return False
+        for r in range(R.size):
+            if R.mul(r, a) not in subset or R.mul(a, r) not in subset:
+                return False
+    return True
+
+
 @functools.cache
 def small_ring(text):
     return parse_ring(text)

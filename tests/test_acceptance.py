@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_ideal
 from fuzzideal import (characteristic, classify, compose, crisp_radical,
                        charprime_equivalence_check,
                        count_minimal_prime_classes, enumerate_ideals,
@@ -16,7 +17,7 @@ from fuzzideal import (characteristic, classify, compose, crisp_radical,
                        parse_ring_spec, radical_properties_check,
                        semiprime_intersection_check, singleton, to_set,
                        value_equivalent, zero_type)
-from fuzzideal.crisp import completely_prime_witness, is_ideal, zero_ideal
+from fuzzideal.crisp import completely_prime_witness, zero_ideal
 from fuzzideal.dsl import format_ring_spec
 from fuzzideal.fuzzy import cut, fuzzy_product, star_ideal
 from fuzzideal.primeness import (_cut_witness, is_D2, is_D4, is_prime_new,

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
-from fuzzideal import parse_element, parse_fuzzy_spec, parse_ring
+from conftest import TABLE_SPECS
+from fuzzideal import (enumerate_ideals, parse_element, parse_fuzzy_spec,
+                       parse_ring)
+from fuzzideal import cli
 from fuzzideal.cli import main
 
 
@@ -164,6 +167,15 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(path.read_text())["count"] == 4
 
 
+def test_out_unwritable_exits_2(capsys, tmp_path):
+    """An --out path that cannot be written is a bad argument: exit 2, one
+    line on stderr, nothing on stdout."""
+    code, out, err = run(capsys, "ideals", "--ring", "Zn(6)",
+                         "--out", str(tmp_path / "missing" / "x"))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot write --out: ") and err.count("\n") == 1
+
+
 def test_witness_revalidation(capsys):
     rep = run_json(capsys, "classify", "--ring", "Mat(2,Zn(2))",
                    "--fuzzy", "{1:<[[0,0],[0,0]]>, 0:<*>}")
@@ -294,9 +306,34 @@ def test_ideals_on_1024_element_rings_match_golden_files(capsys, name, spec):
     assert out.encode() == path.read_bytes()
 
 
-def test_lattice_dot_only_built_for_dot(capsys, monkeypatch):
-    import fuzzideal.cli as cli
+def _lattice_dot_triple_scan(ideals, names):
+    """The DOT text that _lattice_dot replaced: a cover edge I -> J for
+    every I < J with no K strictly between, by a scan over all triples."""
+    lines = ["digraph lattice {", '  rankdir="BT";']
+    for I in ideals:
+        lines.append(f'  "{names[I]}";')
+    for I in ideals:
+        for J in ideals:
+            if I == J or not I.subset(J):
+                continue
+            if any(K != I and K != J and I.subset(K) and K.subset(J)
+                   for K in ideals):
+                continue
+            lines.append(f'  "{names[I]}" -> "{names[J]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_lattice_dot_matches_the_triple_scan(rings, spec):
+    R = rings[spec]
+    ideals = enumerate_ideals(R)
+    names = {I: cli._ideal_name(R, I) for I in ideals}
+    assert cli._lattice_dot(R, ideals, names) == \
+        _lattice_dot_triple_scan(ideals, names)
+
+
+def test_lattice_dot_only_built_for_dot(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("DOT text built for a non-dot format")
     monkeypatch.setattr(cli, "_lattice_dot", fail)

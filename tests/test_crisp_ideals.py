@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from conftest import SMALL_RING, Z_BOUND, small_ring
+from conftest import SMALL_RING, Z_BOUND, is_ideal, small_ring
 from fuzzideal import crisp
 from fuzzideal import (CrispIdeal, RingConstructionError, characteristic,
                        crisp_radical, enumerate_ideals,
@@ -16,9 +16,9 @@ from fuzzideal import (CrispIdeal, RingConstructionError, characteristic,
                        is_semiprime_ideal, minimal_primes, parse_element,
                        parse_ring, prime_avoiding, whole_ideal, zero_ideal)
 from fuzzideal.crisp import (_inside_outside, _table_completely_prime_witness,
-                             completely_prime_witness, is_ideal,
-                             principal_classes, principal_ideal, prime_witness,
-                             semiprime_witness, subset_matrix, subset_rows)
+                             completely_prime_witness, principal_classes,
+                             principal_ideal, prime_witness, semiprime_witness,
+                             subset_matrix, subset_rows)
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.errors import (NotProperIdealError, ResourceLimitError,
                               TheoremViolationError)
@@ -614,6 +614,48 @@ def test_ideal_chains_need_the_whole_ring(rings):
     with pytest.raises(TheoremViolationError) as exc:
         ideal_chains(rings["Z"], 3, bound=0)
     assert exc.value.details["bound"] == 0
+
+
+def _ideal_chains_pairwise(R, max_len, bound=None, among=None):
+    """The walk that ideal_chains replaced: ``below`` from one
+    ``CrispIdeal.subset`` per pair of ideals."""
+    lattice = enumerate_ideals(R, bound)
+    whole = next(i for i in reversed(lattice) if i.is_whole)
+    if among is not None:
+        among = set(among)
+        lattice = [i for i in lattice if i in among]
+    below = {i: [j for j in lattice if j != i and j.subset(i)]
+             for i in (*lattice, whole)}
+    chains = frontier = [[whole]]
+    for _ in range(max_len - 1):
+        frontier = [[j] + chain for chain in frontier
+                    for j in below[chain[0]]]
+        if not frontier:
+            break
+        chains = chains + frontier
+    return [tuple(c) for c in chains]
+
+
+@pytest.mark.parametrize("spec, bound", [(spec, None) for spec in TABLE_SPECS]
+                         + [("Z", 8), ("Z", 12)])
+def test_ideal_chains_match_the_pairwise_walk(rings, monkeypatch, spec,
+                                              bound):
+    """ideal_chains reads ``below`` off the subset rows: the same chains in
+    the same order as the pairwise walk, with and without ``among`` (the
+    semiprimes, a seeded sample of the lattice, and none of it), and no
+    ``CrispIdeal.subset`` call."""
+    R = rings[spec]
+    lattice = enumerate_ideals(R, bound)
+    semiprimes = [J for J in lattice
+                  if not J.is_whole and is_semiprime_ideal(R, J)]
+    sample = random.Random(24).sample(lattice, len(lattice) // 2)
+    cases = (None, semiprimes, sample, [])
+    expected = [_ideal_chains_pairwise(R, 5, bound, among) for among in cases]
+
+    def fail(*args):
+        raise AssertionError("pairwise subset test in ideal_chains")
+    monkeypatch.setattr(CrispIdeal, "subset", fail)
+    assert [ideal_chains(R, 5, bound, among) for among in cases] == expected
 
 
 def test_prime_witness_revalidates(rings):

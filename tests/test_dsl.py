@@ -2,11 +2,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fuzzideal import (InvalidFuzzyIdealError, ParseError, format,
-                       format_element, format_fuzzy, format_ring_spec,
+from conftest import SMALL_RING, small_ring
+from fuzzideal import (InvalidFuzzyIdealError, ParseError,
+                       RingConstructionError, format, format_element,
+                       format_fuzzy, format_ring_spec, fuzzy_from_chain,
                        parse_element, parse_fuzzy_spec, parse_ring,
                        parse_ring_spec)
+from fuzzideal.corpus import ideal_chains
 from fuzzideal.dsl import _literal_text, parse_value, to_json
 from fuzzideal.rings import _elem_literal
 
@@ -134,6 +138,31 @@ def test_fuzzy_round_trip(rings, corpora, z_corpus):
     Z = rings["Z"]
     for P in z_corpus:
         assert parse_fuzzy_spec(Z, format_fuzzy(P)).chain == P.chain
+
+
+def _assert_round_trips(R, data, bound=None):
+    """parse_ring(format_ring_spec(R.spec)) has R's tables, and a drawn
+    chain with drawn values survives format_fuzzy and parse_fuzzy_spec."""
+    assert parse_ring(format_ring_spec(R.spec)).same_tables(R)
+    chain = data.draw(st.sampled_from(ideal_chains(R, 4, bound)))
+    values = data.draw(st.sets(st.fractions(0, 1, max_denominator=12),
+                               min_size=len(chain), max_size=len(chain)))
+    P = fuzzy_from_chain(R, list(zip(chain, sorted(values, reverse=True))))
+    assert parse_fuzzy_spec(R, format_fuzzy(P)).chain == P.chain
+
+
+@given(text=SMALL_RING, data=st.data())
+def test_round_trips_on_small_rings(text, data):
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    _assert_round_trips(R, data)
+
+
+@given(bound=st.integers(1, 12), data=st.data())
+def test_round_trips_over_z(bound, data):
+    _assert_round_trips(small_ring("Z"), data, bound)
 
 
 def test_format_kumar():

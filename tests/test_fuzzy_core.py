@@ -7,15 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SMALL_RING, TABLE_SPECS, small_ring
+from conftest import SMALL_RING, TABLE_SPECS, is_ideal, small_ring
 from fuzzideal import (BackendError, CrispIdeal, FuzzyIdeal, FuzzySet,
                        InvalidFuzzyIdealError, characteristic, compose,
                        constant, cut, fuzzy_from_chain, fuzzy_from_map,
                        fuzzy_product, generate, intersect, parse_fuzzy_spec,
                        parse_ring, singleton, star_ideal, strict_support,
                        to_set, value_equivalent, zero_type)
-from fuzzideal.crisp import ideal_generate, whole_ideal, zero_ideal
-from fuzzideal.errors import RingConstructionError
+from fuzzideal import fuzzy
+from fuzzideal.crisp import (enumerate_ideals, ideal_generate,
+                             lattice_positions, whole_ideal, zero_ideal)
+from fuzzideal.errors import RingConstructionError, TheoremViolationError
 from fuzzideal.fuzzy import _axiom_witness, probe_elements
 
 F = Fraction
@@ -91,6 +93,64 @@ def test_axiom_witness_matches_loop(rings, corpora):
         for _ in range(50):
             table = [rng.choice((F(0), F(1, 2), F(1))) for _ in range(R.size)]
             assert _axiom_witness(R, table) == _axiom_witness_loop(R, table)
+
+
+def _chain_from_table_scalar(R, table):
+    """The scalar cut criterion that the lattice lookup replaced: every
+    cut passes the ideal axioms of ``is_ideal``."""
+    chain = []
+    cut = set()
+    for v in sorted(set(table), reverse=True):
+        cut |= {x for x in range(R.size) if table[x] == v}
+        if not is_ideal(R, frozenset(cut)):
+            return None
+        chain.append((CrispIdeal(R, elems=frozenset(cut)), v))
+    return tuple(chain)
+
+
+def test_from_map_matches_the_scalar_cut_criterion(rings, corpora):
+    """fuzzy_from_map on every corpus map and on perturbed maps, against
+    the scalar cut criterion and the axiom loop: the same chain, of the
+    lattice's own ideals, or the same InvalidFuzzyIdealError witness."""
+    rng = random.Random(24)
+    values = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    for spec in TABLE_SPECS:
+        R = rings[spec]
+        lattice = enumerate_ideals(R)
+        invalid = 0
+        for P in corpora[spec]:
+            table = [P(x) for x in range(R.size)]
+            assert _chain_from_table_scalar(R, table) == P.chain
+            chain = fuzzy_from_map(R, dict(enumerate(table))).chain
+            assert chain == P.chain
+            assert all(lattice[lattice_positions(R)[C]] is C
+                       for C, _ in chain)
+            table[rng.randrange(R.size)] = rng.choice(values)
+            expected = _chain_from_table_scalar(R, table)
+            if expected is not None:
+                assert fuzzy_from_map(R, dict(enumerate(table))).chain \
+                    == expected
+                continue
+            invalid += 1
+            x, y, axiom = _axiom_witness_loop(R, table)
+            with pytest.raises(InvalidFuzzyIdealError) as exc:
+                fuzzy_from_map(R, dict(enumerate(table)))
+            assert exc.value.witness == {"x": R.label(x), "y": R.label(y),
+                                         "axiom": axiom}
+        assert invalid, spec
+
+
+def test_from_map_lying_lattice_is_a_theorem_violation(rings, monkeypatch):
+    """With one ideal dropped from the lattice lookup, the cut criterion
+    rejects a map the axiom scan accepts, and the two must agree."""
+    R = rings["Zn(6)"]
+    P = characteristic(ideal_generate(R, {3}))
+    positions = dict(lattice_positions(R))
+    del positions[P.chain[0][0]]
+    monkeypatch.setattr(fuzzy, "lattice_positions", lambda _: positions)
+    with pytest.raises(TheoremViolationError,
+                       match="axiom check and cut criterion disagree"):
+        fuzzy_from_map(R, P.to_map())
 
 
 def test_from_chain_invariants(rings):

@@ -113,6 +113,31 @@ def test_frad_intersection_check_examples(rings):
     past = parse_fuzzy_spec(Z, "{1: <9>, 1/2: <*>}")
     assert frad_intersection_check(past, bound=4) == \
         _frad_check_reference(past, bound=4)
+    # bounds at the largest prime factor of a generator hold every prime
+    for spec, bound in (("{1: <30>, 0: <*>}", 5), ("{1: <49>, 0: <*>}", 7)):
+        I = parse_fuzzy_spec(Z, spec)
+        assert frad_intersection_check(I, bound=bound) == \
+            _frad_check_reference(I, bound=bound)
+    I = parse_fuzzy_spec(Z, "{1: <30>, 0: <*>}")
+    assert semiprime_intersection_check(I, bound=5)["equals_intersection"]
+
+
+@pytest.mark.parametrize("check", [frad_intersection_check,
+                                   semiprime_intersection_check])
+@pytest.mark.parametrize("spec, bound, gen, prime", [
+    ("{1: <15>, 0: <*>}", 4, 15, 5),
+    ("{1: <49>, 0: <*>}", 6, 49, 7),
+    ("{1: <0>, 1/2: <6>, 1/4: <3>, 0: <*>}", 2, 6, 3)])
+def test_z_bound_below_a_prime_factor_is_rejected(rings, check, spec, bound,
+                                                  gen, prime):
+    """The lattice {nZ : n <= bound} lacks the prime pZ above I, so both
+    checks raise ValueError naming the generator, the prime and the
+    bound, not a false TheoremViolationError."""
+    I = parse_fuzzy_spec(rings["Z"], spec)
+    with pytest.raises(ValueError, match=(
+            f"generator {gen} has the prime factor {prime} above the "
+            f"bound {bound}")):
+        check(I, bound=bound)
 
 
 def test_semiprime_intersection_examples(rings):
