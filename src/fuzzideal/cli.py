@@ -4,8 +4,9 @@ Commands: ideals, primes, classify, radical, diagram, check-charprime,
 check-inter, check-frad.  Exit codes: 0 ok, 2 parse error or bad
 arguments (--bound or --cap below 1, --corpus random without --seed,
 a --palette with fewer than two distinct values, an --out path that
-cannot be written) or a ring the command does not support
-(check-charprime on Z), 3 resource limit, 4 invalid
+cannot be written, --format dot for a report with no DOT form: only
+ideals and primes on a table ring have one) or a ring the command does
+not support (check-charprime on Z), 3 resource limit, 4 invalid
 fuzzy ideal, 5 constant ideal, 6 theorem-assertion failure.
 Reports are byte-identical for identical inputs, seeds included.
 """
@@ -85,9 +86,16 @@ def _build_parser():
 
 
 def _emit(report: dict, args, dot_text=None) -> int:
-    """Write the report and return the exit code, EXIT_PARSE if ``--out``
-    cannot be written; ``dot_text`` is called for ``--format dot`` only."""
-    if args.format == "dot" and dot_text is not None:
+    """Write the report and return the exit code: EXIT_PARSE, with nothing
+    written, if ``--out`` cannot be written or ``--format dot`` asks for a
+    report with no ``dot_text``, which is called for ``--format dot``
+    only."""
+    if args.format == "dot":
+        if dot_text is None:
+            print(f"--format dot: the {args.command} report has no DOT "
+                  f"form; only ideals and primes on a table ring have one",
+                  file=sys.stderr)
+            return EXIT_PARSE
         payload = dot_text()
     elif args.format == "text":
         payload = _as_text(report)
@@ -146,7 +154,7 @@ def cmd_ideals(args, primes_only=False):
     bound = args.bound if not R.is_table else None
     ideals = crisp.enumerate_ideals(R, bound)
     names = {I: _ideal_name(R, I) for I in ideals}
-    rows = []
+    rows, shown = [], []
     for I in ideals:
         if I.is_whole:
             flags = {"prime": None, "completely_prime": None, "semiprime": None}
@@ -156,20 +164,26 @@ def cmd_ideals(args, primes_only=False):
                      "semiprime": crisp.is_semiprime_ideal(R, I)}
         if primes_only and not flags["prime"]:
             continue
+        shown.append(I)
         rows.append({"ideal": names[I],
                      "size": len(I.elems) if R.is_table else None, **flags})
     report = {"ring": format_ring_spec(R.spec), "count": len(rows),
               "ideals": rows}
     return _emit(report, args, dot_text=(
-        lambda: _lattice_dot(R, ideals, names)) if R.is_table else None)
+        lambda: _lattice_dot(R, shown, names)) if R.is_table else None)
 
 
 def _lattice_dot(R, ideals, names):
-    """The Hasse diagram of ``ideals = enumerate_ideals(R)``: its cover
-    edges are the strict order minus its square, read in row-major order
-    from ``subset_matrix(R)``."""
+    """The Hasse diagram of ``ideals``, lattice ideals of table ring R in
+    lattice order: its cover edges are the strict order among them minus
+    its square, read in row-major order from ``subset_matrix(R)``
+    restricted to their rows and columns.  The primes of a finite ring
+    are pairwise incomparable, so ``primes`` draws no edge."""
     import numpy as np
-    strict = crisp.subset_matrix(R) & ~np.eye(len(ideals), dtype=bool)
+    pos = crisp.lattice_positions(R)
+    at = np.array([pos[I] for I in ideals], dtype=np.intp)
+    strict = (crisp.subset_matrix(R)[at[:, None], at]
+              & ~np.eye(len(ideals), dtype=bool))
     covers = strict & ~(strict @ strict)
     lines = ["digraph lattice {", '  rankdir="BT";']
     for I in ideals:

@@ -1,14 +1,21 @@
 """Crisp two-sided ideals: generation, the lattice, primeness oracles,
 the radical and the prime-avoiding ideals.
 
-Table rings memoize their principal ideals (one generation per unit
-orbit), principal classes, full ideal lattice, its subset matrix, the
-prime, completely prime and semiprime witnesses of each ideal and one
-mask of the lattice's primes on the ring object (single-writer init,
-safe for concurrent readers).  The radical, the minimal primes and the
-prime-avoiding ideals are read off that mask: a semiprime ideal is the
-intersection of the primes above it.  Every ring memoizes the radical
-of each ideal and its prime-avoiding ideals.
+Table rings memoize on the ring object (single-writer init, safe for
+concurrent readers), each built once per ring:
+
+* the principal ideals, one sum of left ideals over the additive
+  generators per two-sided unit orbit, one object per distinct ideal;
+* the principal classes and their k x k product table;
+* the ideal lattice, its membership masks, positions and subset matrix;
+* the first prime and semiprime witness of every lattice ideal, from one
+  blocked pass over the class tensor (:func:`class_witnesses`);
+* the mask of the lattice's primes.
+
+The radical, the minimal primes and the prime-avoiding ideals are read
+off that mask: a semiprime ideal is the intersection of the primes above
+it.  Every ring memoizes the radical and the prime-avoiding ideals of
+each ideal; table rings also its completely prime witness.
 Over Z an ideal is just its nonnegative generator: 0 for {0}, 1 for Z,
 and the Z branches read its primes from :func:`factorize`.
 
@@ -30,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import (NotProperIdealError, ResourceLimitError,
                      TheoremViolationError)
-from .rings import Ring, row_blocks
+from .rings import Ring, additive_generators, row_blocks
 
 
 @dataclass(frozen=True)
@@ -80,10 +87,9 @@ class CrispIdeal:
     def join(self, other: "CrispIdeal") -> "CrispIdeal":
         """I + J = {a + b}: one gather from the add table."""
         if self.ring.is_table:
-            import numpy as np
             R = self.ring
-            sums = R.tables.add[np.ix_(_indices(self.elems),
-                                       _indices(other.elems))]
+            sums = R.tables.add[_indices(self.elems)[:, None],
+                                _indices(other.elems)]
             return _from_mask(R, _mask(R.size, sums))
         return CrispIdeal(self.ring, gen=gcd(self.gen, other.gen))
 
@@ -104,13 +110,6 @@ def _mask(n, members):
 def _from_mask(R, mask) -> CrispIdeal:
     import numpy as np
     return CrispIdeal(R, elems=frozenset(np.flatnonzero(mask).tolist()))
-
-
-def _inside_outside(P: "CrispIdeal"):
-    """P's membership mask and the ascending elements outside P."""
-    import numpy as np
-    inside = _mask(P.ring.size, _indices(P.elems))
-    return inside, np.flatnonzero(~inside)
 
 
 def zero_ideal(R: Ring) -> CrispIdeal:
@@ -169,7 +168,7 @@ def _additive_closure(R: Ring, mask):
     while frontier.size:
         found = np.zeros(R.size, dtype=bool)
         for rows in row_blocks(len(frontier), len(gens)):
-            found[add[np.ix_(frontier[rows], gens)]] = True
+            found[add[frontier[rows, None], gens]] = True
         found &= ~mask
         mask |= found
         frontier = np.flatnonzero(found)
@@ -179,23 +178,45 @@ def _additive_closure(R: Ring, mask):
 def principal_ideal(R: Ring, x) -> CrispIdeal:
     if not R.is_table:
         return CrispIdeal(R, gen=abs(x))
-    return R.cached("principal", lambda: _principal_table(R))[x]
+    return _principal_ideals(R)[x]
+
+
+def _principal_ideals(R: Ring) -> tuple:
+    """<x> for every element x of table ring R, memoized on the ring; equal
+    ideals are one object."""
+    return R.cached("principal", lambda: _principal_table(R))
 
 
 def _principal_table(R: Ring) -> tuple:
-    """<x> for every element x, generated once per two-sided unit orbit.
+    """<x> for every element x, built once per two-sided unit orbit.
 
     For units u and v, <u x v> = <x>: u x v lies in <x>, and
     x = u^-1 (u x v) v^-1 lies in <u x v>.  The units are the elements
     whose ``mul`` row holds ``one``; a finite ring is Dedekind-finite,
     so a right inverse is an inverse.  The least element x of each orbit
-    {u x v} is generated and its ideal given to every member.  Orbits
-    can be finer than principal classes (rank 1 and rank 2 matrices in
+    {u x v} is built and its ideal given to every member.  Orbits can
+    be finer than principal classes (rank 1 and rank 2 matrices in
     M2(F) generate the same ideal), so equal ideals share one object.
+
+    <x> is the sum of the left ideals R(x g) = {r x g : r in R} over the
+    additive generators g of R (:func:`rings.additive_generators`):
+
+    * each R(x g) is an additive subgroup, as r x g + s x g = (r + s) x g,
+      and lies in <x>, so their sum S lies in <x>;
+    * every t in R is a sum of generators, since -g = (ord g - 1) g, so
+      r x t is a sum of terms r x g, which puts RxR in S;
+    * <x> is the additive subgroup generated by RxR
+      (:func:`ideal_generate`), hence <x> <= S, and S = <x>.
+
+    R(x g) is one scatter of the column ``mul[:, mul[x, g]]``, and each
+    further generator adds one blocked gather of sums from ``add``, unless
+    the sum so far, a left ideal, already holds x g.  A cyclic additive
+    group, as in Zn, has one generator.
     """
     import numpy as np
-    mul = R.tables.mul
+    add, mul = R.tables.add, R.tables.mul
     n = R.size
+    gens = additive_generators(R)
     units = np.flatnonzero((mul == R.one).any(axis=1))
     table = [None] * n
     distinct = {}
@@ -205,8 +226,17 @@ def _principal_table(R: Ring) -> tuple:
         left = np.flatnonzero(_mask(n, mul[units, x]))  # u x
         orbit = np.zeros(n, dtype=bool)
         for rows in row_blocks(len(left), len(units)):
-            orbit[mul[np.ix_(left[rows], units)]] = True  # (u x) v
-        I = ideal_generate(R, {x})
+            orbit[mul[left[rows, None], units]] = True  # (u x) v
+        xg = mul[x, gens]
+        ideal = _mask(n, mul[:, xg[0]])
+        for c in xg[1:].tolist():
+            if ideal[c]:  # a left ideal holding x g holds R(x g)
+                continue
+            term = np.flatnonzero(_mask(n, mul[:, c]))  # R(x g)
+            have = np.flatnonzero(ideal)
+            for rows in row_blocks(len(have), len(term)):
+                ideal[add[have[rows, None], term]] = True
+        I = _from_mask(R, ideal)
         I = distinct.setdefault(I, I)
         for y in np.flatnonzero(orbit).tolist():
             table[y] = I
@@ -228,37 +258,40 @@ def principal_classes(R: Ring) -> PrincipalClasses:
     """The principal classes of table ring R and their product table,
     memoized on the ring.
 
-    Every ideal is a union of principal classes, so ``members`` (the
-    columns of ``lattice_members(R)`` at the representatives) tells
-    which elements each lattice ideal holds.  In a unital ring <x><y> is
-    the ideal generated by xRy, so it depends only on the classes of x
-    and y.  ``product[a, b]`` is the first ideal of ``enumerate_ideals(R)``
-    (in size order, so the least) that contains reps[a] R reps[b].  An
-    ideal contains that set iff it contains the class of each of its
-    elements: one gather of n x k products and one (k, k) x (k, L) count
-    per class.
+    The principal table hands out one object per distinct ideal, so each
+    element's class is read off by object identity.  Every ideal is a
+    union of principal classes, so ``members`` (the columns of
+    ``lattice_members(R)`` at the representatives) tells which elements
+    each lattice ideal holds.  In a unital ring <x><y> is the ideal
+    generated by xRy, so it depends only on the classes of x and y.
+    ``product[a, b]`` is the first ideal of ``enumerate_ideals(R)`` (in
+    size order, so the least) that contains reps[a] R reps[b].  An ideal
+    contains that set iff it contains the class of each of its elements:
+    one gather of n x k products and one (k, k) x (k, L) count per class,
+    made for a block of classes at a time.
     """
     def build():
         import numpy as np
         mul = R.tables.mul
-        ids, reps = {}, []
-        cls = np.empty(R.size, dtype=np.intp)
-        for x in range(R.size):
-            I = principal_ideal(R, x)
-            if I not in ids:
-                ids[I] = len(reps)
-                reps.append(x)
-            cls[x] = ids[I]
-        reps = np.array(reps, dtype=np.intp)
+        table = _principal_ideals(R)
+        first = {}
+        for x, I in enumerate(table):
+            first.setdefault(id(I), x)
+        number = {key: a for a, key in enumerate(first)}
+        cls = np.array([number[id(I)] for I in table], dtype=np.intp)
+        reps = np.array(list(first.values()), dtype=np.intp)
         k = len(reps)
         members = lattice_members(R)[:, reps]
         # float32 counts are exact below 2**24 and take the BLAS product
         outside = (~members).T.astype(np.float32)
         product = np.empty((k, k), dtype=np.intp)
-        for a in range(k):
-            met = np.zeros((k, k), dtype=np.float32)  # met[b, c]: c in xRy
-            met[np.arange(k), cls[mul[mul[reps[a]][:, None], reps]]] = 1
-            product[a] = np.argmax(met @ outside == 0, axis=1)
+        for block in row_blocks(k, R.size * k):
+            xs = reps[block]
+            # met[a, b, c]: class c meets xs[a] R reps[b]
+            met = np.zeros((len(xs), k, k), dtype=np.float32)
+            met[np.arange(len(xs))[:, None, None], np.arange(k),
+                cls[mul[mul[xs][:, :, None], reps]]] = 1
+            product[block] = np.argmax(met @ outside == 0, axis=2)
         return PrincipalClasses(cls, reps, members, product)
     return R.cached("principal_classes", build)
 
@@ -358,10 +391,9 @@ def enumerate_ideals(R: Ring, bound: int | None = None) -> list[CrispIdeal]:
             CrispIdeal(R, gen=n) for n in range(bound + 1))))
 
     def build():
-        # {0} = <0> and R = <1> are among them; orbit members share one
-        # ideal object, so deduplicating compares no element sets
-        found = list(dict.fromkeys(
-            principal_ideal(R, x) for x in range(R.size)))
+        # {0} = <0> and R = <1> are among them; equal principal ideals
+        # are one object, so deduplicating compares no element sets
+        found = list({id(I): I for I in _principal_ideals(R)}.values())
         seen = set(found)
         # each ideal is joined once with every ideal found before it; a
         # join of comparable ideals is the larger one, already found
@@ -394,9 +426,10 @@ def prime_witness(R: Ring, P: CrispIdeal):
     both that and x in P depend only on the classes of x and y.  So P is
     prime iff no two classes outside P have their product inside P, and
     the first hit of that k x k table gives the first witness
-    (:func:`first_class_hit`).
+    (:func:`first_class_hit`).  :func:`class_witnesses` finds it for
+    every lattice ideal at once; P is read by its lattice position.
 
-    Memoized per (table ring, ideal); Z answers by its direct formula.
+    Z answers by its direct formula.
     """
     _require_proper(P)
     if not R.is_table:
@@ -406,21 +439,54 @@ def prime_witness(R: Ring, P: CrispIdeal):
         # some factorization n = a*b certifies failure
         a = factorize(n)[0][0]
         return (a, n // a)
-
-    def search():
-        found = first_class_hit(*_class_products_inside(R, P))
-        return None if found is None else found[1]
-    return R.cached(("prime_witness", P), search)
+    return class_witnesses(R).prime[lattice_positions(R)[P]]
 
 
-def _class_products_inside(R: Ring, P: CrispIdeal):
-    """The (k, k) matrix of classes a, b outside P with <reps[a]><reps[b]>
-    inside P, and the class representatives."""
-    classes = principal_classes(R)
-    p = lattice_positions(R)[P]
-    out = ~classes.members[p]
-    inside = subset_matrix(R)[classes.product, p]
-    return inside & out[:, None] & out[None, :], classes.reps
+class ClassWitnesses(NamedTuple):
+    """The first prime and semiprime witness of every ideal of
+    ``enumerate_ideals(R)``, by lattice position; None where there is
+    none."""
+    prime: list      # (x, y) with xRy <= P, x, y not in P
+    semiprime: list  # x with xRx <= P, x not in P
+
+
+def class_witnesses(R: Ring) -> ClassWitnesses:
+    """The witnesses of :func:`prime_witness` and :func:`semiprime_witness`
+    for every lattice ideal of table ring R, memoized on the ring.
+
+    For lattice ideal P, hit[a, b] says that classes a and b lie outside
+    P and their product ``product[a, b]`` inside it: one gather from the
+    class tensor ``subset_matrix(R)[product]``, made for a block of ideals
+    at a time so that at most BLOCK_CELLS cells (ideals x k^2) exist at
+    once.  The first hit of each flattened k x k table, and of its
+    diagonal, is an ``argmax``: the same row-major first hit as
+    :func:`first_class_hit`, so the same witness elements.  The whole
+    ring has no class outside it, so no witness.
+    """
+    def build():
+        import numpy as np
+        classes = principal_classes(R)
+        reps = classes.reps.tolist()
+        k = len(reps)
+        outside = ~classes.members
+        holds = subset_matrix(R).T  # holds[p, q]: lattice[q] <= lattice[p]
+        diagonal = np.arange(k)
+        prime, semiprime = [], []
+        for block in row_blocks(len(outside), k * k):
+            out = outside[block]
+            rows = np.arange(len(out))
+            hit = (holds[block][:, classes.product]
+                   & out[:, :, None] & out[:, None, :])
+            flat = hit.reshape(len(out), k * k)
+            first = flat.argmax(axis=1)
+            for f, found in zip(first.tolist(), flat[rows, first].tolist()):
+                prime.append((reps[f // k], reps[f % k]) if found else None)
+            square = hit[:, diagonal, diagonal]
+            first = square.argmax(axis=1)
+            for a, found in zip(first.tolist(), square[rows, first].tolist()):
+                semiprime.append(reps[a] if found else None)
+        return ClassWitnesses(prime, semiprime)
+    return R.cached("class_witnesses", build)
 
 
 def is_prime_ideal(R: Ring, P: CrispIdeal) -> bool:
@@ -442,12 +508,14 @@ def completely_prime_witness(R: Ring, P: CrispIdeal):
 
 def _table_completely_prime_witness(R: Ring, P: CrispIdeal):
     """The table search behind :func:`completely_prime_witness`: the first
-    (x, y), row-major over the elements outside P, with xy in P."""
+    (x, y), row-major over the elements outside P, with xy in P.  P's
+    membership row is read from :func:`lattice_members`."""
     import numpy as np
     mul = R.tables.mul
-    inside, outside = _inside_outside(P)
+    inside = lattice_members(R)[lattice_positions(R)[P]]
+    outside = np.flatnonzero(~inside)
     for rows in row_blocks(len(outside), len(outside)):
-        hit = inside[mul[np.ix_(outside[rows], outside)]]
+        hit = inside[mul[outside[rows, None], outside]]
         found = np.flatnonzero(hit)
         if found.size:
             i, j = divmod(int(found[0]), len(outside))
@@ -464,9 +532,10 @@ def semiprime_witness(R: Ring, P: CrispIdeal):
 
     On a table ring the witness is the least such x, found on the
     principal classes as in :func:`prime_witness`: P is semiprime iff no
-    class outside P has its square <x><x> inside P.
+    class outside P has its square <x><x> inside P.  It is read from
+    :func:`class_witnesses` by P's lattice position.
 
-    Memoized per (table ring, ideal); Z answers by its direct formula.
+    Z answers by its direct formula.
     """
     _require_proper(P)
     if not R.is_table:
@@ -477,12 +546,7 @@ def semiprime_witness(R: Ring, P: CrispIdeal):
             if e >= 2:
                 return n // p  # n | (n/p)^2 but n does not divide n/p
         return None
-
-    def search():
-        hits, reps = _class_products_inside(R, P)
-        found = first_class_hit(hits.diagonal(), reps)
-        return None if found is None else found[1][0]
-    return R.cached(("semiprime_witness", P), search)
+    return class_witnesses(R).semiprime[lattice_positions(R)[P]]
 
 
 def is_semiprime_ideal(R: Ring, P: CrispIdeal) -> bool:

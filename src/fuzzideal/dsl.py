@@ -394,6 +394,9 @@ def format_fuzzy(F) -> str:
 
 
 def _jsonable(obj):
+    # plain leaves first: they are most of a report, and need no import
+    if isinstance(obj, (str, int)) or obj is None:  # bool is an int
+        return obj
     from .fuzzy import FuzzyIdeal
     from .crisp import CrispIdeal
     if isinstance(obj, Fraction):
@@ -411,8 +414,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
     return str(obj)
 
 

@@ -619,10 +619,26 @@ def charprime_equivalence_check(P: FuzzyIdeal) -> dict:
 
 
 def _quotients_prime(P: FuzzyIdeal) -> bool:
+    """Whether R/C has a prime zero ideal for every proper cut C of P.
+
+    R/{0} has R's tables (``proj`` is the identity), so on the {0} cut
+    the quotient leg and the prime-cuts leg coincide: it is decided by
+    ``is_prime_ideal(R, {0})``, with no second copy of R.  Above {0}
+    each quotient is built, as the independent leg, and only its answer
+    is memoized on R, under ``("quotient_prime", C)``.
+    """
     R = P.ring
+
+    def quotient_prime(ideal):
+        Q = quotient_ring(R, ideal)
+        return is_prime_ideal(Q, crisp.zero_ideal(Q))
     for ideal, _ in P.chain[:-1]:
-        Q = R.cached(("quotient", ideal), lambda i=ideal: quotient_ring(R, i))
-        if not is_prime_ideal(Q, crisp.zero_ideal(Q)):
+        if ideal.is_zero:
+            prime = is_prime_ideal(R, ideal)
+        else:
+            prime = R.cached(("quotient_prime", ideal),
+                             lambda i=ideal: quotient_prime(i))
+        if not prime:
             return False
     return True
 

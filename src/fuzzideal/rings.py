@@ -329,7 +329,7 @@ def _verify(ring, seed=0):
         b = int(np.argmax(noncommuting[a]))
         raise RingConstructionError(f"addition not commutative at {a},{b}")
     if n <= EXHAUSTIVE_AXIOM_LIMIT:
-        if not _axiom_certificate(add, mul, z):
+        if not _axiom_certificate(add, mul, additive_generators(ring)):
             for rows in row_blocks(n, n * n):
                 _check_triples(add, mul, elems[rows, None, None],
                                elems[None, :, None], elems[None, None, :])
@@ -361,10 +361,15 @@ def _additive_generators(add, z):
     return np.array(gens, dtype=np.intp)
 
 
-def _axiom_certificate(add, mul, z):
+def additive_generators(ring):
+    """``_additive_generators`` of a table ring, memoized on the ring."""
+    return ring.cached("additive_generators", lambda: _additive_generators(
+        ring.tables.add, ring.zero))
+
+
+def _axiom_certificate(add, mul, g):
     """Whether both associativities and both distributivities hold, read
-    off the additive generators (the proof is in ``_verify``)."""
-    g = _additive_generators(add, z)
+    off the additive generators g (the proof is in ``_verify``)."""
     x_g = add[:, g]                       # [x, g] -> x + g
     if not (add[x_g] == add[:, add[g]]).all():
         return False

@@ -1,4 +1,5 @@
 """CLI behavior: reports, exit codes, determinism, witness re-validation."""
+import hashlib
 import json
 import os
 import pathlib
@@ -49,6 +50,45 @@ def test_ideals_dot_output(capsys):
     code, out, _ = run(capsys, "ideals", "--ring", "Zn(6)", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph") and "->" in out
+
+
+@pytest.mark.parametrize("spec, primes", [
+    ("Zn(6)", ["<3>", "<2>"]),
+    ("Tri(3,Zn(2))", [
+        "<[[0,0,0],[0,0,0],[0,0,1]], [[0,0,0],[0,1,0],[0,0,0]]>",
+        "<[[0,0,0],[0,0,0],[0,0,1]], [[0,1,0],[0,0,0],[0,0,0]], "
+        "[[1,0,0],[0,0,0],[0,0,0]]>",
+        "<[[0,0,0],[0,0,1],[0,0,0]], [[0,0,0],[0,1,0],[0,0,0]], "
+        "[[1,0,0],[0,0,0],[0,0,0]]>"])])
+def test_primes_dot_draws_only_the_primes(capsys, spec, primes):
+    """`primes --format dot` draws the prime rows of the JSON report and
+    no edge: the primes of a finite ring are pairwise incomparable."""
+    rows = run_json(capsys, "primes", "--ring", spec)["ideals"]
+    assert [row["ideal"] for row in rows] == primes
+    code, out, err = run(capsys, "primes", "--ring", spec, "--format", "dot")
+    assert code == 0, err
+    assert out == "".join(['digraph lattice {\n  rankdir="BT";\n',
+                           *(f'  "{name}";\n' for name in primes), "}\n"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("ideals", "--ring", "Z", "--bound", "3"),
+    ("primes", "--ring", "Z", "--bound", "3"),
+    ("classify", "--ring", "Zn(6)", "--fuzzy", "{1: <2>, 0: <*>}"),
+    ("radical", "--ring", "Zn(6)", "--fuzzy", "{1: <2>, 0: <*>}"),
+    ("diagram", "--ring", "Zn(6)"),
+    ("check-charprime", "--ring", "Zn(6)"),
+    ("check-inter", "--ring", "Zn(6)"),
+    ("check-frad", "--ring", "Zn(6)")], ids=lambda argv: " ".join(argv[:3]))
+def test_dot_without_a_dot_form_exits_2(capsys, tmp_path, argv):
+    """--format dot for a report that has no DOT form is a bad argument:
+    exit 2, one line on stderr, nothing on stdout and no --out file."""
+    code, out, err = run(capsys, *argv, "--format", "dot")
+    assert (code, out) == (2, "")
+    assert err.startswith("--format dot: ") and err.count("\n") == 1
+    path = tmp_path / "report.dot"
+    assert run(capsys, *argv, "--format", "dot", "--out", str(path))[0] == 2
+    assert not path.exists()
 
 
 def test_classify_examples(capsys):
@@ -304,6 +344,62 @@ def test_ideals_on_1024_element_rings_match_golden_files(capsys, name, spec):
     code, out, err = run(capsys, "ideals", "--ring", spec)
     assert code == 0, err
     assert out.encode() == path.read_bytes()
+
+
+# sha1 of the `ideals` JSON report on every ring of the benchmark's
+# lattice ladder, recorded before the principal ideals were built from
+# the additive generators and the crisp flags in one pass per ring
+LADDER_SHA1 = (
+    ('Zn(8)', '4b925b68c22deaeefd675412b607352e1f8bb777'),
+    ('Zn(9)', '33ca9a39dad0f303dcc942c87be78cc3935c1ef3'),
+    ('Zn(10)', '0fc5f86fb88885601bbc2e2671f961f687cbadbc'),
+    ('Zn(12)', '3de5b4941e0e0d121dd67c42c2bc354908169ce8'),
+    ('Zn(14)', 'f9e2b6f514c86a13dd8b0961a15e4e53407fa076'),
+    ('Zn(15)', 'cecc1419fb02198b5d7edb9709ffae17fb117f79'),
+    ('Zn(16)', 'a155b5d508e6e81163eebd09faa2af5fa45c5084'),
+    ('Zn(18)', '53ddf401d5b51212d78f48109896586f90e4cca0'),
+    ('Zn(20)', '71e3a6375c9ec2b19c83b32547e3af6ffd33665e'),
+    ('Zn(21)', '8ba2c51e0c3aa2dcd76294dafff5b917f3df18cc'),
+    ('Zn(22)', '6e66086956800e8f21bc3adc9a04207a3da1de07'),
+    ('Zn(24)', '2de2c34856e09a60a5cb55a0fdeb4bdefa5c21ac'),
+    ('Zn(25)', '2e256db7653925a44f4d70d5ac2e6bd36a86f04f'),
+    ('Zn(26)', '1c7ee9cdbf71f947c78bd943569f24cd4cfd2931'),
+    ('Zn(27)', '15777da587106331aea2e12930a5df6003fff498'),
+    ('Zn(28)', 'e801f15f6232207db6061bc2d2715cda2dc5dd4c'),
+    ('Zn(30)', '99720f9bbac2901fe3437f62a8188308eb684c20'),
+    ('Zn(32)', '0c269734ad5af34405a3d129cb45a6dd88958f28'),
+    ('Zn(33)', '1a67f00dfe5927c287201ec93b76aef5ea7937cd'),
+    ('Zn(36)', '7620d4af42c08e91cd786d4b26ecffceddc5830d'),
+    ('Zn(40)', 'f09bd58d06073b1ceeeae10e77146103d2df4203'),
+    ('Zn(48)', 'ba1a5d2f3dee43b55867b71d60ff4de2b5179edd'),
+    ('Zn(64)', '82ba9724590fffb1bf44fc4ceb0c05ecbac67688'),
+    ('Prod(Zn(2), Zn(3))', '3adad20117c9f9989243cd866758d3c5ed164e75'),
+    ('Prod(Zn(2), Zn(2), Zn(2))', '0f28020059ac71f480663184191cbb1e93a17c62'),
+    ('Prod(Zn(4), Zn(4))', '6ee624e9216a1ef4124a941d140872790290909b'),
+    ('Prod(Zn(2), Zn(9))', 'ddece71f9504b55fdb025c33b9f8abcb5c495b25'),
+    ('Prod(Zn(3), Zn(3), Zn(3))', 'd8228a6e625abdab62ca059c18a338ca74172e4d'),
+    ('Prod(Zn(4), Zn(9))', '3ada065208fbcc2846dafffb70c37b13c72c3cc4'),
+    ('Prod(Zn(2), Zn(3), Zn(5))', 'b2407fe4a9ca04dae28c6c85ac5a6b78f92c51ca'),
+    ('Prod(Zn(6), Zn(6))', '2de57b25ba17d9b09241c1ae216dd28bfbd3c51b'),
+    ('Prod(Zn(4), Zn(3), Zn(5))', 'd38d54d7ffed09c4eebb0beea7a2cb68970edb5c'),
+    ('Prod(Zn(5), Zn(7))', '49b518c4bfe8c6bda6b23840aae309eac6c8819b'),
+    ('Prod(Mat(2, Zn(2)), Zn(2))', '8eada29afd90ad4961c209bedd9dec44d37e68dc'),
+    ('Prod(Tri(2, Zn(2)), Zn(3))', '36591331e866f07307bfa2f080599282865a16cb'),
+    ('Mat(2, Zn(2))', 'c2a97ed29139f3ee1fe2342866aea8c99b23b2a5'),
+    ('Mat(2, Zn(3))', '95c6aa6fa36c11d43dcc8706d79da6bde57c5463'),
+    ('Tri(2, Zn(2))', 'f9c4a4d25830313ad8ef6484290702fa207f59fb'),
+    ('Tri(2, Zn(3))', 'e25cd97d711a53d52a4fec4f16fce0a9b154ab36'),
+    ('Tri(3, Zn(2))', 'a5bd93961b24b8856b60f33f8391e873094a7a6a'),
+)
+
+
+def test_ideals_on_the_lattice_ladder_are_byte_stable(capsys):
+    got = []
+    for spec, _ in LADDER_SHA1:
+        code, out, err = run(capsys, "ideals", "--ring", spec)
+        assert code == 0, err
+        got.append((spec, hashlib.sha1(out.encode()).hexdigest()))
+    assert got == list(LADDER_SHA1)
 
 
 def _lattice_dot_triple_scan(ideals, names):

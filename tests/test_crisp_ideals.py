@@ -15,7 +15,7 @@ from fuzzideal import (CrispIdeal, RingConstructionError, characteristic,
                        is_completely_prime_ideal, is_prime_ideal,
                        is_semiprime_ideal, minimal_primes, parse_element,
                        parse_ring, prime_avoiding, whole_ideal, zero_ideal)
-from fuzzideal.crisp import (_inside_outside, _table_completely_prime_witness,
+from fuzzideal.crisp import (_table_completely_prime_witness,
                              completely_prime_witness, principal_classes,
                              principal_ideal, prime_witness, semiprime_witness,
                              subset_matrix, subset_rows)
@@ -56,6 +56,49 @@ def _fixpoint_generate(R, gens):
                         current.add(p)
                         changed = True
     return frozenset(current)
+
+
+def _inside_outside(P):
+    """P's membership mask and the ascending elements outside P."""
+    inside = np.zeros(P.ring.size, dtype=bool)
+    inside[list(P.elems)] = True
+    return inside, np.flatnonzero(~inside)
+
+
+def _principal_table_reference(R):
+    """<x> for every element x as ``principal_ideal`` built it before the
+    additive-generator sums: ``ideal_generate(R, {x})`` once per two-sided
+    unit orbit, one object per distinct ideal."""
+    mul = R.tables.mul
+    n = R.size
+    units = np.flatnonzero((mul == R.one).any(axis=1))
+    table = [None] * n
+    distinct = {}
+    todo = np.ones(n, dtype=bool)
+    while todo.any():
+        x = int(todo.argmax())
+        orbit = np.zeros(n, dtype=bool)
+        orbit[mul[np.ix_(mul[units, x], units)]] = True  # u x v
+        I = ideal_generate(R, {x})
+        I = distinct.setdefault(I, I)
+        for y in np.flatnonzero(orbit).tolist():
+            table[y] = I
+        todo &= ~orbit
+    return table
+
+
+def _assert_principal_table(R):
+    """The principal ideals equal the reference's as element sets, and
+    two elements share an ideal object iff their ideals are equal."""
+    ref = _principal_table_reference(R)
+    table = [principal_ideal(R, x) for x in range(R.size)]
+    assert [I.elems for I in table] == [I.elems for I in ref]
+    first = {}
+    for x, I in enumerate(ref):
+        first.setdefault(I, x)
+    assert [table[x] is table[first[I]] for x, I in enumerate(ref)] == \
+        [True] * R.size
+    assert len({id(I) for I in table}) == len(first)
 
 
 def _prime_witness_loop(R, P):
@@ -195,6 +238,42 @@ def test_generation_is_the_least_ideal(text, data):
     I = ideal_generate(R, gens)
     assert I.elems == _fixpoint_generate(R, gens)
     assert is_ideal(R, I.elems)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS + (
+    "Prod(Zn(2), Zn(2))", "Mat(2, Zn(4))", "Tri(3, Zn(3))"))
+def test_principal_table_matches_the_reference(spec):
+    """Among them rings with two to six additive generators, where every
+    generator's left ideal R(x g) is needed."""
+    _assert_principal_table(parse_ring(spec))
+
+
+@given(text=SMALL_RING)
+def test_principal_table_matches_the_reference_on_random_rings(text):
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    _assert_principal_table(R)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS + (
+    "Zn(36)", "Tri(2, Zn(3))", "Prod(Zn(2), Zn(2), Zn(2))", "Tri(3, Zn(2))",
+    "Mat(2, Zn(4))"))
+def test_class_witnesses_match_the_element_searches_per_ring(spec):
+    """The witnesses of the per-ring pass, by lattice position, are the
+    blocked element searches' on every proper lattice ideal, and None on
+    the whole ring."""
+    R = parse_ring(spec)  # fresh caches
+    witnesses = crisp.class_witnesses(R)
+    lattice = enumerate_ideals(R)
+    assert len(witnesses.prime) == len(witnesses.semiprime) == len(lattice)
+    for P, prime, semiprime in zip(lattice, *witnesses):
+        if P.is_whole:
+            assert prime is semiprime is None
+            continue
+        assert prime == _table_prime_witness(R, P), (spec, P)
+        assert semiprime == _table_semiprime_witness(R, P), (spec, P)
 
 
 @given(text=SMALL_RING)

@@ -24,6 +24,7 @@ from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import zero_ideal
 from fuzzideal.fuzzy import (fuzzy_from_chain, probe_elements, star_ideal,
                              whole_ideal)
+from fuzzideal.rings import Ring
 from fuzzideal.primeness import (D0_witness, D0prime_witness, D3_witness,
                                  D4_witness, SD0prime_witness, SD1_witness,
                                  _Ctx, _ideal_test, is_D0, is_D0prime, is_D1,
@@ -646,3 +647,27 @@ def test_reported_d0_arrow_formats_only_its_first_hit(monkeypatch):
     # the reported arrow reuses the probe's witness of ("D0'", "D0")
     witnesses = {id(e["witness"]) for e in report["diagram"] if "witness" in e}
     assert len(calls) == len(witnesses)
+
+
+def test_charprime_keeps_no_ring_in_the_cache(monkeypatch):
+    """The quotient leg of check-charprime decides the {0} cut on R itself,
+    since R/{0} has R's tables, and builds R/C once for every other cut C,
+    memoizing only the answer: after the check over a corpus, no Ring
+    object is left among R's cached values.  Mat(2, Zn(2)) is simple, so
+    it builds no quotient at all."""
+    built = []
+
+    def recording(R, ideal, **kwargs):
+        built.append(ideal)
+        return quotient_ring(R, ideal, **kwargs)
+    quotient_ring = primeness.quotient_ring
+    monkeypatch.setattr(primeness, "quotient_ring", recording)
+    for spec, quotients in (("Zn(12)", 4), ("Tri(2, Zn(2))", 3),
+                            ("Mat(2, Zn(2))", 0)):
+        R = parse_ring(spec)  # fresh caches
+        built.clear()
+        for P in build_corpus(R):
+            charprime_equivalence_check(P)
+        assert not any(C.is_zero for C in built), spec
+        assert len(built) == len(set(built)) == quotients, spec
+        assert not any(isinstance(v, Ring) for v in R._cache.values()), spec
