@@ -6,8 +6,10 @@ arguments (--bound or --cap below 1, --corpus random without --seed,
 a --palette with fewer than two distinct values, an --out path that
 cannot be written, --format dot for a report with no DOT form: only
 ideals and primes on a table ring have one) or a ring the command does
-not support (check-charprime on Z), 3 resource limit, 4 invalid
-fuzzy ideal, 5 constant ideal, 6 theorem-assertion failure.
+not support (check-charprime on Z), 3 resource limit (also a Z --bound
+whose length-2 chains alone pass --cap, or in random mode whose lattice
+passes 4,096 ideals), 4 invalid fuzzy ideal, 5 constant ideal, 6
+theorem-assertion failure.
 Reports are byte-identical for identical inputs, seeds included.
 """
 from __future__ import annotations

@@ -10,13 +10,14 @@ across runs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from .crisp import enumerate_ideals, lattice_positions, subset_rows
 from .errors import ResourceLimitError, TheoremViolationError
 from .fuzzy import FuzzyIdeal
-from .rings import Ring
+from .rings import DEFAULT_MAX_SIZE, Ring
 
 DEFAULT_PALETTE = (Fraction(1), Fraction(3, 4), Fraction(1, 2),
                    Fraction(1, 4), Fraction(0))
@@ -81,8 +82,21 @@ def build_corpus(R: Ring, palette=DEFAULT_PALETTE, mode: str = "exhaustive",
     """Materialized corpus list.
 
     Exhaustive mode errors out (never truncates) past the cap; random
-    mode reservoir-samples ``cap`` items with the given seed.
+    mode reservoir-samples ``cap`` items with the given seed.  Over Z,
+    both fail before the walk: exhaustive mode when the length-2 chains
+    alone (bound * C(|palette|, 2) items) exceed the cap, random mode
+    when the lattice (bound + 1 ideals) exceeds the ring size limit.
     """
+    if not R.is_table and bound is not None:
+        pairs = bound * math.comb(len(set(map(Fraction, palette))), 2)
+        if mode == "exhaustive" and pairs > cap:
+            raise ResourceLimitError(
+                f"the {pairs} length-2 chain items at bound {bound} exceed "
+                f"cap {cap}; lower --bound, raise --cap or use random mode")
+        if mode == "random" and bound >= DEFAULT_MAX_SIZE:
+            raise ResourceLimitError(
+                f"the ideal lattice at bound {bound} has {bound + 1} ideals, "
+                f"above the size limit {DEFAULT_MAX_SIZE}; lower --bound")
     gen = enumerate_fuzzy_ideals(R, palette, bound)
     if mode == "exhaustive":
         out = []

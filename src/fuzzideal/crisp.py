@@ -31,8 +31,9 @@ fuzzideal`` by about 1.8 MB.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import (NotProperIdealError, ResourceLimitError,
@@ -564,16 +565,9 @@ _MR_LIMIT = 3317044064679887385961981
 @functools.lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """The prime factorization of an integer n >= 1 as (prime, exponent)
-    pairs, ascending; () for 1.  Memoized per n.
-
-    Trial division by 2 and the odd numbers up to min(sqrt(n), 10**6).
-    A cofactor left above 1 has no divisor up to that point, so it is
-    prime when it is below 10**12, the square of the last divisor tried.
-    A larger cofactor is prime when it is below 3.3 * 10**24 and passes
-    the deterministic Miller-Rabin test of :func:`_miller_rabin`.  Any
-    other cofactor (a product of primes above 10**6, or one past that
-    bound) is beyond this helper: it raises ResourceLimitError.
-    """
+    pairs, ascending; () for 1.  Memoized per n.  Trial division by 2
+    and the odd numbers up to min(sqrt(n), 10**6), then
+    :func:`_cofactor_primes` on the cofactor left."""
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out = []
@@ -587,13 +581,58 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             out.append((d, e))
         d += 1 if d == 2 else 2
     if n > 1:
-        if d * d <= n and not (n < _MR_LIMIT and _miller_rabin(n)):
-            raise ResourceLimitError(
-                f"a cofactor {n} has no divisor up to {_TRIAL_LIMIT} and "
-                f"is not a prime below {_MR_LIMIT}; factoring it is out "
-                f"of range")
-        out.append((n, 1))
+        large = sorted(_cofactor_primes(n, d))
+        out.extend((p, large.count(p)) for p in dict.fromkeys(large))
     return tuple(out)
+
+
+def _cofactor_primes(n: int, least: int) -> list:
+    """The prime factors, with repeats, of n > 1, which has no prime
+    factor below ``least``: n itself below least**2.  Otherwise a
+    Miller-Rabin witness (:func:`_miller_rabin`) proves n composite, and
+    its square root or Pollard-Brent rho (:func:`_rho`) splits it; with
+    no witness, n is prime below 3.3 * 10**24, where the test is exact,
+    and out of range (ResourceLimitError) past it."""
+    if n < least * least:
+        return [n]
+    if _miller_rabin(n):
+        if n < _MR_LIMIT:
+            return [n]
+        raise _out_of_range(n, f"is not a prime below {_MR_LIMIT}")
+    root = isqrt(n)
+    f = root if root * root == n else _rho(n)
+    return _cofactor_primes(f, least) + _cofactor_primes(n // f, least)
+
+
+def _out_of_range(n, why):
+    return ResourceLimitError(
+        f"a cofactor {n} has no divisor up to {_TRIAL_LIMIT} and {why}; "
+        f"factoring it is out of range")
+
+
+_RHO_STEPS = 1 << 20  # the most iterations _rho makes on one number
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite non-square n, by Pollard's rho
+    on x -> x*x + c with Brent's cycle finding, for c = 1, 2, ... in
+    turn; past ``_RHO_STEPS`` iterations it raises ResourceLimitError."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y  # compare the next r iterates with the 2**k-th
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            steps += r
+            r *= 2
+            if steps > _RHO_STEPS:
+                raise _out_of_range(n, f"no factor in {_RHO_STEPS} rho steps")
+        if g != n:
+            return g
 
 
 def _miller_rabin(n: int) -> bool:

@@ -25,8 +25,8 @@ from .corpus import ideal_chains
 from .crisp import (completely_prime_witness, is_prime_ideal,
                     minimal_primes, prime_witness, semiprime_witness)
 from .errors import BackendError, TheoremViolationError
-from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, meet_chain,
-                    star_ideal, value_equivalent)
+from .fuzzy import (FuzzyIdeal, ZERO, ONE, characteristic, star_ideal,
+                    value_equivalent)
 from .rings import Ring, quotient_ring
 
 
@@ -36,10 +36,9 @@ from .rings import Ring, quotient_ring
 
 class ValueGrid(tuple):
     """An ascending value grid, as a tuple, in rank form for the image it
-    was ranked with: ``rank`` maps each value of grid + image to its rank
-    there, ``ranks`` holds the grid values' ranks (an int64 array,
-    ascending) and ``levels`` the ranks of the image's values, in level
-    order (descending)."""
+    holds: ``rank`` maps each value to its rank, its grid position, and
+    ``levels`` holds the ranks of the image's values, in level order
+    (descending)."""
 
 
 def value_grid(P: FuzzyIdeal) -> ValueGrid:
@@ -60,16 +59,8 @@ def _value_grid(image) -> ValueGrid:
     it once per item, and corpora draw their images from a few values."""
     base = sorted(set(image) | {ZERO, ONE})
     mids = [(a + b) / 2 for a, b in zip(base, base[1:])]
-    return _ranked_grid(sorted(base + mids), image)
-
-
-def _ranked_grid(values, image) -> ValueGrid:
-    """The ascending ``values`` as a :class:`ValueGrid` ranked with
-    ``image``."""
-    grid = ValueGrid(values)
-    grid.rank = {v: i for i, v in enumerate(sorted(set(values) | set(image)))}
-    grid.ranks = np.array([grid.rank[v] for v in grid], dtype=np.int64)
-    grid.ranks.flags.writeable = False
+    grid = ValueGrid(sorted(base + mids))
+    grid.rank = {v: i for i, v in enumerate(grid)}
     grid.levels = tuple(grid.rank[v] for v in image)
     return grid
 
@@ -420,168 +411,107 @@ def is_SD1(P: FuzzyIdeal) -> bool:
     return SD1_witness(P)[0] is None
 
 
-# cells of the (chains x value combinations x length) arrays per block
-_BLOCK_CELLS = 1 << 16
-
-
 def _semiprime_chains(R: Ring, max_len: int, bound: int | None = None):
-    """The chains of ``ideal_chains(R, max_len, bound)`` of length at
-    least 2 on which fuzzy ideals are semiprime, grouped by length: for
-    each length m, an (N, m) array of their positions in
-    ``enumerate_ideals(R, bound)``, in order, and whether they also
-    carry primes.
+    """The chains C1 < ... < Cm = R, m >= 2, on which fuzzy ideals are
+    semiprime, in ``ideal_chains`` order: ``(positions, prime)``, their
+    positions in ``enumerate_ideals(R, bound)`` right-padded with -1, and
+    which also carry primes.  One array per ring and bound, holding every
+    chain up to the longest ``max_len`` asked for so far, as a chain
+    longer than a grid has no member on it.
 
-    Take a fuzzy ideal Q with chain C1 < ... < Cm = R and values
-    c1 > ... > cm.  Q is semiprime (Inf Q(xRx) = Q(x) for every x) iff
-    C1, ..., C(m-1) are semiprime, and prime (Inf Q(xRy) = Q(x) v Q(y))
-    iff they are prime, whatever the values, on both backends.  Q(xry) >=
-    Q(x) v Q(y) for every r, so Inf Q(xRy) >= Q(x) v Q(y), the infimum
-    being a least value as Q takes finitely many.  If Inf Q(xRy) = t >
-    Q(x) v Q(y), then t > cm, and the level set of t is a cut Ck, k < m,
-    that holds xRy but neither x nor y: Ck is not prime.  Conversely, x
-    and y outside Ck with xRy inside it give Inf Q(xRy) >= ck >
-    Q(x) v Q(y).  The semiprime case is x = y.
+    A fuzzy ideal Q with chain C1 < ... < Cm = R and values c1 > ... > cm
+    is semiprime (Inf Q(xRx) = Q(x) for every x) iff C1, ..., C(m-1) are
+    semiprime, and prime (Inf Q(xRy) = Q(x) v Q(y)) iff they are prime,
+    whatever the values, on both backends.  Q(xry) >= Q(x) v Q(y) for
+    every r, so Inf Q(xRy) >= Q(x) v Q(y), the infimum being a least
+    value as Q takes finitely many.  If Inf Q(xRy) = t > Q(x) v Q(y),
+    then t > cm, and the level set of t is a cut Ck, k < m, that holds
+    xRy but neither x nor y: Ck is not prime.  Conversely, x and y
+    outside Ck with xRy inside it give Inf Q(xRy) >= ck > Q(x) v Q(y).
+    The semiprime case is x = y.
 
     So the walk lists only the chains of semiprime proper ideals, with R
-    on top, and reads both flags from the memoized crisp witnesses.  Each
-    kept chain is decided once more by the Inf-forms, on the values
-    (m-1-k)/(m-1), and any disagreement raises TheoremViolationError.
+    on top, and reads both flags from the crisp witnesses.  Each kept
+    chain is decided once more by the Inf-forms, on the values
+    (m-1-k)/(m-1); a disagreement raises TheoremViolationError.
     """
-    def build():
-        lattice = crisp.enumerate_ideals(R, bound)
-        semiprimes = [J for J in lattice
-                      if not J.is_whole and semiprime_witness(R, J) is None]
-        primes = {J for J in semiprimes if prime_witness(R, J) is None}
-        pos = crisp.lattice_positions(R, bound)
-        by_len = {}
-        for chain in ideal_chains(R, max_len, bound, among=semiprimes)[1:]:
-            m = len(chain)
-            prime = primes.issuperset(chain[:-1])
-            Q = FuzzyIdeal(R, tuple(
-                zip(chain, (Fraction(m - 1 - k, m - 1) for k in range(m)))))
-            if not is_semiprime_new(Q) or is_prime_new(Q) != prime:
-                from .dsl import format_fuzzy
-                raise TheoremViolationError(
-                    "the Inf-forms disagree with the crisp cut flags",
-                    details={"fuzzy": format_fuzzy(Q), "prime_cuts": prime})
-            by_len.setdefault(m, []).append(([pos[J] for J in chain], prime))
-        return {m: (np.array([c for c, _ in rows], dtype=np.int64),
-                    np.array([p for _, p in rows], dtype=bool))
-                for m, rows in by_len.items()}
-    return R.cached(("semiprime_chains", max_len, bound), build)
+    memo = R.cached(("semiprime_chains", bound), dict)
+    depth, chains = memo.get("walked", (0, None))
+    if depth >= max_len:
+        return chains
+    lattice = crisp.enumerate_ideals(R, bound)
+    semiprimes = [J for J in lattice
+                  if not J.is_whole and semiprime_witness(R, J) is None]
+    primes = {J for J in semiprimes if prime_witness(R, J) is None}
+    pos = crisp.lattice_positions(R, bound)
+    rows = []
+    for chain in ideal_chains(R, max_len, bound, among=semiprimes)[1:]:
+        m = len(chain)
+        prime = primes.issuperset(chain[:-1])
+        Q = FuzzyIdeal(R, tuple(
+            zip(chain, (Fraction(m - 1 - k, m - 1) for k in range(m)))))
+        if not is_semiprime_new(Q) or is_prime_new(Q) != prime:
+            from .dsl import format_fuzzy
+            raise TheoremViolationError(
+                "the Inf-forms disagree with the crisp cut flags",
+                details={"fuzzy": format_fuzzy(Q), "prime_cuts": prime})
+        rows.append(([pos[J] for J in chain], prime))
+    width = len(rows[-1][0]) if rows else 2
+    chains = (np.array([c + [-1] * (width - len(c)) for c, _ in rows],
+                       dtype=np.int64).reshape(-1, width),
+              np.array([p for _, p in rows], dtype=bool))
+    memo["walked"] = (max_len, chains)
+    return chains
 
 
-@functools.cache
-def _combinations(k: int, m: int):
-    """The m-subsets of range(k) in ``itertools.combinations`` order, as a
-    read-only (C(k, m), m) array."""
-    out = np.array(list(itertools.combinations(range(k), m)), dtype=np.int64)
-    out.flags.writeable = False
-    return out
+def least_members(I: FuzzyIdeal, grid, bound: int | None = None):
+    """The pointwise least grid-valued semiprime Q >= I on each chain of
+    :func:`_semiprime_chains` that carries one, ``grid`` being
+    ``value_grid(I)``: ``(positions, index, prime)``, those chains' rows
+    and flags, and the least members' values as indices into the
+    descending grid, right-padded with indices from ``len(grid)`` up.
 
-
-def semiprime_family(I: FuzzyIdeal, grid, bound: int | None = None):
-    """The semiprime fuzzy ideals Q >= I among
-    ``enumerate_fuzzy_ideals(I.ring, grid, bound)``, in rank form.
-
-    Returns ``(values, rows)``.  ``values`` is the grid, descending.
-    ``rows`` holds one ``(positions, value_index, prime)`` triple per
-    chain length m, ascending: the members' chains as an (N, m) array of
-    positions in ``enumerate_ideals(I.ring, bound)``, their values as an
-    (N, m) array of indices into ``values``, and an (N,) array telling
-    which members are also prime.  Members keep the order of
-    ``enumerate_fuzzy_ideals``; no fuzzy ideal is built.
-
-    Take a candidate Q with chain C1 < ... < Cm = R and values
-    c1 > ... > cm, and set C0 = {} (the empty set).  Two exact facts:
-
-    (L1) Q >= I  iff  ck >= max{v : (C, v) in I.chain, C not inside
-         C(k-1)} for every k; for k = 1 this reads c1 >= I(0).  Q takes ck on
-         Ck minus C(k-1) and its values decrease, so Q >= I iff ck bounds
-         I on the complement of C(k-1); there I's largest value is its
-         value at the least chain ideal of I not inside C(k-1).
-    (L2) Q is semiprime iff C1, ..., C(m-1) are semiprime, and prime iff
-         they are prime, on both backends: the cut theorems, proved in
-         :func:`_semiprime_chains`.  So both depend on the chain alone,
-         not on its values.
-
-    By L2 the chains and their flags are taken once per ring from
-    :func:`_semiprime_chains`.  By L1 each lattice ideal gets one
-    threshold per call, read with one ``argmax`` from the rows of I's
-    chain ideals in ``crisp.subset_rows``, and every chain is tested
-    against all value combinations at once, in integer ranks on
-    grid + image(I).  ``grid`` is ``value_grid(I)``, whose ranks are read
-    from its memo, or any other ascending grid, which is ranked with
-    image(I) first.
+    Take Q with chain C1 < ... < Cm = R and values c1 > ... > cm, and
+    set C0 = {}.  (L1) Q >= I iff ck >= need_k for every k, need_k being
+    I's largest value off C(k-1), at its least chain ideal not inside
+    C(k-1): Q takes ck on Ck minus C(k-1), and its values decrease.  (L2)
+    Q is semiprime, or prime, iff its chain's flag says so.  In indices
+    i1 < ... < im, L1 reads ik <= lim_k, the last index of rank at least
+    need_k, and tightens to ik <= idx_k = min over j >= k of
+    lim_j - (j - k), one reversed ``np.minimum.accumulate``.  So the
+    chain has members iff idx_1 >= 0, and idx is then the least one.
     """
     R = I.ring
-    if not isinstance(grid, ValueGrid):
-        grid = _ranked_grid(sorted(Fraction(v) for v in set(grid)), I.values)
-    values, value_ranks = grid[::-1], grid.ranks[::-1]
+    positions, prime = _semiprime_chains(R, len(grid), bound)
     level_rank = np.array(grid.levels, dtype=np.int64)
-    # the L1 threshold above each lattice ideal C, when C is C(k-1): the
-    # rank of I's first level D not inside C; -1 (no bound) for the whole
-    # ring, which every chain ideal is inside
+    # the L1 need above each lattice ideal C, when C is C(k-1): the rank
+    # of I's first level D not inside C; 0 (no bound) for the whole ring,
+    # which every chain ideal is inside
     outside = ~crisp.subset_rows(R, [D for D, _ in I.chain], bound)
     threshold = np.where(outside.any(axis=0),
-                         level_rank[outside.argmax(axis=0)], -1)
-    top = level_rank[0]
-    rows = []
-    for m, (positions, prime) in sorted(
-            _semiprime_chains(R, len(values), bound).items()):
-        combos = _combinations(len(values), m)
-        ranks = value_ranks[combos][None, :, :]
-        step = max(1, _BLOCK_CELLS // ranks.size)
-        hits = []
-        for start in range(0, len(positions), step):
-            block = positions[start:start + step]
-            need = np.empty_like(block)
-            need[:, 0] = top
-            need[:, 1:] = threshold[block[:, :-1]]
-            above = (ranks >= need[:, None, :]).all(axis=2).ravel()
-            hits.append(start * len(combos) + np.flatnonzero(above))
-        hit = np.concatenate(hits)
-        c = hit // len(combos)
-        rows.append((positions[c], combos[hit % len(combos)], prime[c]))
-    return values, rows
+                         level_rank[outside.argmax(axis=0)], 0)
+    need = np.empty_like(positions)
+    need[:, 0] = level_rank[0]
+    need[:, 1:] = threshold[positions[:, :-1]]
+    # the grid holds image(I), so rank r is the descending index size-1-r
+    size = len(grid)
+    level = np.arange(positions.shape[1])
+    slack = np.where(positions >= 0, size - 1 - need - level, size)
+    index = np.minimum.accumulate(slack[:, ::-1], axis=1)[:, ::-1] + level
+    kept = index[:, 0] >= 0
+    return positions[kept], index[kept], prime[kept]
 
 
-def family_meet(lattice, values, rows) -> tuple:
-    """The canonical cut chain of the pointwise infimum of a nonempty
-    family of fuzzy ideals in rank form.  ``rows`` holds (positions,
-    value_index) pairs of (N, m) arrays, one pair per chain length, as
-    in :func:`semiprime_family`: positions in ``lattice`` and indices
-    into the descending ``values``.
-
-    As in ``fuzzy.intersect``, the alpha-cut of the infimum is the
-    intersection of the members' alpha-cuts, for each member value alpha
-    up to the least top value, and an alpha whose cut repeats the one
-    before adds no level.  A member's alpha-cut is its ideal at its last
-    level valued at least alpha.  At each alpha the distinct cuts (at
-    most the lattice) are met once by ``fuzzy.meet_chain``, so Z keeps
-    exact generators.
-    """
-    rows = [(p, i) for p, i in rows if len(p)]
-    if not rows:
-        raise ValueError("empty family")
-    least_top = max(int(index[:, 0].max()) for _, index in rows)
-    # the member values, marked in a mask: np.unique would import numpy.ma
-    used = np.zeros(len(values), dtype=bool)
-    for _, index in rows:
-        used[index.ravel()] = True
-    alphas = np.flatnonzero(used)
-    alphas = alphas[alphas >= least_top]
-    # keys a * n + p: member cut p at values[alphas[a]], one array per length
-    n = len(lattice)
-    keys = set()
-    for positions, index in rows:
-        last = (index[:, :, None] <= alphas).sum(axis=1) - 1
-        at = positions[np.arange(len(positions))[:, None], last]
-        keys.update((at + n * np.arange(len(alphas))).ravel().tolist())
-    cuts = [[] for _ in alphas]
-    for key in keys:
-        cuts[key // n].append(lattice[key % n])
-    return meet_chain([values[a] for a in alphas.tolist()], cuts)
+@functools.lru_cache(maxsize=4096)
+def member_count(bounds: tuple) -> int:
+    """The number of members of a chain of :func:`least_members` whose
+    least member has the indices ``bounds``: the sequences i1 < ... < im
+    with 0 <= ik <= ``bounds[k]``, by a dynamic program over the grid."""
+    ways = [1] * (bounds[0] + 1)  # ways[v]: the prefixes ending at v
+    for bound in bounds[1:]:
+        below = list(itertools.accumulate(ways, initial=0))
+        ways = below[:bound + 1] + below[-1:] * (bound + 1 - len(below))
+    return sum(ways)
 
 
 # --------------------------------------------------------------------------

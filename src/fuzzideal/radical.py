@@ -10,21 +10,21 @@ the explicit prime-avoiding construction.
 """
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .crisp import (avoiding_positions, crisp_radical, enumerate_ideals,
-                    factorize, lattice_members, lattice_positions,
-                    prime_avoiding)
+from .crisp import (CrispIdeal, avoiding_positions, crisp_radical,
+                    enumerate_ideals, factorize, lattice_members,
+                    lattice_positions, prime_avoiding, subset_matrix)
 from .errors import TheoremViolationError
 from .fuzzy import (FuzzyIdeal, cut, intersect, probe_elements, whole_ideal,
                     zero_type)
-from .primeness import (family_meet, is_prime_new, is_semiprime_new,
-                        semiprime_family, value_grid)
+from .primeness import (is_prime_new, is_semiprime_new, least_members,
+                        member_count, value_grid)
 from .rings import Ring
 
 
@@ -155,29 +155,20 @@ def _probe_masks(R: Ring, ideals, probes):
 
 
 def _witness_pairs(I: FuzzyIdeal, F: FuzzyIdeal, grid, flevels) -> tuple:
-    """The lower-bound witness pair (M, s) of every element x with
-    F(x) = FRad(I)(x) below the top, in a few array steps over the
-    probe elements: ``(below, keys, pairs)``, the positions of those x
-    in ``probe_elements(I, F)``, a key for each, and a dict from each
-    distinct key, in order of first use, to its pair: the element at
-    ``below[i]`` has the pair ``pairs[keys[i]]``.
+    """The lower-bound witness pair (M, s) of every probe element x with
+    F(x) = FRad(I)(x) below the top: ``(below, keys, pairs)``, the
+    positions of those x in ``probe_elements(I, F)``, a key for each, and
+    a dict from each distinct key, in order of first use, to its pair.
 
-    ``grid`` is ``value_grid(I)``, whose ``levels`` are the grid ranks
-    of I's level values, and ``flevels`` holds those of F's.  Everything
-    up to the pairs compares ranks; s leaves as the Fraction
-    ``grid[s]``.  s is the least grid value above F(x) with x
-    outside Rad(I_s).  With F(x) below the top, the next image value v
-    of I above F(x) has x outside Rad(I_v), and so does the midpoint of
-    F(x) and v, which has the same cut; on ``value_grid(I)`` s is
-    therefore below I(0).  The ranks come from one mask over the probes
-    of F's chain ideals, the first of which holding x gives F(x), and of
-    the radicals of I's cuts at the grid ranks up to I(0)'s
-    (:func:`_cut_radicals`).  M is ``prime_avoiding(R, Rad(I_s), x)``,
-    read on table rings from ``crisp.avoiding_positions``, one array per
-    cut radical.
-
-    P = {(M, I(0)), (R, s)} takes the value s < I(0) exactly outside M,
-    so P(x) = s for every element is one mask test, x outside its M.
+    ``grid`` is ``value_grid(I)``, and ``flevels`` the grid ranks of F's
+    level values; s, the least grid value above F(x) with x outside
+    Rad(I_s), leaves as a Fraction.  The next image value v of I above
+    F(x) has x outside Rad(I_v), and so does the midpoint of F(x) and v,
+    so s is below I(0).  The ranks come from one mask over the probes of
+    F's chain ideals and of the cut radicals (:func:`_cut_radicals`).  M
+    is ``prime_avoiding(R, Rad(I_s), x)``, on table rings read from
+    ``crisp.avoiding_positions``.  P = {(M, I(0)), (R, s)} takes the value
+    s exactly outside M, so P(x) = s for all x is one mask test.
     """
     R = I.ring
     radicals = _cut_radicals(I, grid.levels)
@@ -226,46 +217,72 @@ def _ranked(F: FuzzyIdeal, levels) -> tuple:
     return tuple(zip(F.ideals, levels))
 
 
-def _family_meets(I: FuzzyIdeal, grid, bound, family=None) -> tuple:
-    """``(prime_count, semiprime_count, F2, F1)`` for the family
-    ``semiprime_family(I, grid, bound)``, where ``grid = value_grid(I)``:
-    the family's sizes, and the meets of its primes (F2) and of all its
-    members (F1) as cut chains of ranks (None for an empty family).
-    ``family``, when given, returns that family; it is called only on a
-    memo miss.
+def _meet(R: Ring, bound, positions, index, size) -> tuple:
+    """The cut chain, in rank form, of the infimum of the fuzzy ideals
+    with lattice positions ``positions[c]`` and increasing indices
+    ``index[c]`` into the descending grid of ``size`` values, both
+    right-padded (``index`` from ``size`` up).
+
+    As in ``fuzzy.intersect``, its alpha-cut meets the members' alpha-cuts
+    (their ideals at their last levels valued at least alpha), for alpha
+    up to the least top value; a repeated cut adds no level.  On table
+    rings a meet is the last lattice position inside every cut, from one
+    "not inside" product of ``subset_matrix`` columns; over Z, position n
+    is nZ and the meet is the lcm, a fresh ideal past the bound.
+    """
+    alphas = np.arange(index[:, 0].max(), size)
+    last = (index[:, :, None] <= alphas).sum(axis=1) - 1
+    cuts = positions[np.arange(len(positions))[:, None], last]  # (N, A)
+    lattice = enumerate_ideals(R, bound)
+    if R.is_table:
+        used = np.zeros(len(lattice), dtype=bool)
+        used[cuts.ravel()] = True
+        held = np.zeros((len(alphas), used.sum()), dtype=np.float32)
+        held[np.arange(len(alphas)), (np.cumsum(used) - 1)[cuts]] = 1
+        # outside[q, a]: the cuts at alphas[a] that lattice[q] is not inside
+        outside = (~subset_matrix(R)[:, used]).astype(np.float32) @ held.T
+        meets = (len(lattice) - 1
+                 - (outside[::-1] == 0).argmax(axis=0)).tolist()
+    else:
+        meets = [math.lcm(*set(column)) for column in cuts.T.tolist()]
+    chain = []
+    for q, a in zip(meets, alphas.tolist()):
+        if not chain or chain[-1][0] != q:
+            chain.append((q, size - 1 - a))
+    return tuple((lattice[q] if q < len(lattice) else CrispIdeal(R, gen=q), r)
+                 for q, r in chain)
+
+
+def _family_meets(I: FuzzyIdeal, grid, bound) -> tuple:
+    """``(prime_count, semiprime_count, F2, F1)`` for the grid-valued
+    semiprimes above I, ``grid`` being ``value_grid(I)``: the numbers of
+    primes and of all members, and the meets of the primes (F2) and of
+    all members (F1) as cut chains of ranks (None for no member).
+
+    The family is never materialized: each chain gives its least member
+    (:func:`least_members`) and number of members (:func:`member_count`).
+    A member's alpha-cut is its chain ideal at its last level valued at
+    least alpha; the least member's values are at most the member's, so
+    its level is no later on the nested chain and its alpha-cut inside
+    the member's.  So the family's meet is that of the least members
+    (:func:`_meet`), the primes' that over the chains carrying primes.
 
     Memoized per ring and rank pattern K = (I's chain ideals, the ranks
-    ``grid.levels`` of I's level values, the grid's length, ``bound``).
-    K determines all four.  ``semiprime_family`` reads I only through its
-    L1 thresholds, which depend on the chain ideals and the ranks of
-    their values, and through its L2 chain flags, which depend on the
-    ring, the grid's length and ``bound``; every value it compares is a
-    rank.  ``family_meet`` reads value indices only and attaches the
-    labels at the end, so with the ranks as labels it returns the meet in
-    rank form.  The memo holds these tuples, not the family arrays.
+    ``grid.levels`` of I's values, the grid's length, ``bound``): the
+    least members read I through K alone (L1), the chain flags depend on
+    the ring and ``bound`` (L2), and ``_meet`` reads value indices only.
     """
     R = I.ring
 
     def build():
-        values, rows = (family() if family is not None
-                        else semiprime_family(I, grid, bound))
-        semiprimes = [(positions, index) for positions, index, _ in rows]
-        primes = [(positions[prime], index[prime])
-                  for positions, index, prime in rows]
-        lattice = enumerate_ideals(R, bound)
-        position = lattice_positions(R, bound)
-        ranks = range(len(values) - 1, -1, -1)  # values descend
-
-        def shared(meet):
-            # the lattice's own ideal objects, not the meet's fresh copies,
-            # which were most of the memo on Zn(360); over Z an lcm can
-            # leave the bounded lattice
-            return tuple((lattice[position[C]] if C in position else C, r)
-                         for C, r in meet)
-        counts = [sum(len(p) for p, _ in f) for f in (primes, semiprimes)]
-        meets = [shared(family_meet(lattice, ranks, f)) if n else None
-                 for n, f in zip(counts, (primes, semiprimes))]
-        return (*counts, *meets)
+        positions, index, prime = least_members(I, grid, bound)
+        size = len(grid)
+        counts = [member_count(tuple(i for i in row if i < size))
+                  for row in index.tolist()]
+        prime_count = sum(itertools.compress(counts, prime.tolist()))
+        return (prime_count, sum(counts), *(
+            _meet(R, bound, positions[f], index[f], size) if n else None
+            for f, n in ((prime, prime_count), (slice(None), len(counts)))))
     return R.cached(("frad_family", _ranked(I, grid.levels), len(grid), bound),
                     build)
 
@@ -307,34 +324,27 @@ def frad_intersection_check(I: FuzzyIdeal, bound: int | None = None) -> dict:
     valued on ``value_grid(I)`` = same with semiprime witnesses; plus
     explicit prime-avoiding lower-bound witnesses per element.
 
-    The families are generated, not filtered: :func:`semiprime_family`
-    gives exactly the grid-valued semiprimes above I as integer arrays.
-    Their semiprime and prime flags come from the crisp cut witnesses,
-    and the Inf-forms confirm every kept chain once, so the check does
-    not rest on the cut radicals that :func:`frad` uses.
-    Each intersection is one lattice meet per value
-    (:func:`family_meet`).
+    The families are generated, not filtered, from one least member per
+    chain (:func:`_family_meets`).  The chains' semiprime and prime flags
+    come from the crisp cut witnesses, and the Inf-forms confirm every
+    kept chain once, so the check does not rest on the cut radicals that
+    :func:`frad` uses.
 
     The work is split by what it depends on:
 
-    - per image of I: the grid and the ranks of its values and of I's
-      level values (``value_grid``), where Fractions enter;
-    - per rank pattern of I (see :func:`_family_meets`, which gives the
-      argument that the pattern determines the family): the family, its
-      sizes and both meets, memoized per ring;
-    - per ring and semiprime ideal: the prime-avoiding ideal M of every
-      element outside it, read off the ring's prime mask
-      (``crisp.avoiding_positions``, table rings);
-    - per item: FRad(I), its level ranks, looked up once, compared with
-      both meets in rank form, and :func:`_witness_pairs`, a few array
-      steps over masks and grid ranks of the probe elements: each
-      element's witness value s and M, the distinct pairs (M, s), and
-      P(x) = s for every element as one mask test;
+    - per image of I: the grid and its ranks (``value_grid``), where
+      Fractions enter;
+    - per rank pattern of I (:func:`_family_meets`): the least members,
+      the family's sizes and both meets, memoized per ring;
+    - per ring and semiprime ideal: the prime-avoiding ideal of every
+      element outside it (``crisp.avoiding_positions``, table rings);
+    - per item: FRad(I), compared with both meets in rank form, and each
+      element's witness pair (M, s) (:func:`_witness_pairs`);
     - per distinct (M, s) of the item: P = {(M, I(0)), (R, s)} is prime
       (memoized per ring) and above I.
 
-    Fuzzy ideals are built only for the witnesses and to report a
-    difference, and Fractions leave only there and in the reports.
+    Fractions leave only in the witnesses, a reported difference and the
+    reports.
     """
     I.require_non_constant()
     bound = _z_bound(I, bound)
@@ -374,14 +384,12 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
     intersections of primes are semiprime.
 
     The prime meet is read from the rank-pattern memo of
-    :func:`frad_intersection_check` (:func:`_family_meets`) and compared
-    in rank form.  The pair loop (:func:`_prime_pairs_checked`) is
-    memoized beside it, per ring, rank pattern and ``pair_cap``: its
-    pairs are the first primes of the family, which the pattern
-    determines, and each pair's meet is taken on value indices, so its
-    cut chain of ideals is fixed by the pattern too; ``is_semiprime_new``
-    of a meet depends on that chain alone, its values only labelling the
-    levels.  The family is built at most once, on a miss of either memo.
+    :func:`_family_meets` and compared in rank form.  The pair loop
+    (:func:`_prime_pairs_checked`) is memoized beside it, per ring, rank
+    pattern and ``pair_cap``: the pattern fixes the family's first
+    primes, and each pair's meet is taken on value indices, so the
+    pattern fixes its chain of ideals too, all ``is_semiprime_new``
+    reads.
     """
     bound = _z_bound(P, bound)
     if not is_semiprime_new(P):
@@ -389,8 +397,7 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
     R = P.ring
     grid = value_grid(P)
     # every prime fuzzy ideal is semiprime, so no prime above P is missed
-    family = functools.cache(lambda: semiprime_family(P, grid, bound))
-    prime_count, _, prime_meet, _ = _family_meets(P, grid, bound, family)
+    prime_count, _, prime_meet, _ = _family_meets(P, grid, bound)
     if not prime_count:
         raise TheoremViolationError("no grid-valued prime above P")
     ranked = _ranked(P, grid.levels)
@@ -401,50 +408,57 @@ def semiprime_intersection_check(P: FuzzyIdeal, bound: int | None = None,
             details={"x": str(bad)})
     checked = R.cached(
         ("inter_pairs", ranked, len(grid), bound, pair_cap),
-        lambda: _prime_pairs_checked(R, bound, pair_cap, *family()))
+        lambda: _prime_pairs_checked(R, bound, pair_cap, grid,
+                                     least_members(P, grid, bound)))
     return {"prime_count": prime_count, "pairs_checked": checked,
             "equals_intersection": True}
 
 
-def _prime_pairs_checked(R: Ring, bound, pair_cap, values, family) -> int:
-    """Check that the meets of the first ``pair_cap`` pairs of primes in
-    ``semiprime_family``'s ``(values, family)`` are semiprime, and return
-    the number of pairs checked.  The meets are taken on one-member rows
-    of :func:`family_meet`, and a fuzzy ideal is built only for each
-    pair's meet.
+def _primes(positions, index, prime):
+    """Yield the primes above I from its ``least_members``, as (chain
+    positions, value indices) tuples, in ``enumerate_fuzzy_ideals``
+    order: by chain, then by combination, every index at most the least
+    member's."""
+    for chain, bounds in zip(positions[prime].tolist(),
+                             index[prime].tolist()):
+        m = sum(p >= 0 for p in chain)
+        for combo in itertools.combinations(range(bounds[m - 1] + 1), m):
+            if all(i <= b for i, b in zip(combo, bounds)):
+                yield tuple(chain[:m]), combo
+
+
+def _prime_pairs_checked(R: Ring, bound, pair_cap, grid, least) -> int:
+    """Check that the meets (:func:`_meet`) of the first ``pair_cap``
+    pairs of primes above P, from its ``least_members`` ``least`` on
+    ``grid``, are semiprime; return the number of pairs checked.
 
     Each pair's answer is memoized per ring and bound, keyed by the two
     chains' lattice positions and the ranks of their value indices among
-    the indices of both: ``family_meet`` only compares value indices, so
-    these ranks fix the meet's chain of ideals, and ``is_semiprime_new``
-    of the meet depends on that chain alone.
+    the indices of both: ``_meet`` only compares value indices, so these
+    ranks fix the meet's chain of ideals, and ``is_semiprime_new`` of the
+    meet depends on that chain alone.
     """
-    primes = [(positions[prime], index[prime])
-              for positions, index, prime in family]
-    lattice = enumerate_ideals(R, bound)
-    # the first pair_cap pairs of combinations() lie among the first
-    # pair_cap + 1 primes, kept as (positions, value indices) tuples
-    first = list(itertools.islice(
-        ((tuple(positions[i].tolist()), tuple(index[i].tolist()))
-         for positions, index in primes for i in range(len(positions))),
-        pair_cap + 1))
+    size = len(grid)
+    # the first pair_cap pairs of combinations() need pair_cap + 1 primes
+    first = list(itertools.islice(_primes(*least), pair_cap + 1))
 
     def semiprime_meet(*pair):
-        rows = [(np.array([p]), np.array([i])) for p, i in pair]
-        return is_semiprime_new(FuzzyIdeal(R, family_meet(lattice, values,
-                                                          rows)))
-    checked = 0
-    for (pa, ia), (pb, ib) in itertools.combinations(first, 2):
-        if checked >= pair_cap:
-            break
-        checked += 1
+        width = max(len(p) for p, _ in pair)
+        positions = np.array([p + (-1,) * (width - len(p)) for p, _ in pair])
+        index = np.array([i + (size,) * (width - len(i)) for _, i in pair])
+        meet = _meet(R, bound, positions, index, size)
+        return is_semiprime_new(FuzzyIdeal(
+            R, tuple((C, grid[r]) for C, r in meet)))
+    pairs = list(itertools.islice(itertools.combinations(first, 2),
+                                  pair_cap))
+    for (pa, ia), (pb, ib) in pairs:
         rank = {k: r for r, k in enumerate(sorted({*ia, *ib}))}
         key = ("prime_pair_meet", bound, pa, tuple(rank[k] for k in ia),
                pb, tuple(rank[k] for k in ib))
         if not R.cached(key, lambda: semiprime_meet((pa, ia), (pb, ib))):
             raise TheoremViolationError(
                 "intersection of primes is not semiprime")
-    return checked
+    return len(pairs)
 
 
 def radical_properties_check(P: FuzzyIdeal, Q: FuzzyIdeal) -> dict:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -182,6 +183,33 @@ def test_exit_codes(capsys, tmp_path):
     assert run(capsys, "classify", "--ring", "Zn(6)",
                "--fuzzy", "{1:<*>}")[0] == 5
     assert run(capsys, "diagram", "--ring", "Zn(12)", "--cap", "10")[0] == 3
+
+
+@pytest.mark.parametrize("mode, message", [
+    ([], "the 1000000 length-2 chain items at bound 100000 exceed cap "
+         "100000"),
+    (["--corpus", "random", "--seed", "1"],
+     "the ideal lattice at bound 100000 has 100001 ideals, above the size "
+     "limit 4096")])
+def test_huge_z_bound_exits_3_before_the_walk(capsys, mode, message):
+    """A Z corpus at bound 100,000 would build 100,001 subset rows of
+    100,001 entries before its first item; it ends in exit 3 within a
+    second instead."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-frad", "--ring", "Z", "--bound",
+                         "100000", *mode)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith(f"resource limit: {message}")
+
+
+def test_radical_factors_a_product_of_two_large_primes(capsys):
+    """1000036000099 = 1000003 * 1000033 has no divisor up to 10**6: its
+    radical is itself, split by Pollard-Brent rho."""
+    rep = run_json(capsys, "radical", "--ring", "Z",
+                   "--fuzzy", "{1: <1000036000099>, 0: <*>}")
+    assert rep["frad"] == "{1: <1000036000099>, 0: <*>}"
+    assert rep["fixed_point"] is True
 
 
 def test_unsupported_ring_exits_2(capsys):

@@ -440,16 +440,46 @@ PSI_13 = 3_317_044_064_679_887_385_961_981
     (2 ** 61 - 1) ** 2, PSI_12, PSI_13, 2 ** 89 - 1])
 def test_factorize_past_its_limit_raises(n):
     """A cofactor above 10**12 with no divisor up to 10**6 is factored
-    when the Miller-Rabin test proves it prime below its bound, checked
-    with sympy.isprime; a composite one (PSI_12 fools the bases up to 37,
-    not 41) or one past the bound (PSI_13, 2**89 - 1) is out of range."""
-    cofactor = sympy.prod(p ** e for p, e in _sympy_factorization(n)
-                          if p > 10 ** 6)
-    if sympy.isprime(cofactor) and cofactor < PSI_13:
+    when the Miller-Rabin test proves it prime below its bound, or
+    composite (PSI_12 fools the bases up to 37, not 41), checked with
+    sympy; a probable prime past the bound (PSI_13, 2**89 - 1) is out of
+    range."""
+    if n in (PSI_13, 2 ** 89 - 1):
+        with pytest.raises(ResourceLimitError, match="out of range"):
+            crisp.factorize(n)
+    else:
         assert crisp.factorize(n) == _sympy_factorization(n)
-        return
-    with pytest.raises(ResourceLimitError, match="out of range"):
-        crisp.factorize(n)
+
+
+def _primes_above(start, count):
+    out = [sympy.nextprime(start)]
+    while len(out) < count:
+        out.append(sympy.nextprime(out[-1]))
+    return out
+
+
+@pytest.mark.parametrize("n", [
+    *(p * q for p, q in itertools.combinations(_primes_above(10 ** 6, 3), 2)),
+    sympy.nextprime(10 ** 8) * sympy.nextprime(10 ** 9),
+    sympy.nextprime(10 ** 11) * sympy.nextprime(2 * 10 ** 11),
+    2 ** 5 * 3 * sympy.nextprime(10 ** 7) * sympy.nextprime(10 ** 10),
+    sympy.nextprime(10 ** 6) ** 2 * sympy.nextprime(10 ** 8),
+    sympy.nextprime(10 ** 6) * sympy.nextprime(10 ** 7)
+    * sympy.nextprime(10 ** 8),
+    6 * sympy.prevprime(10 ** 12), sympy.prevprime(10 ** 12) ** 2])
+def test_factorize_splits_large_composites(n):
+    """Products of primes above 10**6 split by Pollard-Brent rho, and the
+    prime cofactor just below 10**12, match sympy.factorint."""
+    assert crisp.factorize(n) == _sympy_factorization(n)
+
+
+def test_factorize_gives_up_past_the_rho_steps(monkeypatch):
+    """A composite cofactor whose least prime factor rho does not reach
+    within ``_RHO_STEPS`` iterations is out of range."""
+    monkeypatch.setattr(crisp, "_RHO_STEPS", 1 << 10)
+    n = sympy.nextprime(10 ** 12) * sympy.nextprime(2 * 10 ** 12)
+    with pytest.raises(ResourceLimitError, match="rho steps"):
+        crisp._cofactor_primes(n, 10 ** 6)
 
 
 def test_z_witnesses_match_the_sympy_formulas():

@@ -1,7 +1,9 @@
 """Fuzzy prime radical: computation and theorem verifications."""
 import bisect
 import functools
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from operator import itemgetter
@@ -18,16 +20,16 @@ from fuzzideal import (FuzzyIdeal, RingConstructionError,
                        radical_report, semiprime_intersection_check,
                        value_equivalent, value_grid, witness_prime_excluding,
                        zero_type)
-from conftest import SMALL_RING, TABLE_SPECS, Z_BOUND
+from conftest import SMALL_RING, TABLE_SPECS, Z_BOUND, small_ring
 from fuzzideal import primeness, radical
 from fuzzideal.corpus import ideal_chains
 from fuzzideal.crisp import (crisp_radical, enumerate_ideals, ideal_generate,
                              lattice_positions, prime_avoiding, zero_ideal)
-from fuzzideal.fuzzy import cut, probe_elements
-from fuzzideal.primeness import (_semiprime_chains, family_meet,
-                                 is_prime_new, is_semiprime_new,
-                                 semiprime_family)
-from fuzzideal.radical import (_cut_radicals, _first_difference,
+from fuzzideal.fuzzy import cut, meet_chain, probe_elements
+from fuzzideal.primeness import (ValueGrid, _semiprime_chains, is_prime_new,
+                                 is_semiprime_new, least_members)
+from fuzzideal.radical import (_cut_radicals, _family_meets,
+                               _first_difference, _meet, _primes,
                                _witness_pairs, ring_radical_experimental)
 
 F = Fraction
@@ -201,6 +203,191 @@ def test_ring_radical_experimental(rings):
     assert rep["rad_of_quotient_is_zero"]
 
 
+# -- the materializing family, the reference of the least members -----------
+
+# cells of the (chains x value combinations x length) arrays per block
+_BLOCK_CELLS = 1 << 16
+
+
+@functools.cache
+def _combinations(k: int, m: int):
+    """The m-subsets of range(k) in ``itertools.combinations`` order, as a
+    read-only (C(k, m), m) array."""
+    out = np.array(list(itertools.combinations(range(k), m)), dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _chains_by_length(R, bound, max_len):
+    """The chains of ``_semiprime_chains(R, max_len, bound)`` of length at
+    most ``max_len`` grouped by length: {m: ((N, m) positions, (N,)
+    prime)}."""
+    positions, prime = _semiprime_chains(R, max_len, bound)
+    lengths = (positions >= 0).sum(axis=1)
+    return {m: (positions[lengths == m, :m], prime[lengths == m])
+            for m in sorted(set(lengths.tolist())) if m <= max_len}
+
+
+def semiprime_family(I, grid, bound=None):
+    """The semiprime fuzzy ideals Q >= I among
+    ``enumerate_fuzzy_ideals(I.ring, grid, bound)``, in rank form: every
+    member materialized, as the check built them before the least
+    members.
+
+    Returns ``(values, rows)``.  ``values`` is the grid, descending.
+    ``rows`` holds one ``(positions, value_index, prime)`` triple per
+    chain length m, ascending: the members' chains as an (N, m) array of
+    lattice positions, their values as an (N, m) array of indices into
+    ``values``, and an (N,) array telling which members are also prime.
+    Members keep the order of ``enumerate_fuzzy_ideals``.  Every chain is
+    tested against all value combinations at once against its L1
+    thresholds (see ``least_members``), in integer ranks on
+    grid + image(I); a grid other than ``value_grid(I)`` is ranked with
+    image(I) first.
+    """
+    R = I.ring
+    if not isinstance(grid, ValueGrid):
+        values = sorted(Fraction(v) for v in set(grid))
+        grid = ValueGrid(values)
+        grid.rank = {v: i for i, v in enumerate(sorted({*values,
+                                                         *I.values}))}
+        grid.levels = tuple(grid.rank[v] for v in I.values)
+    values = grid[::-1]
+    value_ranks = np.array([grid.rank[v] for v in values])
+    level_rank = np.array(grid.levels, dtype=np.int64)
+    outside = ~primeness.crisp.subset_rows(R, [D for D, _ in I.chain], bound)
+    threshold = np.where(outside.any(axis=0),
+                         level_rank[outside.argmax(axis=0)], -1)
+    top = level_rank[0]
+    rows = []
+    for m, (positions, prime) in _chains_by_length(R, bound,
+                                                   len(values)).items():
+        combos = _combinations(len(values), m)
+        ranks = value_ranks[combos][None, :, :]
+        step = max(1, _BLOCK_CELLS // ranks.size)
+        hits = []
+        for start in range(0, len(positions), step):
+            block = positions[start:start + step]
+            need = np.empty_like(block)
+            need[:, 0] = top
+            need[:, 1:] = threshold[block[:, :-1]]
+            above = (ranks >= need[:, None, :]).all(axis=2).ravel()
+            hits.append(start * len(combos) + np.flatnonzero(above))
+        hit = np.concatenate(hits)
+        c = hit // len(combos)
+        rows.append((positions[c], combos[hit % len(combos)], prime[c]))
+    return values, rows
+
+
+def family_meet(lattice, values, rows) -> tuple:
+    """The canonical cut chain of the pointwise infimum of a nonempty
+    family of fuzzy ideals in rank form, met as ``CrispIdeal``s.
+    ``rows`` holds (positions, value_index) pairs of (N, m) arrays, one
+    pair per chain length, as in :func:`semiprime_family`: positions in
+    ``lattice`` and indices into the descending ``values``.
+
+    At each member value alpha up to the least top value, the distinct
+    member alpha-cuts are met once by ``fuzzy.meet_chain``; a member's
+    alpha-cut is its ideal at its last level valued at least alpha.
+    """
+    rows = [(p, i) for p, i in rows if len(p)]
+    if not rows:
+        raise ValueError("empty family")
+    least_top = max(int(index[:, 0].max()) for _, index in rows)
+    used = np.zeros(len(values), dtype=bool)
+    for _, index in rows:
+        used[index.ravel()] = True
+    alphas = np.flatnonzero(used)
+    alphas = alphas[alphas >= least_top]
+    # keys a * n + p: member cut p at values[alphas[a]], one array per length
+    n = len(lattice)
+    keys = set()
+    for positions, index in rows:
+        last = (index[:, :, None] <= alphas).sum(axis=1) - 1
+        at = positions[np.arange(len(positions))[:, None], last]
+        keys.update((at + n * np.arange(len(alphas))).ravel().tolist())
+    cuts = [[] for _ in alphas]
+    for key in keys:
+        cuts[key // n].append(lattice[key % n])
+    return meet_chain([values[a] for a in alphas.tolist()], cuts)
+
+
+def _family_meets_reference(I, bound=None):
+    """``_family_meets`` on the materialized family: its sizes, and the
+    meets of its primes and of all its members in rank form."""
+    values, rows = semiprime_family(I, value_grid(I), bound)
+    families = ([(p[f], i[f]) for p, i, f in rows],
+                [(p, i) for p, i, _ in rows])
+    counts = [sum(len(p) for p, _ in f) for f in families]
+    lattice = enumerate_ideals(I.ring, bound)
+    ranks = range(len(values) - 1, -1, -1)  # values descend
+    return (*counts, *(family_meet(lattice, ranks, f) if n else None
+                       for n, f in zip(counts, families)))
+
+
+def _primes_reference(I, bound=None):
+    """The primes of the materialized family, in order, as (chain
+    positions, value indices) tuples."""
+    _, rows = semiprime_family(I, value_grid(I), bound)
+    return [(tuple(p), tuple(i)) for positions, index, prime in rows
+            for p, i in zip(positions[prime].tolist(),
+                            index[prime].tolist())]
+
+
+def _assert_least_members_match(I, bound=None, pair_cap=200):
+    """The counts and both meets from the least members are those of the
+    materialized family, and the lazy check-inter primes its first
+    ``pair_cap + 1`` primes, in order."""
+    grid = value_grid(I)
+    assert _family_meets(I, grid, bound) == _family_meets_reference(
+        I, bound), I
+    lazy = itertools.islice(_primes(*least_members(I, grid, bound)),
+                            pair_cap + 1)
+    assert list(lazy) == _primes_reference(I, bound)[:pair_cap + 1], I
+
+
+@pytest.mark.parametrize("spec", [*TABLE_SPECS, "Z@8", "Z@12", "Z@16"])
+def test_least_members_match_the_materialized_family(rings, corpora, spec):
+    """Counts, both meets and the first check-inter primes, on every item
+    of every table corpus and of Z at bounds 8, 12 and 16."""
+    bound = int(spec[2:]) if spec.startswith("Z@") else None
+    items = (build_corpus(rings["Z"], bound=bound) if bound
+             else corpora[spec])
+    for I in items:
+        _assert_least_members_match(I, bound, pair_cap=20)
+
+
+@given(text=SMALL_RING, data=st.data())
+def test_least_members_match_on_random_rings(text, data):
+    try:
+        R = small_ring(text)
+    except RingConstructionError:  # a quotient by the whole ring
+        return
+    chains = [c for c in ideal_chains(R, len(GRID)) if len(c) >= 2]
+    chain = data.draw(st.sampled_from(chains))
+    values = data.draw(st.sampled_from(list(itertools.combinations(
+        sorted(GRID, reverse=True), len(chain)))))
+    _assert_least_members_match(FuzzyIdeal(R, tuple(zip(chain, values))),
+                                pair_cap=data.draw(st.integers(0, 30)))
+
+
+def test_least_members_are_pointwise_least():
+    """{1: <0>, 1/2: <6>, 0: <*>} in Z at bound 12, on the grid 1 > 3/4 >
+    1/2 > 1/4 > 0: on the chain <0> < <6> < <2> < <1>, the least member
+    takes I(0) = 1 on <0> and I(6) = 1/2 on <6>, the bounds of L1, and
+    then the least values left, 1/4 on <2> and 0 on <1>."""
+    R = parse_ring("Z")
+    I = parse_fuzzy_spec(R, "{1: <0>, 1/2: <6>, 0: <*>}")
+    grid = value_grid(I)
+    positions, index, _ = least_members(I, grid, 12)
+    rows = {tuple(p for p in row if p >= 0): tuple(i for i in idx
+                                                   if i < len(grid))
+            for row, idx in zip(positions.tolist(), index.tolist())}
+    values = grid[::-1]
+    assert [values[i] for i in rows[(0, 6, 2, 1)]] == [
+        F(1), F(1, 2), F(1, 4), F(0)]
+
+
 # -- the generated families of frad_intersection_check -----------------------
 
 def _above_reference(I, grid, bound):
@@ -311,13 +498,17 @@ def _semiprime_chains_reference(R, max_len, bound=None):
 
 
 def _assert_chains_match_reference(R, max_len, bound=None):
-    got = _semiprime_chains(R, max_len, bound)
-    want = _semiprime_chains_reference(R, max_len, bound)
-    assert sorted(got) == sorted(want), (R, max_len, bound)
-    for m, rows in want.items():
-        positions, prime = got[m]
-        assert positions.tolist() == [c for c, _ in rows], (R, max_len, m)
-        assert prime.tolist() == [p for _, p in rows], (R, max_len, m)
+    """The chains up to length ``max_len``, and all of them, are those of
+    the reference walk, in order, with its flags."""
+    lattice_size = len(enumerate_ideals(R, bound))
+    for top in (max_len, lattice_size):
+        got = _chains_by_length(R, bound, top)
+        want = _semiprime_chains_reference(R, top, bound)
+        assert sorted(got) == sorted(want), (R, top, bound)
+        for m, rows in want.items():
+            positions, prime = got[m]
+            assert positions.tolist() == [c for c, _ in rows], (R, top, m)
+            assert prime.tolist() == [p for _, p in rows], (R, top, m)
 
 
 @pytest.mark.parametrize("spec", [*TABLE_SPECS, "Z@8", "Z@12"])
@@ -371,10 +562,22 @@ def test_semiprime_chains_decide_only_the_kept_chains(monkeypatch):
                         counting("built", primeness.FuzzyIdeal))
     monkeypatch.setattr(primeness, "is_semiprime_new",
                         counting("decided", primeness.is_semiprime_new))
-    chains = _semiprime_chains(parse_ring("Prod(Zn(16), Zn(16))"), 9)
-    kept = sum(len(prime) for _, prime in chains.values())
+    _, prime = _semiprime_chains(parse_ring("Prod(Zn(16), Zn(16))"), 9)
+    kept = len(prime)
     assert kept == 5
     assert calls == {"built": kept, "decided": kept}
+
+
+def test_semiprime_chains_walk_as_deep_as_asked():
+    """One array per ring and bound: a deeper request extends the walk,
+    and a shallower one reads the deeper walk."""
+    R = parse_ring("Prod(Zn(2), Zn(2), Zn(2), Zn(2))")
+    shallow = _semiprime_chains(R, 3)
+    assert (shallow[0] >= 0).sum(axis=1).max() == 3
+    deep = _semiprime_chains(R, 9)
+    assert (deep[0] >= 0).sum(axis=1).max() == 5  # the lattice's height
+    assert deep[0][:len(shallow[0]), :3].tolist() == shallow[0].tolist()
+    assert _semiprime_chains(R, 3) is deep
 
 
 def _cut_radicals_reference(I, grid) -> list:
@@ -395,7 +598,7 @@ def _cut_radicals_reference(I, grid) -> list:
 
 
 def _family_ranks_reference(I, grid):
-    """The Fraction-keyed rank set-up of ``semiprime_family``: ``grid``
+    """The Fraction-keyed rank set-up of ``least_members``: ``grid``
     descending, and the ranks on grid + image(I) of its values and of
     I's level values."""
     values = sorted((Fraction(v) for v in set(grid)), reverse=True)
@@ -500,14 +703,15 @@ def test_cut_radicals_walk_the_chain(rings, corpora):
 
 @pytest.mark.parametrize("spec", RANK_PATH_SPECS)
 def test_family_ranks_match_the_fraction_set_up(rings, corpora, spec):
-    """``semiprime_family`` reads its ranks from ``value_grid(I)``'s memo:
-    the same values and ranks as ranking grid + image(I) afresh."""
+    """``least_members`` reads its ranks from ``value_grid(I)``'s memo,
+    where a rank is a grid position: the same values and ranks as
+    ranking grid + image(I) afresh."""
     for P in _rank_path_items(rings, corpora, spec):
         grid = value_grid(P)
         ref_values, ref_value_ranks, ref_levels = \
             _family_ranks_reference(P, grid)
         assert list(grid[::-1]) == ref_values, P
-        assert grid.ranks[::-1].tolist() == ref_value_ranks, P
+        assert [grid.rank[v] for v in grid[::-1]] == ref_value_ranks, P
         assert list(grid.levels) == ref_levels, P
 
 
@@ -610,9 +814,9 @@ def test_frad_check_catches_a_wrong_radical(monkeypatch):
     # check-inter, given the primes above another ideal
     P = parse_fuzzy_spec(R, "{1: <6>, 1/2: <2>, 0: <*>}")
     other = characteristic(ideal_generate(R, {3}))
-    family = radical.semiprime_family
-    monkeypatch.setattr(radical, "semiprime_family",
-                        lambda J, grid, bound=None: family(other, grid, bound))
+    least = radical.least_members
+    monkeypatch.setattr(radical, "least_members",
+                        lambda J, grid, bound=None: least(other, grid, bound))
     with pytest.raises(TheoremViolationError) as exc:
         semiprime_intersection_check(P)
     assert exc.value.details.keys() == {"x"}
@@ -884,10 +1088,19 @@ def _rank_form(R, members, grid):
 GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 
 
+def _padded(members, size):
+    """(positions, value indices) members as the right-padded arrays of
+    ``radical._meet`` on a grid of ``size`` values."""
+    width = max(len(p) for p, _ in members)
+    return (np.array([[*p] + [-1] * (width - len(p)) for p, _ in members]),
+            np.array([[*i] + [size] * (width - len(i)) for _, i in members]))
+
+
 @given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
 def test_family_meet_is_the_intersection(spec, data):
     """The per-value lattice meet of random chains with random grid
-    values is ``intersect`` of the materialized members."""
+    values, as ``CrispIdeal``s and on lattice positions, is ``intersect``
+    of the materialized members."""
     R, chains = _small_ring_chains(spec)
     members = []
     for _ in range(data.draw(st.integers(1, 6))):
@@ -899,6 +1112,12 @@ def test_family_meet_is_the_intersection(spec, data):
     values, rows = _rank_form(R, members, GRID)
     expected = intersect([FuzzyIdeal(R, tuple(zip(c, v))) for c, v in members])
     assert family_meet(enumerate_ideals(R), values, rows) == expected.chain
+    # the positional meet of the check, each member its own least member
+    positions, index = _padded(
+        [(p, i) for ps, ix in rows for p, i in zip(ps.tolist(), ix.tolist())],
+        len(values))
+    assert tuple((C, values[-1 - r]) for C, r in _meet(
+        R, None, positions, index, len(values))) == expected.chain
 
 
 @given(spec=st.sampled_from(SMALL_SPECS), data=st.data())
@@ -920,8 +1139,8 @@ def test_pair_meet_chain_depends_on_the_value_order(spec, data):
     rank = {k: r for r, k in enumerate(sorted({*rows[0][1], *rows[1][1]}))}
 
     def meet_ideals(rows):
-        return [C for C, _ in family_meet(
-            lattice, values, [(np.array([p]), np.array([i])) for p, i in rows])]
+        return [C for C, _ in _meet(R, None, *_padded(rows, len(values)),
+                                    len(values))]
     assert meet_ideals(rows) == meet_ideals(
         [(p, [rank[k] for k in i]) for p, i in rows])
 
@@ -946,3 +1165,38 @@ def test_frad_idempotent_and_monotone(spec, data):
     assert frad(meet).le(frad(J))
     if I.le(J):
         assert FI.le(frad(J))
+
+
+# sha1 of the JSON list of per-item check dicts (check-frad's
+# frad_intersection_check, and check-inter's semiprime_intersection_check
+# on the semiprime items), recorded while the families were still
+# materialized member by member: the CLI reports print no counts
+CHECK_DICTS_SHA1 = (
+    ("Zn(12)", {}, "64f038690b54bf5ca8c303b289f1684f069e5268",
+     "c9d75eee46e2c621468ab115861e131a7a59029a"),
+    ("Tri(2, Zn(2))", {}, "f111bce610b7e3b5c4f24d47494dce43be13f7d1",
+     "c9d75eee46e2c621468ab115861e131a7a59029a"),
+    ("Mat(2, Zn(2))", {}, "bfcdc0e636e3080534b0a6546f05ca62f55e0480",
+     "a1c250cbc130c139cec50d82ce059c4b4b38a90b"),
+    ("Zn(360)", {"mode": "random", "seed": 1, "cap": 100},
+     "d90d3007d2cc86866daba43cd65223eb8cece14c",
+     "490126a91121fb07bd5f7b8b5b79779ac4ca8a2d"),
+    ("Z", {"bound": 16}, "ec00a3b696fdc237063d39e79e1cae25318a80a5",
+     "dc5ab3a24341a2917329c009609ae0c490845d70"),
+)
+
+
+@pytest.mark.parametrize("spec, corpus, frad_sha1, inter_sha1",
+                         CHECK_DICTS_SHA1)
+def test_check_dicts_are_byte_stable(spec, corpus, frad_sha1, inter_sha1):
+    R = parse_ring(spec)
+    bound = corpus.get("bound")
+    items = build_corpus(R, **corpus)
+    frad_dicts = [frad_intersection_check(P, bound=bound) for P in items]
+    inter_dicts = [semiprime_intersection_check(P, bound=bound)
+                   for P in items if is_semiprime_new(P)]
+
+    def sha1(dicts):
+        return hashlib.sha1(json.dumps(dicts, sort_keys=True).encode()
+                            ).hexdigest()
+    assert (sha1(frad_dicts), sha1(inter_dicts)) == (frad_sha1, inter_sha1)
